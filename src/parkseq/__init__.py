@@ -13,7 +13,6 @@ from .biject import (
     LatticePath,
     arithmetic_boundary,
     from_vector_parking_function,
-    instance_boundary,
     ips_to_lattice_path,
     lattice_path_to_ips,
     to_vector_parking_function,
@@ -52,7 +51,6 @@ from .count import (
     count_ps_product,
     count_sps,
     count_sps_k,
-    count_u_pf_arithmetic,
     fuss_catalan,
     rising_factorial,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "count_ps_product",
     "count_sps",
     "count_sps_k",
-    "count_u_pf_arithmetic",
     "distinct_permutations",
     "enum_ips",
     "enum_lattice_paths",
@@ -106,7 +103,6 @@ __all__ = [
     "enum_u_pf",
     "from_vector_parking_function",
     "fuss_catalan",
-    "instance_boundary",
     "ips_to_lattice_path",
     "is_increasing_ps",
     "is_k_strong",

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .classify import check_boundary, is_increasing_ps
-from .core import ParkingInstance, _as_int_tuple, standard_order_bounds
+from .core import ParkingInstance, _as_int_tuple, _positive, standard_order_bounds
 
 __all__ = [
     "LatticePath",
     "arithmetic_boundary",
     "from_vector_parking_function",
-    "instance_boundary",
     "ips_to_lattice_path",
     "lattice_path_to_ips",
     "to_vector_parking_function",
@@ -56,11 +55,6 @@ class LatticePath:
             raise ValueError(f"steps {self.xs} overrun width {self.width}")
 
 
-def instance_boundary(instance: ParkingInstance) -> tuple[int, ...]:
-    """Strict right boundary matched to an instance: z, z + y_1, z + y_1 + y_2, ..."""
-    return standard_order_bounds(instance)
-
-
 def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> LatticePath:
     """Shift a nondecreasing member down one entrywise into a lattice path."""
     prefs = _as_int_tuple(prefs, "preferences")
@@ -68,14 +62,14 @@ def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> Latt
         raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
     return LatticePath(
         tuple(c - 1 for c in prefs),
-        instance_boundary(instance),
+        standard_order_bounds(instance),
         instance.street_length,
     )
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
     """Inverse shift; the result is always a nondecreasing member."""
-    expected = instance_boundary(instance)
+    expected = standard_order_bounds(instance)
     if path.boundary != expected:
         raise ValueError(
             f"path boundary {path.boundary} does not match the instance's {expected}"
@@ -96,7 +90,7 @@ def to_vector_parking_function(
     coercing them.  Entrywise monotone, so sorting commutes with it.
     """
     prefs = _as_int_tuple(prefs, "preferences")
-    step = _as_int_tuple((step,), "step")[0]
+    step = _positive(step, "step")
     out = []
     for c in prefs:
         if c <= trailer_z:
@@ -116,7 +110,7 @@ def from_vector_parking_function(
 ) -> tuple[int, ...]:
     """Expand entries z + s back to z + s*step; inverse of the contraction."""
     values = _as_int_tuple(values, "values")
-    step = _as_int_tuple((step,), "step")[0]
+    step = _positive(step, "step")
     return tuple(
         v if v <= trailer_z else trailer_z + (v - trailer_z) * step for v in values
     )

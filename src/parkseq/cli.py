@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, check, enumerate, count, verify, render.
+"""Command-line front end: simulate (alias render), check, enumerate, count, verify.
 
 Exit codes: 0 success or predicate true, 1 predicate false (a failed parking
 counts), 2 usage error, 3 verification mismatch, 4 enumeration budget
@@ -32,7 +32,6 @@ from .count import (
     count_ps_product,
     count_sps,
     count_sps_k,
-    count_u_pf_arithmetic,
     fuss_catalan,
 )
 from .enumeration import (
@@ -55,19 +54,61 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 
-_FAMILIES = ("ps", "ips", "inv", "strong", "kstrong", "upf", "paths")
-_FORMULAS = (
-    "ps",
-    "ips-det",
-    "ips-const",
-    "fuss",
-    "inv-inc",
-    "inv-const",
-    "inv-two-block",
-    "sps",
-    "sps-k",
-    "upf",
-)
+
+def _instance(args) -> ParkingInstance:
+    return ParkingInstance(args.lengths, args.trailer)
+
+
+def _paths_listing(args) -> FamilyListing:
+    paths = enum_lattice_paths(args.boundary, args.width, args.budget)
+    return FamilyListing(
+        "paths",
+        {"boundary": paths[0].boundary, "width": paths[0].width},
+        tuple(path.xs for path in paths),
+    )
+
+
+# family: (required flags, check predicate or None, enumerator); each callable
+# takes the parsed arguments.  ``check`` offers the families with a predicate.
+_FAMILIES = {
+    "ps": (("lengths",), lambda a: is_parking_sequence(_instance(a), a.prefs),
+           lambda a: enum_ps(_instance(a), a.budget)),
+    "ips": (("lengths",), lambda a: is_increasing_ps(_instance(a), a.prefs),
+            lambda a: enum_ips(_instance(a), a.budget)),
+    "inv": (("lengths",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
+            lambda a: enum_ps_inv(_instance(a), a.budget)),
+    "strong": (("lengths",),
+               lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
+               lambda a: enum_sps(a.lengths, a.trailer, a.budget)),
+    "kstrong": (("n", "k"),
+                lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
+                lambda a: enum_sps_k(a.n, a.k, a.trailer, a.budget, definitional=a.definitional)),
+    "upf": (("boundary",), lambda a: is_u_parking_function(a.boundary, a.prefs),
+            lambda a: enum_u_pf(a.boundary, a.budget)),
+    "paths": (("boundary",), None, _paths_listing),
+}
+
+# formula: (flags in the order of the JSON params and the positional
+# arguments, count function)
+_FORMULAS = {
+    "ps": (("lengths", "trailer"), count_ps_product),
+    "ips-det": (("lengths", "trailer"), count_ips_determinant),
+    "ips-const": (("k", "n", "trailer"), count_ips_constant),
+    "fuss": (("k", "n"), fuss_catalan),
+    "inv-inc": (("n", "trailer"), count_inv_strictly_increasing),
+    "inv-const": (("n", "trailer"), count_inv_constant),
+    "inv-two-block": (("n", "r", "trailer"), count_inv_two_block),
+    "sps": (("lengths", "trailer"), count_sps),
+    "sps-k": (("n", "k", "trailer"), count_sps_k),
+    "upf": (("trailer", "n"), lambda trailer, n: count_inv_constant(n, trailer)),
+}
+
+
+def _need(args, what: str, flags: Sequence[str]) -> None:
+    """Raise the usage error naming every required flag left unset."""
+    missing = [flag for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"{what} needs " + ", ".join(f"--{flag}" for flag in missing))
 
 
 def _ints_csv(text: str) -> tuple[int, ...]:
@@ -188,38 +229,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    family = args.family
-    prefs = args.prefs
-    params = {"family": family, "prefs": prefs, "trailer": args.trailer}
-    if family == "upf":
-        if args.boundary is None:
-            raise ValueError("--family upf needs --boundary")
-        params["boundary"] = args.boundary
-        value = is_u_parking_function(args.boundary, prefs)
-    elif family == "kstrong":
-        if args.n is None:
-            raise ValueError("--family kstrong needs --n")
-        k = args.k if args.k is not None else len(prefs)
-        params.update(n=args.n, k=k)
-        value = is_k_strong(args.n, k, args.trailer, prefs, definitional=args.definitional)
-    elif family == "strong":
-        if args.lengths is None:
-            raise ValueError("--family strong needs --lengths")
-        params["lengths"] = args.lengths
-        value = is_strong_ps(args.lengths, args.trailer, prefs, definitional=args.definitional)
-    elif family in ("ps", "ips", "inv"):
-        if args.lengths is None:
-            raise ValueError(f"--family {family} needs --lengths")
-        params["lengths"] = args.lengths
-        instance = ParkingInstance(args.lengths, args.trailer)
-        predicate = {
-            "ps": is_parking_sequence,
-            "ips": is_increasing_ps,
-            "inv": is_permutation_invariant,
-        }[family]
-        value = predicate(instance, prefs)
-    else:
-        raise ValueError(f"--family {family} cannot be checked, only enumerated")
+    flags, predicate, _ = _FAMILIES[args.family]
+    if args.k is None:  # kstrong's car count defaults to the number of preferences
+        args.k = len(args.prefs)
+    _need(args, f"--family {args.family}", flags)
+    params = {"family": args.family, "prefs": args.prefs, "trailer": args.trailer}
+    params.update((flag, getattr(args, flag)) for flag in flags)
+    value = predicate(args)
     if args.json:
         _emit_json("check", params, {"value": value})
     else:
@@ -227,41 +243,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if value else EXIT_FALSE
 
 
-def _listing_for(args) -> FamilyListing:
-    family = args.family
-    if family in ("ps", "ips", "inv"):
-        if args.lengths is None:
-            raise ValueError(f"--family {family} needs --lengths")
-        instance = ParkingInstance(args.lengths, args.trailer)
-        if family == "ps":
-            return enum_ps(instance, args.budget)
-        if family == "ips":
-            return enum_ips(instance, args.budget)
-        return enum_ps_inv(instance, args.budget)
-    if family == "strong":
-        if args.lengths is None:
-            raise ValueError("--family strong needs --lengths")
-        return enum_sps(args.lengths, args.trailer, args.budget)
-    if family == "kstrong":
-        if args.n is None or args.k is None:
-            raise ValueError("--family kstrong needs --n and --k")
-        return enum_sps_k(args.n, args.k, args.trailer, args.budget, definitional=args.definitional)
-    if family == "upf":
-        if args.boundary is None:
-            raise ValueError("--family upf needs --boundary")
-        return enum_u_pf(args.boundary, args.budget)
-    if args.boundary is None:
-        raise ValueError("--family paths needs --boundary")
-    paths = enum_lattice_paths(args.boundary, args.width, args.budget)
-    return FamilyListing(
-        "paths",
-        {"boundary": tuple(args.boundary), "width": paths[0].width if paths else args.width},
-        tuple(path.xs for path in paths),
-    )
-
-
 def _cmd_enumerate(args) -> int:
-    listing = _listing_for(args)
+    flags, _, enumerator = _FAMILIES[args.family]
+    _need(args, f"--family {args.family}", flags)
+    listing = enumerator(args)
     params = dict(listing.params, family=listing.family)
     result = {"cardinality": listing.cardinality}
     if not args.count_only:
@@ -293,56 +278,12 @@ def _write_listing(path: str, listing: FamilyListing, params: dict, result: dict
 
 
 def _cmd_count(args) -> int:
-    formula = args.formula
-
-    def need(**required):
-        missing = [flag for flag, value in required.items() if value is None]
-        if missing:
-            pretty = ", ".join(f"--{name.replace('_', '-')}" for name in missing)
-            raise ValueError(f"--formula {formula} needs {pretty}")
-
-    if formula == "ps":
-        need(lengths=args.lengths)
-        value = count_ps_product(args.lengths, args.trailer)
-        params = {"lengths": args.lengths, "trailer": args.trailer}
-    elif formula == "ips-det":
-        need(lengths=args.lengths)
-        value = count_ips_determinant(args.lengths, args.trailer)
-        params = {"lengths": args.lengths, "trailer": args.trailer}
-    elif formula == "ips-const":
-        need(k=args.k, n=args.n)
-        value = count_ips_constant(args.k, args.n, args.trailer)
-        params = {"k": args.k, "n": args.n, "trailer": args.trailer}
-    elif formula == "fuss":
-        need(k=args.k, n=args.n)
-        value = fuss_catalan(args.k, args.n)
-        params = {"k": args.k, "n": args.n}
-    elif formula == "inv-inc":
-        need(n=args.n)
-        value = count_inv_strictly_increasing(args.n, args.trailer)
-        params = {"n": args.n, "trailer": args.trailer}
-    elif formula == "inv-const":
-        need(n=args.n)
-        value = count_inv_constant(args.n, args.trailer)
-        params = {"n": args.n, "trailer": args.trailer}
-    elif formula == "inv-two-block":
-        need(n=args.n, r=args.r)
-        value = count_inv_two_block(args.n, args.r, args.trailer)
-        params = {"n": args.n, "r": args.r, "trailer": args.trailer}
-    elif formula == "sps":
-        need(lengths=args.lengths)
-        value = count_sps(args.lengths, args.trailer)
-        params = {"lengths": args.lengths, "trailer": args.trailer}
-    elif formula == "sps-k":
-        need(n=args.n, k=args.k)
-        value = count_sps_k(args.n, args.k, args.trailer)
-        params = {"n": args.n, "k": args.k, "trailer": args.trailer}
-    else:
-        need(n=args.n)
-        value = count_u_pf_arithmetic(args.trailer, args.n)
-        params = {"trailer": args.trailer, "n": args.n}
+    flags, formula = _FORMULAS[args.formula]
+    _need(args, f"--formula {args.formula}", flags)
+    params = {flag: getattr(args, flag) for flag in flags}
+    value = formula(*params.values())
     if args.json:
-        _emit_json("count", dict(params, formula=formula), {"value": value})
+        _emit_json("count", dict(params, formula=args.formula), {"value": value})
     else:
         print(value)
     return EXIT_OK
@@ -415,19 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
     def common_flags(sub):
         sub.add_argument("--json", action="store_true", help="machine-readable output")
 
-    sub = commands.add_parser("simulate", help="run the parking process once")
+    sub = commands.add_parser(
+        "simulate",
+        aliases=["render"],
+        help="run the parking process once; render draws the street",
+    )
     instance_args(sub, with_prefs=True)
     sub.add_argument("--render", action="store_true", help="include the text diagram")
     common_flags(sub)
     sub.set_defaults(func=_cmd_simulate)
 
-    sub = commands.add_parser("render", help="text diagram of the street")
-    instance_args(sub, with_prefs=True)
-    common_flags(sub)
-    sub.set_defaults(func=_cmd_simulate, render=True)
-
     sub = commands.add_parser("check", help="test one sequence against a family")
-    sub.add_argument("--family", choices=_FAMILIES[:-1], required=True)
+    checkable = [name for name, (_, check, _) in _FAMILIES.items() if check]
+    sub.add_argument("--family", choices=checkable, required=True)
     instance_args(sub, with_prefs=True, lengths_required=False)
     sub.add_argument("--n", type=int, help="total car length (kstrong)")
     sub.add_argument("--k", type=int, help="car count (kstrong; defaults to len(prefs))")

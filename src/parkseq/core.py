@@ -33,13 +33,29 @@ __all__ = [
 
 
 def _as_int_tuple(values: Iterable[int], what: str, minimum: int = 1) -> tuple[int, ...]:
-    """Coerce to a tuple of true integers, rejecting floats and small values."""
+    """Coerce to a tuple of true integers, rejecting floats, bools and small values."""
     try:
-        out = tuple(operator.index(v) for v in values)
+        out = tuple(values)
+        if bool in map(type, out):
+            raise TypeError("booleans are not integers")
+        out = tuple(map(operator.index, out))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers") from exc
-    if any(v < minimum for v in out):
+    if out and min(out) < minimum:
         raise ValueError(f"{what} must all be >= {minimum}, got {out}")
+    return out
+
+
+def _positive(value: int, what: str) -> int:
+    """Coerce one true integer >= 1, rejecting floats and bools."""
+    try:
+        if type(value) is bool:
+            raise TypeError("booleans are not integers")
+        out = operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be an integer") from exc
+    if out < 1:
+        raise ValueError(f"{what} must be >= 1, got {out}")
     return out
 
 
@@ -61,8 +77,7 @@ class ParkingInstance:
         object.__setattr__(self, "lengths", _as_int_tuple(self.lengths, "car lengths"))
         if not self.lengths:
             raise ValueError("an instance needs at least one car")
-        z = _as_int_tuple((self.trailer_z,), "trailer parameter")[0]
-        object.__setattr__(self, "trailer_z", z)
+        object.__setattr__(self, "trailer_z", _positive(self.trailer_z, "trailer parameter"))
 
     @property
     def car_count(self) -> int:

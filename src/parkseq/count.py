@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import ParkingInstance, _as_int_tuple, standard_order_bounds
+from .core import ParkingInstance, _as_int_tuple, _positive, standard_order_bounds
 
 __all__ = [
     "binomial",
@@ -23,15 +23,9 @@ __all__ = [
     "count_ps_product",
     "count_sps",
     "count_sps_k",
-    "count_u_pf_arithmetic",
     "fuss_catalan",
     "rising_factorial",
 ]
-
-
-def _positive(value: int, what: str) -> int:
-    out = _as_int_tuple((value,), what)[0]
-    return out
 
 
 def binomial(a: int, b: int) -> int:
@@ -134,7 +128,10 @@ def count_inv_strictly_increasing(n: int, trailer_z: int) -> int:
 
 
 def count_inv_constant(n: int, trailer_z: int) -> int:
-    """Invariant-member count z(n+z)^(n-1) for constant lengths, any size."""
+    """Invariant-member count z(n+z)^(n-1) for constant lengths, any size.
+
+    It also counts the vector parking functions for (z, z+1, ..., z+n-1).
+    """
     n = _positive(n, "car count")
     z = _positive(trailer_z, "trailer parameter")
     return z * (n + z) ** (n - 1)
@@ -186,19 +183,12 @@ def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     """Count of length-k sequences parking every composition of ``total``.
 
     Rising factorial z(z+1)...(z+k-1) for k < n; the unit-car case k = n is
-    the vector-parking-function count z(n+z)^(n-1) instead.
+    the constant-length invariant count z(n+z)^(n-1) instead.
     """
     total = _positive(total, "street weight")
     z = _positive(trailer_z, "trailer parameter")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
     if k == total:
-        return z * (total + z) ** (total - 1)
+        return count_inv_constant(total, z)
     return rising_factorial(z, k)
-
-
-def count_u_pf_arithmetic(trailer_z: int, n: int) -> int:
-    """Vector parking functions for the boundary (z, z+1, ..., z+n-1): z(z+n)^(n-1)."""
-    z = _positive(trailer_z, "trailer parameter")
-    n = _positive(n, "length")
-    return z * (z + n) ** (n - 1)

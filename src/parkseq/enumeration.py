@@ -22,7 +22,6 @@ from .classify import (
     check_boundary,
     compositions,
     distinct_permutations,
-    is_u_parking_function,
     necessary_condition,
 )
 from .core import ParkingInstance, _as_int_tuple, _parks, _street_mask, _trailer_mask, standard_order_bounds
@@ -258,13 +257,8 @@ def enum_sps_k(
         )
         return FamilyListing("kstrong", params, members)
     if k == total:
-        bounds = tuple(range(trailer_z, trailer_z + total))
-        members = tuple(
-            prefs
-            for prefs in itertools.product(range(1, ceiling + 1), repeat=k)
-            if is_u_parking_function(bounds, prefs)
-        )
-        return FamilyListing("kstrong", params, members)
+        unit_cars = enum_u_pf(tuple(range(trailer_z, trailer_z + total)), budget)
+        return FamilyListing("kstrong", params, unit_cars.members)
     members = tuple(
         itertools.product(*(range(1, trailer_z + j + 1) for j in range(k)))
     )
@@ -292,20 +286,24 @@ def enum_lattice_paths(
     """Nondecreasing x_1 <= ... <= x_q with 0 <= x_i < b_i, in lex order.
 
     ``width`` is the number of east steps of the enclosing rectangle; it
-    defaults to the largest possible north-step coordinate.
+    defaults to the largest possible north-step coordinate, and a narrower
+    rectangle also caps every step at ``x_i <= width``.
     """
     from .biject import LatticePath
 
     boundary = check_boundary(boundary)
-    _guard(math.prod(boundary), budget)
     if width is None:
         width = boundary[-1] - 1
+    elif width < 0:
+        raise ValueError(f"width must be >= 0, got {width}")
+    caps = tuple(min(b, width + 1) for b in boundary)
+    _guard(math.prod(caps), budget)
     q = len(boundary)
     paths: list[LatticePath] = []
     steps = [0] * q
 
     def extend(depth: int, lowest: int) -> None:
-        for x in range(lowest, boundary[depth]):
+        for x in range(lowest, caps[depth]):
             steps[depth] = x
             if depth + 1 != q:
                 extend(depth + 1, x)

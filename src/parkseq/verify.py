@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from .biject import (
     arithmetic_boundary,
     from_vector_parking_function,
-    instance_boundary,
     ips_to_lattice_path,
     lattice_path_to_ips,
     to_vector_parking_function,
     two_block_boundary,
 )
 from .classify import perm_invariant_characterized
-from .core import ParkingInstance
+from .core import ParkingInstance, standard_order_bounds
 from .count import (
     count_inv_constant,
     count_inv_strictly_increasing,
@@ -31,7 +30,6 @@ from .count import (
     count_ps_product,
     count_sps,
     count_sps_k,
-    count_u_pf_arithmetic,
     fuss_catalan,
 )
 from .enumeration import (
@@ -322,7 +320,7 @@ def _suite_inv_characterizations(max_n, seed, budget):
                     instance,
                     "inv-one-big-car",
                     target.members,
-                    count_u_pf_arithmetic(z, n),
+                    count_inv_constant(n, z),
                 )
     return records
 
@@ -445,7 +443,7 @@ def _suite_bijections(max_n, seed, budget):
                     == tuple(
                         path.xs
                         for path in enum_lattice_paths(
-                            instance_boundary(instance), instance.street_length, budget
+                            standard_order_bounds(instance), instance.street_length, budget
                         )
                     ),
                     "image is exactly the bounded-path family",

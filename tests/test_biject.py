@@ -12,10 +12,10 @@ from parkseq import (
     enum_ps_inv,
     enum_u_pf,
     from_vector_parking_function,
-    instance_boundary,
     ips_to_lattice_path,
     lattice_path_to_ips,
     order_statistics,
+    standard_order_bounds,
     to_vector_parking_function,
     two_block_boundary,
 )
@@ -55,14 +55,14 @@ class TestLatticePathMap:
             members = enum_ips(instance).members
             paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
             assert [lattice_path_to_ips(instance, p) for p in paths] == list(members)
-            swept = enum_lattice_paths(instance_boundary(instance), instance.street_length)
+            swept = enum_lattice_paths(standard_order_bounds(instance), instance.street_length)
             assert [p.xs for p in paths] == [p.xs for p in swept]
 
     def test_drawn_path_maps_back(self):
         # the boundary (3, 4, 5, 8) with width 8 matches lengths (1, 1, 3, 1), z = 3
         path = LatticePath((2, 3, 3, 7), (3, 4, 5, 8), 8)
         instance = ParkingInstance((1, 1, 3, 1), 3)
-        assert instance_boundary(instance) == (3, 4, 5, 8)
+        assert standard_order_bounds(instance) == (3, 4, 5, 8)
         assert lattice_path_to_ips(instance, path) == (3, 4, 4, 8)
         assert ips_to_lattice_path(instance, (3, 4, 4, 8)) == path
 

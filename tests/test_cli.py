@@ -5,7 +5,7 @@ import json
 import pytest
 
 from parkseq import ParkingInstance
-from parkseq.cli import render_street, run
+from parkseq.cli import _FAMILIES, _FORMULAS, render_street, run
 
 
 def _cells(line):
@@ -128,3 +128,88 @@ class TestFileDumps:
 
 def test_unknown_suite_reported_as_usage_error():
     assert run(["verify", "--suite", "everything"]) == 2
+
+
+# Pinned --json documents, one per family and formula: the flags given, then
+# the params (in their printed key order) and the result.  A new table entry
+# fails here until it gets a pinned case.
+ENUMERATE_DOCS = {
+    "ps": ("--lengths 1,2 --trailer 2", {"lengths": [1, 2], "trailer": 2, "family": "ps"},
+           {"cardinality": 8, "members": [[1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3], [4, 1], [4, 2]]}),
+    "ips": ("--lengths 2,2", {"lengths": [2, 2], "trailer": 1, "family": "ips"},
+            {"cardinality": 3, "members": [[1, 1], [1, 2], [1, 3]]}),
+    "inv": ("--lengths 1,2,2 --trailer 2", {"lengths": [1, 2, 2], "trailer": 2, "family": "inv"},
+            {"cardinality": 8, "members": [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2],
+                                           [2, 1, 1], [2, 1, 2], [2, 2, 1], [2, 2, 2]]}),
+    "strong": ("--lengths 2,1", {"lengths": [1, 2], "trailer": 1, "family": "strong"},
+               {"cardinality": 2, "members": [[1, 1], [1, 2]]}),
+    "kstrong": ("--n 3 --k 2 --trailer 2", {"n": 3, "k": 2, "trailer": 2, "family": "kstrong"},
+                {"cardinality": 6, "members": [[1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3]]}),
+    "upf": ("--boundary 1,1,3", {"boundary": [1, 1, 3], "family": "upf"},
+            {"cardinality": 7, "members": [[1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 2, 1],
+                                           [1, 3, 1], [2, 1, 1], [3, 1, 1]]}),
+    "paths": ("--boundary 1,2,3", {"boundary": [1, 2, 3], "width": 2, "family": "paths"},
+              {"cardinality": 5, "members": [[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 1, 1], [0, 1, 2]]}),
+}
+
+# None marks a family that can be enumerated but not checked.
+CHECK_DOCS = {
+    "ps": ("--lengths 1,2 --prefs 3,1",
+           {"family": "ps", "prefs": [3, 1], "trailer": 1, "lengths": [1, 2]}, True),
+    "ips": ("--lengths 2,2 --trailer 2 --prefs 2,1",
+            {"family": "ips", "prefs": [2, 1], "trailer": 2, "lengths": [2, 2]}, False),
+    "inv": ("--lengths 1,2,2 --trailer 2 --prefs 1,1,2",
+            {"family": "inv", "prefs": [1, 1, 2], "trailer": 2, "lengths": [1, 2, 2]}, True),
+    "strong": ("--lengths 1,2 --prefs 1,2",
+               {"family": "strong", "prefs": [1, 2], "trailer": 1, "lengths": [1, 2]}, True),
+    "kstrong": ("--n 3 --prefs 2,1",
+                {"family": "kstrong", "prefs": [2, 1], "trailer": 1, "n": 3, "k": 2}, False),
+    "upf": ("--boundary 1,2,3 --prefs 2,1,1",
+            {"family": "upf", "prefs": [2, 1, 1], "trailer": 1, "boundary": [1, 2, 3]}, True),
+    "paths": None,
+}
+
+COUNT_DOCS = {
+    "ps": ("--lengths 1,2,2 --z 2", {"lengths": [1, 2, 2], "trailer": 2, "formula": "ps"}, 60),
+    "ips-det": ("--lengths 1,2,2", {"lengths": [1, 2, 2], "trailer": 1, "formula": "ips-det"}, 7),
+    "ips-const": ("--k 2 --n 3 --trailer 2", {"k": 2, "n": 3, "trailer": 2, "formula": "ips-const"}, 30),
+    "fuss": ("--k 2 --n 4", {"k": 2, "n": 4, "formula": "fuss"}, 55),
+    "inv-inc": ("--n 3 --trailer 2", {"n": 3, "trailer": 2, "formula": "inv-inc"}, 8),
+    "inv-const": ("--n 3 --trailer 2", {"n": 3, "trailer": 2, "formula": "inv-const"}, 50),
+    "inv-two-block": ("--n 4 --r 2 --trailer 2",
+                      {"n": 4, "r": 2, "trailer": 2, "formula": "inv-two-block"}, 48),
+    "sps": ("--lengths 2,1,2", {"lengths": [2, 1, 2], "trailer": 1, "formula": "sps"}, 8),
+    "sps-k": ("--n 4 --k 2 --trailer 2", {"n": 4, "k": 2, "trailer": 2, "formula": "sps-k"}, 6),
+    "upf": ("--n 3 --trailer 2", {"trailer": 2, "n": 3, "formula": "upf"}, 50),
+}
+
+
+def _document(command, params, result):
+    return json.dumps({"command": command, "params": params, "result": result}, indent=2) + "\n"
+
+
+class TestPinnedDocuments:
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_enumerate(self, family, capsys):
+        flags, params, result = ENUMERATE_DOCS[family]
+        assert run(["enumerate", "--family", family, *flags.split(), "--json"]) == 0
+        assert capsys.readouterr().out == _document("enumerate", params, result)
+        assert run(["enumerate", "--family", family, "--json"]) == 2
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_check(self, family, capsys):
+        if CHECK_DOCS[family] is None:
+            assert run(["check", "--family", family, "--prefs", "1"]) == 2
+            return
+        flags, params, value = CHECK_DOCS[family]
+        assert run(["check", "--family", family, *flags.split(), "--json"]) == (0 if value else 1)
+        assert capsys.readouterr().out == _document("check", params, {"value": value})
+        prefs = flags.split()[-2:]  # every case ends with its --prefs
+        assert run(["check", "--family", family, *prefs, "--json"]) == 2
+
+    @pytest.mark.parametrize("formula", list(_FORMULAS))
+    def test_count(self, formula, capsys):
+        flags, params, value = COUNT_DOCS[formula]
+        assert run(["count", "--formula", formula, *flags.split(), "--json"]) == 0
+        assert capsys.readouterr().out == _document("count", params, {"value": value})
+        assert run(["count", "--formula", formula, "--json"]) == 2

@@ -13,6 +13,7 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
+from parkseq.core import _parks, _street_mask
 
 
 def test_street_length_fig1_instance():
@@ -82,7 +83,7 @@ def test_preference_length_must_match():
 def test_rejects_nonpositive_values():
     with pytest.raises(ValueError):
         ParkingInstance((1, 0), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"trailer parameter must be >= 1, got 0$"):
         ParkingInstance((1,), 0)
     with pytest.raises(ValueError):
         simulate(ParkingInstance((1,), 1), (0,))
@@ -91,6 +92,8 @@ def test_rejects_nonpositive_values():
 def test_rejects_float_lengths():
     with pytest.raises(ValueError):
         ParkingInstance((1.5, 2), 1)
+    with pytest.raises(ValueError):
+        ParkingInstance((True, 2), 1)
 
 
 def test_standard_order_bounds_are_prefix_sums():
@@ -172,3 +175,12 @@ def test_replay_is_bit_identical_and_covers_on_success(case):
     assert first == again
     if first.success:
         assert _exact_cover(instance, first)
+
+
+@given(_instance_and_prefs())
+@settings(deadline=None)
+def test_success_only_kernel_agrees_with_simulate(case):
+    instance, prefs = case
+    street = _street_mask(instance.street_length)
+    parked = _parks(instance.lengths, instance.trailer_z, prefs, street)
+    assert parked == simulate(instance, prefs).success

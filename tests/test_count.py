@@ -15,7 +15,6 @@ from parkseq import (
     count_ps_product,
     count_sps,
     count_sps_k,
-    count_u_pf_arithmetic,
     enum_ips,
     enum_ps_inv,
     enum_u_pf,
@@ -179,10 +178,10 @@ class TestKStrongCounts:
 
 class TestArithmeticBoundaryCount:
     def test_values(self):
-        assert count_u_pf_arithmetic(1, 3) == 16
-        assert count_u_pf_arithmetic(2, 2) == 8
-        assert count_u_pf_arithmetic(9, 1) == 9
+        assert count_inv_constant(3, 1) == 16
+        assert count_inv_constant(2, 2) == 8
+        assert count_inv_constant(1, 9) == 9
 
     def test_matches_sweep(self):
         assert enum_u_pf((2, 3)).cardinality == 8
-        assert enum_u_pf((1, 2, 3)).cardinality == count_u_pf_arithmetic(1, 3)
+        assert enum_u_pf((1, 2, 3)).cardinality == count_inv_constant(3, 1)

@@ -194,6 +194,10 @@ def test_enum_u_pf_counts():
 
 def test_enum_lattice_paths_dyck_boundary():
     assert len(enum_lattice_paths((1, 2, 3))) == 5  # Catalan number
+    narrow = enum_lattice_paths((1, 2, 3), width=1)
+    assert [path.xs for path in narrow] == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
+    with pytest.raises(ValueError, match="width must be >= 0"):
+        enum_lattice_paths((1, 2, 3), width=-1)
 
 
 def test_enum_lattice_paths_single_step():
