@@ -125,17 +125,6 @@ def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) ->
     )
 
 
-def _constant_invariant_ok(n: int, size: int, z: int, prefs: tuple[int, ...]) -> bool:
-    # order statistic i capped at z + (i-1)k, and every entry at most z or on
-    # the grid z + k, z + 2k, ..., z + (n-1)k
-    stats = order_statistics(prefs)
-    if any(c > z + (i - 1) * size for i, c in enumerate(stats, start=1)):
-        return False
-    return all(
-        c <= z or ((c - z) % size == 0 and (c - z) // size <= n - 1) for c in prefs
-    )
-
-
 def _two_block_invariant_ok(n: int, r: int, small: int, z: int, prefs: tuple[int, ...]) -> bool:
     # the n-r+1 smallest order statistics sit at or below z; the j-th largest
     # beyond them may also sit on the grid z + small, ..., z + (j-1) * small
@@ -159,9 +148,8 @@ def perm_invariant_characterized(
     Matched against the literal arrangement of the lengths:
 
     * strictly increasing lengths: invariant iff every entry is at most z;
-    * constant lengths (k, ..., k): order statistics capped at z + (i-1)k and
-      every entry in {1..z} or on the grid z + k, z + 2k, ..., z + (n-1)k;
     * (a, ..., a, b, ..., b) with a < b: the two-block order-statistic rule;
+    * constant lengths: the two-block rule with r = n, their degenerate case;
     * (a, 1, ..., 1) with a > 1: vector parking function for (z, ..., z+n-1).
 
     Returns None when the lengths match none of these; callers fall back to
@@ -176,12 +164,10 @@ def perm_invariant_characterized(
     z = instance.trailer_z
     if all(a < b for a, b in zip(lengths, lengths[1:])):
         return all(c <= z for c in prefs)
-    if len(set(lengths)) == 1:
-        return _constant_invariant_ok(n, lengths[0], z, prefs)
     run = 1
     while run < n and lengths[run] == lengths[0]:
         run += 1
-    if len(set(lengths[run:])) == 1 and lengths[0] < lengths[run]:
+    if run == n or (len(set(lengths[run:])) == 1 and lengths[0] < lengths[run]):
         return _two_block_invariant_ok(n, run, lengths[0], z, prefs)
     if lengths[0] > 1 and all(v == 1 for v in lengths[1:]):
         return is_u_parking_function(tuple(range(z, z + n)), prefs)

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success or predicate true, 1 predicate false (a failed parking
 counts), 2 usage error, 3 verification mismatch, 4 enumeration budget
-exceeded.  ``--json`` swaps the text output for one stable document with
-top-level fields ``command``, ``params``, ``result`` and, for verify,
-``records``.
+exceeded, 141 (128 + SIGPIPE, as for a process the signal ends) with nothing
+on stderr when the reader closes stdout early (``parkseq enumerate ... | head``).
+``--json`` swaps the text output for one stable document with top-level fields
+``command``, ``params``, ``result`` and, for verify, ``records``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -53,6 +55,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _instance(args) -> ParkingInstance:
@@ -130,11 +133,12 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(command: str, params: dict, result: dict, records=None) -> None:
+def _document(command: str, params: dict, result: dict, records=None) -> str:
+    """The ``--json`` document, also written by ``enumerate --out FILE.json``."""
     doc = {"command": command, "params": _jsonable(params), "result": _jsonable(result)}
     if records is not None:
         doc["records"] = _jsonable(records)
-    print(json.dumps(doc, indent=2))
+    return json.dumps(doc, indent=2)
 
 
 def render_street(instance: ParkingInstance, prefs: Sequence[int]) -> list[str]:
@@ -219,7 +223,7 @@ def _cmd_simulate(args) -> int:
         result = _outcome_result(instance, outcome)
         if diagram is not None:
             result["diagram"] = diagram
-        _emit_json(args.command, params, result)
+        print(_document(args.command, params, result))
     else:
         if diagram is not None:
             print("\n".join(diagram))
@@ -237,7 +241,7 @@ def _cmd_check(args) -> int:
     params.update((flag, getattr(args, flag)) for flag in flags)
     value = predicate(args)
     if args.json:
-        _emit_json("check", params, {"value": value})
+        print(_document("check", params, {"value": value}))
     else:
         print("true" if value else "false")
     return EXIT_OK if value else EXIT_FALSE
@@ -256,7 +260,7 @@ def _cmd_enumerate(args) -> int:
         print(f"wrote {listing.cardinality} members to {args.out}")
         return EXIT_OK
     if args.json:
-        _emit_json("enumerate", params, result)
+        print(_document("enumerate", params, result))
     elif args.count_only:
         print(listing.cardinality)
     else:
@@ -266,13 +270,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _write_listing(path: str, listing: FamilyListing, params: dict, result: dict) -> None:
-    if path.endswith(".json"):
-        doc = {"command": "enumerate", "params": _jsonable(params), "result": _jsonable(result)}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-        return
     with open(path, "w", encoding="utf-8", newline="") as handle:
+        if path.endswith(".json"):
+            handle.write(_document("enumerate", params, result) + "\n")
+            return
         for member in listing.members:
             handle.write(",".join(str(v) for v in member) + "\n")
 
@@ -283,7 +284,7 @@ def _cmd_count(args) -> int:
     params = {flag: getattr(args, flag) for flag in flags}
     value = formula(*params.values())
     if args.json:
-        _emit_json("count", dict(params, formula=args.formula), {"value": value})
+        print(_document("count", dict(params, formula=args.formula), {"value": value}))
     else:
         print(value)
     return EXIT_OK
@@ -293,7 +294,7 @@ def _cmd_verify(args) -> int:
     records = run_suite(args.suite, max_n=args.max_n, seed=args.seed, budget=args.budget)
     failed = [record for record in records if not record.passed]
     if args.json:
-        _emit_json(
+        doc = _document(
             "verify",
             {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
             {"total": len(records), "passed": len(records) - len(failed), "failed": len(failed)},
@@ -309,6 +310,7 @@ def _cmd_verify(args) -> int:
                 for record in records
             ],
         )
+        print(doc)
     else:
         for record in records:
             tag = "PASS" if record.passed else "FAIL"
@@ -433,7 +435,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the
+        # interpreter's own flush at exit cannot fail and print again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ from .classify import (
     distinct_permutations,
     necessary_condition,
 )
-from .core import ParkingInstance, _as_int_tuple, _parks, _street_mask, _trailer_mask, standard_order_bounds
+from .core import (
+    ParkingInstance, _as_int_tuple, _parks, _positive, _street_mask, _trailer_mask, standard_order_bounds,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -236,14 +238,15 @@ def enum_sps_k(
     """Length-k sequences parking every multiset of k car lengths totalling ``total``.
 
     The street has z + total - 1 spots, which also caps useful preferences.
-    The default route uses the characterization through the binding
-    composition (1, ..., 1, total - k + 1); ``definitional=True`` instead
-    intersects plain membership over every composition of ``total`` into k
-    parts (the compositions are closed under reordering, so that intersection
-    is the definition).
+    The default route lists the strong family on the binding composition
+    (1, ..., 1, total - k + 1); ``definitional=True`` instead intersects
+    plain membership over every composition of ``total`` into k parts (the
+    compositions are closed under reordering, so that intersection is the
+    definition).
     """
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)
     params = {"n": total, "k": k, "trailer": trailer_z}
@@ -256,13 +259,9 @@ def enum_sps_k(
             if all(_parks(parts, trailer_z, prefs, street) for parts in parts_list)
         )
         return FamilyListing("kstrong", params, members)
-    if k == total:
-        unit_cars = enum_u_pf(tuple(range(trailer_z, trailer_z + total)), budget)
-        return FamilyListing("kstrong", params, unit_cars.members)
-    members = tuple(
-        itertools.product(*(range(1, trailer_z + j + 1) for j in range(k)))
-    )
-    return FamilyListing("kstrong", params, members)
+    witness = (1,) * (k - 1) + (total - k + 1,)
+    strong = enum_sps(witness, trailer_z, budget, method="bounds")
+    return FamilyListing("kstrong", params, strong.members)
 
 
 def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyListing:

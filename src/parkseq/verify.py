@@ -77,10 +77,38 @@ class ReportRecord:
         return self.expected == self.computed
 
 
-def _length_grid(max_n, max_y=3, min_n=1):
-    for n in range(min_n, max_n + 1):
-        for lengths in itertools.product(range(1, max_y + 1), repeat=n):
-            yield lengths
+def _instance_grid(max_n):
+    """Every length vector over {1, 2, 3} of 1..max_n cars, each with trailer 1, 2, 3."""
+    for n in range(1, max_n + 1):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                yield ParkingInstance(lengths, z)
+
+
+def _invariant_grid(max_n):
+    """The constant, then the two-block (a^r, b^(n-r)) instances, trailers 1, 2, 3.
+
+    Yields (kind, instance, contraction step, boundary, invariant count): the
+    contraction with that step maps the invariant set onto the vector parking
+    functions for that boundary.
+    """
+    for size in (1, 2, 3):
+        for n in range(1, max_n + 1):
+            for z in (1, 2, 3):
+                yield ("constant", ParkingInstance((size,) * n, z), size,
+                       arithmetic_boundary(z, n), count_inv_constant(n, z))
+    for small, large in ((1, 2), (1, 3), (2, 3)):
+        for n in range(2, max_n + 1):
+            for r in range(1, n):
+                for z in (1, 2, 3):
+                    yield ("two-block", ParkingInstance((small,) * r + (large,) * (n - r), z),
+                           small, two_block_boundary(z, n, r), count_inv_two_block(n, r, z))
+
+
+def _contracts_onto(z, step, members, boundary, budget):
+    """Does the contraction map these members onto the vector parking functions?"""
+    image = sorted(to_vector_parking_function(z, step, prefs) for prefs in members)
+    return tuple(image) == enum_u_pf(boundary, budget).members
 
 
 def _characterized_set(instance):
@@ -95,20 +123,16 @@ def _characterized_set(instance):
 
 def _suite_eq3(max_n, seed, budget):
     max_n = 4 if max_n is None else max_n
-    records = []
-    for lengths in _length_grid(max_n):
-        for z in (1, 2, 3):
-            instance = ParkingInstance(lengths, z)
-            records.append(
-                ReportRecord(
-                    "ps-product-vs-enum",
-                    {"lengths": lengths, "trailer": z},
-                    count_ps_product(lengths, z),
-                    enum_ps(instance, budget).cardinality,
-                    "product count formula against the exhaustive sweep",
-                )
-            )
-    return records
+    return [
+        ReportRecord(
+            "ps-product-vs-enum",
+            {"lengths": instance.lengths, "trailer": instance.trailer_z},
+            count_ps_product(instance.lengths, instance.trailer_z),
+            enum_ps(instance, budget).cardinality,
+            "product count formula against the exhaustive sweep",
+        )
+        for instance in _instance_grid(max_n)
+    ]
 
 
 def _suite_table1(max_n, seed, budget):
@@ -195,29 +219,28 @@ def _suite_fuss(max_n, seed, budget):
 def _suite_determinant(max_n, seed, budget):
     max_n = 4 if max_n is None else max_n
     records = []
-    for lengths in _length_grid(max_n):
-        for z in (1, 2, 3):
-            instance = ParkingInstance(lengths, z)
+    for instance in _instance_grid(max_n):
+        params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
+        records.append(
+            ReportRecord(
+                "ips-determinant-vs-enum",
+                params,
+                count_ips_determinant(instance.lengths, instance.trailer_z),
+                enum_ips(instance, budget).cardinality,
+                "boundary determinant against the direct sweep",
+            )
+        )
+        if instance.car_count <= 3:
             records.append(
                 ReportRecord(
-                    "ips-determinant-vs-enum",
-                    {"lengths": lengths, "trailer": z},
-                    count_ips_determinant(lengths, z),
-                    enum_ips(instance, budget).cardinality,
-                    "boundary determinant against the direct sweep",
+                    "ips-methods-agree",
+                    params,
+                    True,
+                    enum_ips(instance, budget).members
+                    == enum_ips(instance, budget, method="filter").members,
+                    "bound generation equals filtering the simulation sweep",
                 )
             )
-            if instance.car_count <= 3:
-                records.append(
-                    ReportRecord(
-                        "ips-methods-agree",
-                        {"lengths": lengths, "trailer": z},
-                        True,
-                        enum_ips(instance, budget).members
-                        == enum_ips(instance, budget, method="filter").members,
-                        "bound generation equals filtering the simulation sweep",
-                    )
-                )
     rng = random.Random(seed)
     for index in range(20):
         lengths = tuple(rng.randint(1, 4) for _ in range(5))
@@ -269,46 +292,20 @@ def _suite_inv_characterizations(max_n, seed, budget):
                     count_inv_strictly_increasing(n, z),
                 )
 
-    # constant lengths
-    for size in (1, 2, 3):
-        for n in range(1, max_n + 1):
-            for z in (1, 2, 3):
-                instance = ParkingInstance((size,) * n, z)
-                set_and_count(
-                    instance,
-                    "inv-constant",
-                    _characterized_set(instance),
-                    count_inv_constant(n, z),
+    # constant lengths, then two-block lengths plus the contraction image
+    for kind, instance, step, boundary, count in _invariant_grid(max_n):
+        inv = set_and_count(instance, f"inv-{kind}", _characterized_set(instance), count)
+        if kind == "two-block":
+            z = instance.trailer_z
+            records.append(
+                ReportRecord(
+                    "inv-two-block-image",
+                    {"lengths": instance.lengths, "trailer": z},
+                    True,
+                    _contracts_onto(z, step, inv.members, boundary, budget),
+                    "contraction maps the sweep onto the boundary family",
                 )
-
-    # two-block lengths (a^r, b^(n-r)) with a < b, plus the contraction image
-    for small, large in ((1, 2), (1, 3), (2, 3)):
-        for n in range(2, max_n + 1):
-            for r in range(1, n):
-                for z in (1, 2, 3):
-                    instance = ParkingInstance((small,) * r + (large,) * (n - r), z)
-                    inv = set_and_count(
-                        instance,
-                        "inv-two-block",
-                        _characterized_set(instance),
-                        count_inv_two_block(n, r, z),
-                    )
-                    image = tuple(
-                        sorted(
-                            to_vector_parking_function(z, small, prefs)
-                            for prefs in inv.members
-                        )
-                    )
-                    target = enum_u_pf(two_block_boundary(z, n, r), budget)
-                    records.append(
-                        ReportRecord(
-                            "inv-two-block-image",
-                            {"lengths": instance.lengths, "trailer": z},
-                            True,
-                            image == target.members,
-                            "contraction maps the sweep onto the boundary family",
-                        )
-                    )
+            )
 
     # one big car ahead of unit cars
     for size in (2, 3):
@@ -416,50 +413,45 @@ def _suite_sps_k(max_n, seed, budget):
 def _suite_bijections(max_n, seed, budget):
     max_n = 4 if max_n is None else max_n
     records = []
-    for lengths in _length_grid(max_n):
-        for z in (1, 2, 3):
-            instance = ParkingInstance(lengths, z)
-            params = {"lengths": lengths, "trailer": z}
-            members = enum_ips(instance, budget).members
-            paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
-            records.append(
-                ReportRecord(
-                    "ips-path-roundtrip",
-                    params,
-                    True,
-                    all(
-                        lattice_path_to_ips(instance, path) == prefs
-                        for prefs, path in zip(members, paths)
-                    ),
-                    "shift there and back is the identity",
-                )
+    for instance in _instance_grid(max_n):
+        params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
+        members = enum_ips(instance, budget).members
+        paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
+        records.append(
+            ReportRecord(
+                "ips-path-roundtrip",
+                params,
+                True,
+                all(
+                    lattice_path_to_ips(instance, path) == prefs
+                    for prefs, path in zip(members, paths)
+                ),
+                "shift there and back is the identity",
             )
-            records.append(
-                ReportRecord(
-                    "ips-path-image",
-                    params,
-                    True,
-                    tuple(path.xs for path in paths)
-                    == tuple(
-                        path.xs
-                        for path in enum_lattice_paths(
-                            standard_order_bounds(instance), instance.street_length, budget
-                        )
-                    ),
-                    "image is exactly the bounded-path family",
-                )
+        )
+        records.append(
+            ReportRecord(
+                "ips-path-image",
+                params,
+                True,
+                tuple(path.xs for path in paths)
+                == tuple(
+                    path.xs
+                    for path in enum_lattice_paths(
+                        standard_order_bounds(instance), instance.street_length, budget
+                    )
+                ),
+                "image is exactly the bounded-path family",
             )
+        )
 
-    def contraction_records(instance, step, boundary, tag):
+    for kind, instance, step, boundary, _ in _invariant_grid(max_n):
         z = instance.trailer_z
         domain = _characterized_set(instance)
-        image = tuple(
-            sorted(to_vector_parking_function(z, step, prefs) for prefs in domain)
-        )
         params = {"lengths": instance.lengths, "trailer": z}
         records.append(
             ReportRecord(
-                f"{tag}-roundtrip",
+                f"contraction-{kind}-roundtrip",
                 params,
                 True,
                 all(
@@ -474,33 +466,13 @@ def _suite_bijections(max_n, seed, budget):
         )
         records.append(
             ReportRecord(
-                f"{tag}-image",
+                f"contraction-{kind}-image",
                 params,
                 True,
-                image == enum_u_pf(boundary, budget).members,
+                _contracts_onto(z, step, domain, boundary, budget),
                 "characterized set maps onto the boundary family",
             )
         )
-
-    for size in (1, 2, 3):
-        for n in range(1, max_n + 1):
-            for z in (1, 2, 3):
-                contraction_records(
-                    ParkingInstance((size,) * n, z),
-                    size,
-                    arithmetic_boundary(z, n),
-                    "contraction-constant",
-                )
-    for small, large in ((1, 2), (1, 3), (2, 3)):
-        for n in range(2, max_n + 1):
-            for r in range(1, n):
-                for z in (1, 2, 3):
-                    contraction_records(
-                        ParkingInstance((small,) * r + (large,) * (n - r), z),
-                        small,
-                        two_block_boundary(z, n, r),
-                        "contraction-two-block",
-                    )
     return records
 
 

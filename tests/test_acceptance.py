@@ -2,8 +2,11 @@
 
 Run ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines.  Each
 criterion is exact (tolerance zero); most delegate to the named ``verify``
-suites so the command line gate checks the same things.
+suites so the command line gate checks the same things.  Every suite runs
+once, and a digest of all its records pins the gate's output.
 """
+
+import hashlib
 
 import pytest
 
@@ -13,7 +16,13 @@ from parkseq import (
     necessary_condition,
     simulate,
 )
-from parkseq.verify import run_suite
+from parkseq.verify import SUITE_NAMES, run_suite
+
+# sha256 of every gate record, suites in run order, one repr per line:
+# (check, params, expected, computed, note).  A record added on purpose
+# changes it; an unchanged gate never does.
+GATE_RECORDS = 2324
+GATE_DIGEST = "6e392100998ef6993ed4a1ca359a1902760008ce60c96d6fee033d19d8d30730"
 
 
 def _criterion(tag, records):
@@ -29,8 +38,9 @@ def _boolean(tag, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def inv_records():
-    return run_suite("inv-characterizations")
+def suites():
+    """Every verify suite at its default size, run once, in gate order."""
+    return {name: run_suite(name) for name in SUITE_NAMES if name != "all"}
 
 
 def test_criterion_01_figure_replay():
@@ -43,40 +53,40 @@ def test_criterion_01_figure_replay():
     _boolean("criterion 1 (four-car replay)", ok, f"got {outcome}")
 
 
-def test_criterion_02_product_count_vs_sweep():
-    _criterion("criterion 2 (product count on the full grid)", run_suite("eq3"))
+def test_criterion_02_product_count_vs_sweep(suites):
+    _criterion("criterion 2 (product count on the full grid)", suites["eq3"])
 
 
-def test_criterion_03_two_big_car_table():
-    _criterion("criterion 3 (pinned invariant counts)", run_suite("table1"))
+def test_criterion_03_two_big_car_table(suites):
+    _criterion("criterion 3 (pinned invariant counts)", suites["table1"])
 
 
-def test_criterion_04_catalan_and_fuss():
+def test_criterion_04_catalan_and_fuss(suites):
     _criterion(
         "criterion 4 (Catalan and Fuss-Catalan)",
-        run_suite("catalan") + run_suite("fuss"),
+        suites["catalan"] + suites["fuss"],
     )
 
 
-def test_criterion_05_determinant():
-    _criterion("criterion 5 (boundary determinant)", run_suite("determinant"))
+def test_criterion_05_determinant(suites):
+    _criterion("criterion 5 (boundary determinant)", suites["determinant"])
 
 
-def test_criterion_06_invariance_characterizations(inv_records):
-    _criterion("criterion 6 (invariance characterizations)", inv_records)
+def test_criterion_06_invariance_characterizations(suites):
+    _criterion("criterion 6 (invariance characterizations)", suites["inv-characterizations"])
 
 
-def test_criterion_07_strong_sequences():
-    _criterion("criterion 7 (rearranged length vectors)", run_suite("strong"))
+def test_criterion_07_strong_sequences(suites):
+    _criterion("criterion 7 (rearranged length vectors)", suites["strong"])
 
 
-def test_criterion_08_k_strong():
-    _criterion("criterion 8 (fixed street weight)", run_suite("sps-k"))
+def test_criterion_08_k_strong(suites):
+    _criterion("criterion 8 (fixed street weight)", suites["sps-k"])
 
 
-def test_criterion_09_bijection_round_trips(inv_records):
-    images = [record for record in inv_records if record.check.endswith("-image")]
-    _criterion("criterion 9 (round trips and images)", run_suite("bijections") + images)
+def test_criterion_09_bijection_round_trips(suites):
+    images = [r for r in suites["inv-characterizations"] if r.check.endswith("-image")]
+    _criterion("criterion 9 (round trips and images)", suites["bijections"] + images)
 
 
 def test_criterion_10_counterexample_pinning():
@@ -90,3 +100,10 @@ def test_criterion_10_counterexample_pinning():
         ok,
         f"swapped={swapped} sorted_large={sorted_large} large_last={large_last} necessary={necessary}",
     )
+
+
+def test_gate_records_are_pinned(suites):
+    records = [record for records in suites.values() for record in records]
+    lines = (repr((r.check, r.params, r.expected, r.computed, r.note)) for r in records)
+    assert len(records) == GATE_RECORDS
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GATE_DIGEST

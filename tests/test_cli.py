@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, JSON schema, diagrams, file dumps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parkseq
 from parkseq import ParkingInstance
 from parkseq.cli import _FAMILIES, _FORMULAS, render_street, run
 
@@ -51,10 +56,15 @@ class TestExitCodes:
     def test_check_true_is_zero(self):
         assert run(["check", "--family", "ps", "--lengths", "1,2", "--prefs", "3,1"]) == 0
 
-    def test_usage_error_is_two(self):
+    def test_usage_error_is_two(self, capsys):
         assert run(["check", "--family", "nonsense", "--prefs", "1"]) == 2
         assert run(["enumerate", "--family", "ps"]) == 2  # --lengths missing
         assert run(["count", "--formula", "sps-k", "--n", "3"]) == 2  # --k missing
+        capsys.readouterr()
+        for route in (["--k", "2"], ["--k", "2", "--definitional"], ["--k", "3"]):
+            argv = ["enumerate", "--family", "kstrong", "--n", "3", *route, "--trailer", "0"]
+            assert run([*argv, "--count-only"]) == 2
+            assert capsys.readouterr().err == "error: trailer parameter must be >= 1, got 0\n"
 
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
@@ -118,12 +128,34 @@ class TestFileDumps:
         run(["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)])
         assert target.read_text().splitlines() == ["1,1", "1,2", "3,1"]
         assert "wrote 3 members" in capsys.readouterr().out
+        run(["enumerate", "--family", "ps", "--lengths", "1,2"])
+        assert target.read_text() == capsys.readouterr().out
 
-    def test_json_dump(self, tmp_path):
+    def test_json_dump(self, tmp_path, capsys):
         target = tmp_path / "family.json"
         run(["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)])
         doc = json.loads(target.read_text())
         assert doc["result"]["members"] == [[1, 1], [1, 2], [3, 1]]
+        capsys.readouterr()
+        run(["enumerate", "--family", "ps", "--lengths", "1,2", "--json"])
+        assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_closed_pipe_ends_quietly():
+    # 16,807 rows, more than a pipe holds, so the command is still writing
+    # when the reader goes away
+    argv = ["enumerate", "--family", "ps", "--lengths", "1,1,1,1,1,1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "parkseq.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"1,1,1,1,1,1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_unknown_suite_reported_as_usage_error():
