@@ -24,7 +24,7 @@ from .classify import (
     is_strong_ps,
     is_u_parking_function,
 )
-from .core import FailureReason, ParkingInstance, ParkOutcome, simulate
+from .core import FailureReason, ParkingInstance, ParkOutcome, _positive, simulate
 from .count import (
     count_inv_constant,
     count_inv_strictly_increasing,
@@ -123,21 +123,23 @@ def _ints_csv(text: str) -> tuple[int, ...]:
         )
 
 
-def _jsonable(value):
-    if isinstance(value, FailureReason):
-        return value.value
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
+def _positive_int(text: str) -> int:
+    """The ``--max-n`` and ``--budget`` values: one integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return _positive(value, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _document(command: str, params: dict, result: dict, records=None) -> str:
     """The ``--json`` document, also written by ``enumerate --out FILE.json``."""
-    doc = {"command": command, "params": _jsonable(params), "result": _jsonable(result)}
+    doc = {"command": command, "params": params, "result": result}
     if records is not None:
-        doc["records"] = _jsonable(records)
+        doc["records"] = records
     return json.dumps(doc, indent=2)
 
 
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--boundary", type=_ints_csv, help="bounds (upf) or path boundary (paths)")
     sub.add_argument("--width", type=int, help="east steps of the path rectangle (paths)")
     sub.add_argument("--count-only", action="store_true", help="print only the cardinality")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate-space cap")
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
     sub.add_argument("--definitional", action="store_true", help="kstrong: sweep all compositions")
     sub.add_argument("--out", help="write the listing to FILE (.json, else CSV rows)")
     common_flags(sub)
@@ -408,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="run formula-versus-sweep cross-checks")
     sub.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    sub.add_argument("--max-n", type=int, default=None, help="cap the sweep size where applicable")
+    sub.add_argument("--max-n", type=_positive_int, help="cap the sweep size where applicable")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate-space cap")
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
     common_flags(sub)
     sub.set_defaults(func=_cmd_verify)
 

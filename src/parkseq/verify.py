@@ -19,7 +19,7 @@ from .biject import (
     to_vector_parking_function,
     two_block_boundary,
 )
-from .classify import perm_invariant_characterized
+from .classify import distinct_permutations, perm_invariant_characterized
 from .core import ParkingInstance, standard_order_bounds
 from .count import (
     count_inv_constant,
@@ -112,13 +112,18 @@ def _contracts_onto(z, step, members, boundary, budget):
 
 
 def _characterized_set(instance):
-    """All sequences the closed invariance conditions admit, built without simulation."""
-    spots = instance.street_length
-    return tuple(
+    """All sequences the closed invariance conditions admit, built without simulation.
+
+    The closed rules read only the multiset, so each sorted representative is
+    tested once and, if admitted, expanded to its distinct rearrangements.
+    """
+    spots = range(1, instance.street_length + 1)
+    return tuple(sorted(
         prefs
-        for prefs in itertools.product(range(1, spots + 1), repeat=instance.car_count)
-        if perm_invariant_characterized(instance, prefs)
-    )
+        for rep in itertools.combinations_with_replacement(spots, instance.car_count)
+        if perm_invariant_characterized(instance, rep)
+        for prefs in distinct_permutations(rep)
+    ))
 
 
 def _suite_eq3(max_n, seed, budget):

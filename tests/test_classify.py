@@ -156,6 +156,14 @@ class TestCharacterizedInvariance:
                         prefs,
                     )
 
+    def test_verdict_depends_only_on_the_multiset(self):
+        # verify builds its characterized sets from sorted representatives
+        for instance in _grid():
+            for prefs in _all_prefs(instance):
+                assert perm_invariant_characterized(instance, prefs) == (
+                    perm_invariant_characterized(instance, tuple(sorted(prefs)))
+                ), (instance, prefs)
+
 
 class TestStrong:
     def test_pair_box(self):

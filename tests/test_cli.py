@@ -65,6 +65,16 @@ class TestExitCodes:
             argv = ["enumerate", "--family", "kstrong", "--n", "3", *route, "--trailer", "0"]
             assert run([*argv, "--count-only"]) == 2
             assert capsys.readouterr().err == "error: trailer parameter must be >= 1, got 0\n"
+        for argv in (
+            ["verify", "--suite", "eq3", "--max-n", "0"],
+            ["verify", "--suite", "eq3", "--max-n", "-1"],
+            ["verify", "--suite", "eq3", "--budget", "0"],
+            ["enumerate", "--family", "ps", "--lengths", "1,2", "--budget", "-1"],
+            ["enumerate", "--family", "ps", "--lengths", "1,2", "--budget", "0"],
+        ):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument {argv[-2]}: value must be >= 1, got {argv[-1]}\n")
 
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4

@@ -1,6 +1,8 @@
 """Closed-form counts against independent oracles and pinned small values."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,36 @@ from parkseq import (
     fuss_catalan,
     rising_factorial,
 )
+
+
+def _bounded_nondecreasing_count(lengths, z):
+    # independent oracle: a DP over 1 <= c_1 <= ... <= c_n with
+    # c_i <= z + y_1 + ... + y_{i-1}; ways[v - 1] counts the prefixes ending at v
+    bounds = list(itertools.accumulate(lengths[:-1], initial=z))
+    ways = [1] * bounds[0]
+    for bound in bounds[1:]:
+        ways = list(itertools.accumulate(ways + [0] * (bound - len(ways))))
+    return sum(ways)
+
+
+def _fraction_determinant(matrix):
+    # independent oracle: Gaussian elimination over the rationals
+    rows = [[Fraction(entry) for entry in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, len(rows)):
+                rows[r][c] -= factor * rows[col][c]
+    assert det.denominator == 1
+    return int(det)
 
 
 def _catalan_by_recurrence(limit):
@@ -73,6 +105,30 @@ class TestDeterminant:
                     assert count_ips_determinant(lengths, z) == enum_ips(
                         ParkingInstance(lengths, z)
                     ).cardinality
+
+    def test_matches_bounded_sequence_dp_up_to_n_200(self):
+        rng = random.Random(4242)
+        for n in list(range(1, 41)) + [50, 100, 150, 200]:
+            lengths = tuple(rng.randint(1, 4) for _ in range(n))
+            z = rng.randint(1, 3)
+            assert count_ips_determinant(lengths, z) == _bounded_nondecreasing_count(
+                lengths, z
+            ), (lengths, z)
+
+    def test_matches_rational_elimination_of_the_full_matrix(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            lengths = tuple(rng.randint(1, 4) for _ in range(n))
+            z = rng.randint(1, 4)
+            bounds = list(itertools.accumulate(lengths[:-1], initial=z))
+            matrix = [
+                [binomial(bounds[i], j - i + 1) for j in range(n)] for i in range(n)
+            ]
+            assert count_ips_determinant(lengths, z) == _fraction_determinant(matrix), (
+                lengths,
+                z,
+            )
 
     def test_matches_constant_closed_form(self):
         for size in (1, 2, 3, 4):
