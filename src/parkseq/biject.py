@@ -125,4 +125,5 @@ def two_block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
     """(z, ..., z, z+1, ..., z+r-1) with n-r+1 copies of z, for two-block lengths."""
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < {n}, got {r}")
+    r = _positive(r, "leading block length")
     return (trailer_z,) * (n - r + 1) + tuple(range(trailer_z + 1, trailer_z + r))

@@ -15,6 +15,7 @@ from .core import (
     ParkingInstance,
     _as_int_tuple,
     _parks,
+    _positive,
     _street_mask,
     check_preferences,
     order_statistics,
@@ -174,6 +175,15 @@ def perm_invariant_characterized(
     return None
 
 
+def _parks_every(arrangements: Iterable[tuple[int, ...]], trailer_z: int, prefs: Sequence[int]) -> bool:
+    """Parks under each length vector; they share one total, so validation runs once."""
+    arrangements = iter(arrangements)
+    instance = ParkingInstance(next(arrangements), trailer_z)
+    prefs, street = check_preferences(instance, prefs), _street_mask(instance.street_length)
+    rest = itertools.chain((instance.lengths,), arrangements)
+    return all(_parks(lengths, instance.trailer_z, prefs, street) for lengths in rest)
+
+
 def is_strong_ps(
     lengths: Sequence[int],
     trailer_z: int,
@@ -190,10 +200,7 @@ def is_strong_ps(
     """
     lengths = _as_int_tuple(lengths, "car lengths")
     if definitional:
-        return all(
-            is_parking_sequence(ParkingInstance(arrangement, trailer_z), prefs)
-            for arrangement in distinct_permutations(lengths)
-        )
+        return _parks_every(distinct_permutations(lengths), trailer_z, prefs)
     if len(set(lengths)) == 1:
         return is_parking_sequence(ParkingInstance(lengths, trailer_z), prefs)
     return parks_in_standard_order(
@@ -217,11 +224,9 @@ def is_k_strong(
     """
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    total, k = _positive(total, "street weight"), _positive(k, "car count")
     if definitional:
-        return all(
-            is_parking_sequence(ParkingInstance(parts, trailer_z), prefs)
-            for parts in compositions(total, k)
-        )
+        return _parks_every(compositions(total, k), trailer_z, prefs)
     witness = (1,) * (k - 1) + (total - k + 1,)
     return is_strong_ps(witness, trailer_z, prefs)
 

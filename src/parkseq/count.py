@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import ParkingInstance, _as_int_tuple, _positive, standard_order_bounds
+from .core import ParkingInstance, _positive, standard_order_bounds
 
 __all__ = [
     "binomial",
@@ -147,6 +147,7 @@ def count_inv_two_block(n: int, r: int, trailer_z: int) -> int:
     z = _positive(trailer_z, "trailer parameter")
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < {n}, got {r}")
+    r = _positive(r, "leading block length")
     total = z**n
     for j in range(1, r):
         total += binomial(n, j) * (r - j) * r ** (j - 1) * z ** (n - j)
@@ -160,8 +161,8 @@ def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
     rearrangement is the same vector); otherwise the count is
     z * prod(z + partial sums of the sorted lengths).
     """
-    ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
-    z = _positive(trailer_z, "trailer parameter")
+    instance = ParkingInstance(lengths, trailer_z)
+    ordered, z = tuple(sorted(instance.lengths)), instance.trailer_z
     if len(set(ordered)) == 1:
         return count_ps_product(ordered, z)
     total = z
@@ -189,6 +190,7 @@ def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     z = _positive(trailer_z, "trailer parameter")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    k = _positive(k, "car count")
     if k == total:
         return count_inv_constant(total, z)
     return rising_factorial(z, k)

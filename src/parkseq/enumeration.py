@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .classify import (
-    check_boundary,
-    compositions,
-    distinct_permutations,
-    necessary_condition,
-)
+from .biject import LatticePath
+from .classify import check_boundary, compositions, distinct_permutations
 from .core import (
     ParkingInstance, _as_int_tuple, _parks, _positive, _street_mask, _trailer_mask, standard_order_bounds,
 )
@@ -162,30 +159,24 @@ def enum_ips(
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Members whose every rearrangement also parks.
 
-    Invariance only depends on the multiset of preferences, so the sweep
-    visits one nondecreasing representative per orbit and admits or rejects
-    the whole orbit at once.  Representatives failing the cheap counting
-    bounds are dropped before any rearrangement is simulated.
+    The definition applied to the :func:`enum_ps` sweep: a multiset is
+    admitted when all n! / (m_1! ... m_k!) of its distinct rearrangements are
+    listed there, which counting the sorted members decides without another
+    simulation.  The sweep's lexicographic order and budget guard carry over,
+    and so does its peak memory, since every member is held at once.
     """
-    spots = instance.street_length
-    n = instance.car_count
-    _guard(spots**n, budget)
-    street = _street_mask(spots)
-    lengths, z = instance.lengths, instance.trailer_z
-    members: list[tuple[int, ...]] = []
-    for base in itertools.combinations_with_replacement(range(1, spots + 1), n):
-        if base[0] > z:
-            break  # smallest entry already too large, and it only grows from here
-        if not necessary_condition(instance, base):
-            continue
-        orbit = distinct_permutations(base)
-        if all(_parks(lengths, z, prefs, street) for prefs in orbit):
-            members.extend(orbit)
-    members.sort()
+    swept = enum_ps(instance, budget).members
+    listed = Counter(tuple(sorted(prefs)) for prefs in swept)
+    whole = {
+        multiset
+        for multiset, count in listed.items()
+        if count == math.factorial(len(multiset))
+        // math.prod(map(math.factorial, Counter(multiset).values()))
+    }
     return FamilyListing(
         "inv",
-        {"lengths": lengths, "trailer": z},
-        tuple(members),
+        {"lengths": instance.lengths, "trailer": instance.trailer_z},
+        tuple(prefs for prefs in swept if tuple(sorted(prefs)) in whole),
     )
 
 
@@ -246,6 +237,7 @@ def enum_sps_k(
     """
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    total, k = _positive(total, "street weight"), _positive(k, "car count")
     trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)
@@ -281,15 +273,13 @@ def enum_lattice_paths(
     boundary: Sequence[int],
     width: int | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> list["LatticePath"]:
+) -> list[LatticePath]:
     """Nondecreasing x_1 <= ... <= x_q with 0 <= x_i < b_i, in lex order.
 
     ``width`` is the number of east steps of the enclosing rectangle; it
     defaults to the largest possible north-step coordinate, and a narrower
     rectangle also caps every step at ``x_i <= width``.
     """
-    from .biject import LatticePath
-
     boundary = check_boundary(boundary)
     if width is None:
         width = boundary[-1] - 1

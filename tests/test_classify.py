@@ -203,6 +203,14 @@ class TestKStrong:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             is_k_strong(3, 4, 1, (1, 1, 1, 1))
+        for definitional in (False, True):
+            for total, k, prefs, message in (
+                (3, True, (1,), "car count must be an integer"),
+                (3, 2.0, (1, 1), "car count must be an integer"),
+                (3.0, 2, (1, 1), "street weight must be an integer"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    is_k_strong(total, k, 1, prefs, definitional=definitional)
 
     def test_characterization_equals_definition(self):
         for n in range(1, 5):

@@ -19,9 +19,11 @@ from parkseq import (
     count_sps_k,
     enum_ips,
     enum_ps_inv,
+    enum_sps_k,
     enum_u_pf,
     fuss_catalan,
     rising_factorial,
+    two_block_boundary,
 )
 
 
@@ -199,6 +201,11 @@ class TestInvariantCounts:
     def test_two_block_needs_valid_r(self):
         with pytest.raises(ValueError):
             count_inv_two_block(3, 3, 1)
+        for r in (True, 1.5):
+            with pytest.raises(ValueError, match="leading block length must be an integer"):
+                count_inv_two_block(4, r, 1)
+            with pytest.raises(ValueError, match="leading block length must be an integer"):
+                two_block_boundary(1, 4, r)
 
 
 class TestStrongCounts:
@@ -216,6 +223,11 @@ class TestStrongCounts:
     def test_sorting_is_internal(self):
         assert count_sps((2, 1, 2), 1) == count_sps((1, 2, 2), 1)
 
+    def test_rejects_empty_lengths(self):
+        for count in (count_sps, count_ps_product):
+            with pytest.raises(ValueError, match="an instance needs at least one car"):
+                count((), 1)
+
 
 class TestKStrongCounts:
     def test_values(self):
@@ -230,6 +242,10 @@ class TestKStrongCounts:
     def test_k_range_checked(self):
         with pytest.raises(ValueError):
             count_sps_k(3, 0, 1)
+        for k in (True, 2.5):
+            for call in (count_sps_k, enum_sps_k):
+                with pytest.raises(ValueError, match="car count must be an integer"):
+                    call(5, k, 1)
 
 
 class TestArithmeticBoundaryCount:

@@ -109,14 +109,17 @@ def test_enum_ps_inv_two_big_cars_count():
 def test_enum_ps_inv_matches_the_predicate_on_the_cube():
     from parkseq import is_permutation_invariant
 
-    instance = ParkingInstance((2, 2, 1), 1)
-    spots = instance.street_length
-    expected = tuple(
-        prefs
-        for prefs in itertools.product(range(1, spots + 1), repeat=3)
-        if is_permutation_invariant(instance, prefs)
-    )
-    assert enum_ps_inv(instance).members == expected
+    # none of these lengths has a closed invariance rule
+    cases = (((2, 2, 1), 1), ((4, 3, 1), 1), ((1, 3, 2), 2), ((3, 1, 2), 1), ((2, 1, 2, 1), 1))
+    for lengths, z in cases:
+        instance = ParkingInstance(lengths, z)
+        spots = instance.street_length
+        expected = tuple(
+            prefs
+            for prefs in itertools.product(range(1, spots + 1), repeat=len(lengths))
+            if is_permutation_invariant(instance, prefs)
+        )
+        assert enum_ps_inv(instance).members == expected
 
 
 def test_enum_u_pf_matches_the_predicate_on_the_cube():
@@ -212,8 +215,9 @@ def test_enum_lattice_paths_contains_the_drawn_path():
 
 
 def test_budget_guard_raises_instead_of_truncating():
-    with pytest.raises(BudgetExceededError):
-        enum_ps(ParkingInstance((2, 2, 2), 1), budget=10)
+    for enumerate_family in (enum_ps, enum_ps_inv):
+        with pytest.raises(BudgetExceededError, match="would sweep 216 candidates, budget is 10$"):
+            enumerate_family(ParkingInstance((2, 2, 2), 1), budget=10)
 
 
 def test_family_listing_rejects_unsorted_members():
