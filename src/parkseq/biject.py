@@ -118,11 +118,13 @@ def from_vector_parking_function(
 
 def arithmetic_boundary(trailer_z: int, n: int) -> tuple[int, ...]:
     """(z, z+1, ..., z+n-1): the boundary matched to constant lengths."""
+    trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
     return tuple(range(trailer_z, trailer_z + n))
 
 
 def two_block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
     """(z, ..., z, z+1, ..., z+r-1) with n-r+1 copies of z, for two-block lengths."""
+    trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < {n}, got {r}")
     r = _positive(r, "leading block length")

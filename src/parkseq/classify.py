@@ -1,22 +1,24 @@
 """Membership tests for the parking-sequence families.
 
-Every family has a defining test that runs the simulator (over rearrangement
-sweeps where the definition asks for them).  Families with a closed
-characterization get that form too; the ``verify`` command and the test suite
-keep both forms in agreement on exhaustive desk-scale grids.
+Every family has a defining test that parks the cars; where it asks that every
+ordering of the preferences or of the lengths park, one memoized recursion over
+sub-multisets runs it.  Families with a closed characterization get that form
+too; ``verify`` and the tests keep both forms in agreement on desk-scale grids.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     ParkingInstance,
     _as_int_tuple,
-    _parks,
+    _park,
     _positive,
     _street_mask,
+    _trailer_mask,
     check_preferences,
     order_statistics,
     simulate,
@@ -42,7 +44,7 @@ __all__ = [
 def distinct_permutations(values: Sequence[int]) -> list[tuple[int, ...]]:
     """All distinct rearrangements of a multiset, sorted lexicographically.
 
-    Deduplicating up front means repeated entries are never re-simulated.
+    Every ordering is built, so this only expands multisets already admitted.
     """
     return sorted(set(itertools.permutations(values)))
 
@@ -116,14 +118,43 @@ def parks_in_standard_order(instance: ParkingInstance, prefs: Sequence[int]) -> 
     )
 
 
+def _ordering_reach(
+    instance: ParkingInstance, prefs: tuple[int, ...] | None = None
+) -> Callable[[tuple[int, ...]], set[int] | None]:
+    """``reach``, the "every ordering parks" recursion; one memo per returned function.
+
+    Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
+    value drawn from a pool (a preference, or else a length).  ``reach(pool)``,
+    for a sorted pool, is the set of masks the pool's orderings leave after
+    cars 1..len(pool), or None once one ordering fails: the union, over the
+    distinct values v, of one car step from each mask of ``reach(pool - v)``.
+    It visits at most prod(m_i + 1) sub-multisets, not n! / prod(m_i!) orderings.
+    """
+    street = _street_mask(instance.street_length)
+
+    @functools.cache
+    def reach(pool: tuple[int, ...]) -> set[int] | None:
+        if not pool:
+            return {_trailer_mask(instance.trailer_z)}
+        j = len(pool) - 1
+        masks: set[int] = set()
+        for value in set(pool):
+            i = pool.index(value)
+            before = reach(pool[:i] + pool[i + 1 :])
+            car = ((value,), prefs[j : j + 1]) if prefs else (instance.lengths[j : j + 1], (value,))
+            after = None if before is None else {_park(*car, street, mask) for mask in before}
+            if after is None or None in after:
+                return None
+            masks |= after
+        return masks
+
+    return reach
+
+
 def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     """Every rearrangement of the preferences (the sequence included) parks."""
     prefs = check_preferences(instance, prefs)
-    street = _street_mask(instance.street_length)
-    return all(
-        _parks(instance.lengths, instance.trailer_z, rearranged, street)
-        for rearranged in distinct_permutations(prefs)
-    )
+    return _ordering_reach(instance)(tuple(sorted(prefs))) is not None
 
 
 def _two_block_invariant_ok(n: int, r: int, small: int, z: int, prefs: tuple[int, ...]) -> bool:
@@ -175,15 +206,6 @@ def perm_invariant_characterized(
     return None
 
 
-def _parks_every(arrangements: Iterable[tuple[int, ...]], trailer_z: int, prefs: Sequence[int]) -> bool:
-    """Parks under each length vector; they share one total, so validation runs once."""
-    arrangements = iter(arrangements)
-    instance = ParkingInstance(next(arrangements), trailer_z)
-    prefs, street = check_preferences(instance, prefs), _street_mask(instance.street_length)
-    rest = itertools.chain((instance.lengths,), arrangements)
-    return all(_parks(lengths, instance.trailer_z, prefs, street) for lengths in rest)
-
-
 def is_strong_ps(
     lengths: Sequence[int],
     trailer_z: int,
@@ -195,12 +217,14 @@ def is_strong_ps(
 
     Characterized form: plain membership when the lengths are constant,
     otherwise parking the sorted lengths in standard order.  With
-    ``definitional=True`` the rearrangements are swept instead (slow; kept
-    for cross-checks).
+    ``definitional=True`` the definition is run instead, by
+    :func:`_ordering_reach` over the length multiset (kept for cross-checks).
     """
     lengths = _as_int_tuple(lengths, "car lengths")
     if definitional:
-        return _parks_every(distinct_permutations(lengths), trailer_z, prefs)
+        instance = ParkingInstance(lengths, trailer_z)
+        prefs = check_preferences(instance, prefs)
+        return _ordering_reach(instance, prefs)(tuple(sorted(lengths))) is not None
     if len(set(lengths)) == 1:
         return is_parking_sequence(ParkingInstance(lengths, trailer_z), prefs)
     return parks_in_standard_order(
@@ -225,9 +249,12 @@ def is_k_strong(
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
     total, k = _positive(total, "street weight"), _positive(k, "car count")
-    if definitional:
-        return _parks_every(compositions(total, k), trailer_z, prefs)
     witness = (1,) * (k - 1) + (total - k + 1,)
+    if definitional:
+        instance = ParkingInstance(witness, trailer_z)
+        prefs = check_preferences(instance, prefs)
+        street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
+        return all(_park(parts, prefs, street, start) is not None for parts in compositions(total, k))
     return is_strong_ps(witness, trailer_z, prefs)
 
 

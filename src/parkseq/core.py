@@ -135,22 +135,24 @@ def _trailer_mask(trailer_z: int) -> int:
     return (1 << trailer_z) - 2
 
 
-def _parks(lengths: Sequence[int], trailer_z: int, prefs: Sequence[int], street: int) -> bool:
-    """Success-only version of :func:`simulate` for hot enumeration loops.
+def _park(lengths: Sequence[int], prefs: Sequence[int], street: int, occupied: int) -> int | None:
+    """Success-only version of :func:`simulate` for hot loops: the mask the cars leave.
 
-    ``street`` is the precomputed mask from :func:`_street_mask`.
+    The cars park in order starting from the ``occupied`` mask (the trailer's
+    is :func:`_trailer_mask`), so a sequence can be parked a piece at a time.
+    ``street`` is the precomputed mask from :func:`_street_mask`.  None when
+    a car fails.
     """
-    occupied = (1 << trailer_z) - 2
     for pref, size in zip(prefs, lengths):
         tail = (street & ~occupied) >> pref
         if not tail:
-            return False
+            return None
         start = pref + ((tail & -tail).bit_length() - 1)
         block = ((1 << size) - 1) << start
         if block & (occupied | ~street):
-            return False
+            return None
         occupied |= block
-    return True
+    return occupied
 
 
 def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:

@@ -1,11 +1,11 @@
 """Brute-force listings of the parking-sequence families.
 
-These sweeps are the ground truth that the closed-form counts and the
-characterizations are verified against, so they stay deliberately naive:
-every candidate in a justified search space is tested with the defining
-predicate.  A preference above the street length M can never park, which
-bounds the space for a length-n instance at M^n candidates; a budget guard
-refuses sweeps whose candidate space exceeds it rather than truncating.
+These listings are the ground truth that the closed forms and the
+characterizations are verified against, so each tests the defining predicate
+(the invariant family once per multiset, by the every-ordering recursion of
+:mod:`parkseq.classify`).  A preference above the street length M can never
+park, which bounds the space for a length-n instance at M^n candidates; a
+budget guard refuses sweeps whose candidate space exceeds it, never truncating.
 
 All listings come back lexicographically sorted so output is reproducible
 and diffable.
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .biject import LatticePath
-from .classify import check_boundary, compositions, distinct_permutations
+from .classify import _ordering_reach, check_boundary, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _parks, _positive, _street_mask, _trailer_mask, standard_order_bounds,
+    ParkingInstance, _as_int_tuple, _park, _positive, _street_mask, _trailer_mask, standard_order_bounds,
 )
 
 __all__ = [
@@ -159,24 +158,26 @@ def enum_ips(
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Members whose every rearrangement also parks.
 
-    The definition applied to the :func:`enum_ps` sweep: a multiset is
-    admitted when all n! / (m_1! ... m_k!) of its distinct rearrangements are
-    listed there, which counting the sorted members decides without another
-    simulation.  The sweep's lexicographic order and budget guard carry over,
-    and so does its peak memory, since every member is held at once.
+    Grows nondecreasing multisets in [1..M]^n an entry at a time under the
+    every-ordering recursion, cutting one with a failing ordering (so do all
+    its extensions), then lists the rearrangements of the admitted ones,
+    sorted.  The budget guard is that of :func:`enum_ps`.
     """
-    swept = enum_ps(instance, budget).members
-    listed = Counter(tuple(sorted(prefs)) for prefs in swept)
-    whole = {
-        multiset
-        for multiset, count in listed.items()
-        if count == math.factorial(len(multiset))
-        // math.prod(map(math.factorial, Counter(multiset).values()))
-    }
+    spots = instance.street_length
+    _guard(spots**instance.car_count, budget)
+    reach = _ordering_reach(instance)
+    multisets: list[tuple[int, ...]] = [()]
+    for _ in instance.lengths:
+        multisets = [
+            grown
+            for multiset in multisets
+            for pref in range(multiset[-1] if multiset else 1, spots + 1)
+            if reach(grown := multiset + (pref,)) is not None
+        ]
     return FamilyListing(
         "inv",
         {"lengths": instance.lengths, "trailer": instance.trailer_z},
-        tuple(prefs for prefs in swept if tuple(sorted(prefs)) in whole),
+        tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets)))),
     )
 
 
@@ -201,11 +202,11 @@ def enum_sps(
     if method == "definition":
         base = enum_ps(instance, budget)
         others = [a for a in distinct_permutations(ordered) if a != ordered]
-        street = _street_mask(instance.street_length)
+        street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
         members = tuple(
             prefs
             for prefs in base.members
-            if all(_parks(arr, instance.trailer_z, prefs, street) for arr in others)
+            if all(_park(arr, prefs, street, start) is not None for arr in others)
         )
         return FamilyListing("strong", params, members)
     if method != "bounds":
@@ -243,12 +244,12 @@ def enum_sps_k(
     _guard(ceiling**k, budget)
     params = {"n": total, "k": k, "trailer": trailer_z}
     if definitional:
-        street = _street_mask(ceiling)
+        street, start = _street_mask(ceiling), _trailer_mask(trailer_z)
         parts_list = list(compositions(total, k))
         members = tuple(
             prefs
             for prefs in itertools.product(range(1, ceiling + 1), repeat=k)
-            if all(_parks(parts, trailer_z, prefs, street) for parts in parts_list)
+            if all(_park(parts, prefs, street, start) is not None for parts in parts_list)
         )
         return FamilyListing("kstrong", params, members)
     witness = (1,) * (k - 1) + (total - k + 1,)

@@ -119,3 +119,13 @@ def test_boundary_builders():
     assert two_block_boundary(2, 3, 1) == (2, 2, 2)
     with pytest.raises(ValueError):
         two_block_boundary(1, 3, 3)
+    for build, args, message in (
+        (two_block_boundary, (0, 3, 1), "trailer parameter must be >= 1, got 0"),
+        (arithmetic_boundary, (0, 3), "trailer parameter must be >= 1, got 0"),
+        (arithmetic_boundary, (1, 0), "car count must be >= 1, got 0"),
+        (arithmetic_boundary, (1, True), "car count must be an integer"),
+        (two_block_boundary, (1, 3.5, 1), "car count must be an integer"),
+        (two_block_boundary, (1, 0, 1), "car count must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(*args)

@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweeps import arrangements_park, orbit_parks
 
 from parkseq import (
     ParkingInstance,
@@ -34,6 +35,16 @@ def _grid(max_n=3, max_y=3, zs=(1, 2)):
 def _all_prefs(instance):
     spots = instance.street_length
     return itertools.product(range(1, spots + 1), repeat=instance.car_count)
+
+
+@st.composite
+def _up_to_six_cars(draw):
+    lengths = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)))
+    z = draw(st.integers(1, 3))
+    # a random cap keeps small preferences, and so true verdicts, common
+    top = draw(st.integers(1, z + sum(lengths)))
+    prefs = tuple(draw(st.lists(st.integers(1, top), min_size=len(lengths), max_size=len(lengths))))
+    return lengths, z, prefs
 
 
 class TestIsParkingSequence:
@@ -110,6 +121,24 @@ class TestPermutationInvariant:
         assert is_permutation_invariant(ParkingInstance((4, 3, 1), 1), (1, 5, 1))
         assert not is_permutation_invariant(ParkingInstance((4, 3, 2), 1), (1, 5, 1))
 
+    def test_matches_the_orbit_sweep(self):
+        for instance in _grid():
+            for prefs in _all_prefs(instance):
+                assert is_permutation_invariant(instance, prefs) == orbit_parks(instance, prefs)
+
+    @given(_up_to_six_cars())
+    @settings(deadline=None)
+    def test_matches_the_orbit_sweep_up_to_six_cars(self, case):
+        lengths, z, prefs = case
+        instance = ParkingInstance(lengths, z)
+        assert is_permutation_invariant(instance, prefs) == orbit_parks(instance, prefs)
+
+    def test_twelve_unit_cars(self):
+        # 479,001,600 orderings; no sweep reaches this size
+        instance = ParkingInstance((1,) * 12, 1)
+        assert is_permutation_invariant(instance, range(1, 13))
+        assert not is_permutation_invariant(instance, range(2, 14))
+
     def test_closed_under_rearrangement(self):
         instance = ParkingInstance((2, 2, 1), 1)
         for prefs in _all_prefs(instance):
@@ -183,6 +212,26 @@ class TestStrong:
                 assert is_strong_ps(lengths, z, prefs) == is_strong_ps(
                     lengths, z, prefs, definitional=True
                 )
+
+    def test_definition_matches_the_arrangement_sweep(self):
+        for instance in _grid():
+            lengths, z = instance.lengths, instance.trailer_z
+            for prefs in _all_prefs(instance):
+                assert is_strong_ps(lengths, z, prefs, definitional=True) == (
+                    arrangements_park(lengths, z, prefs)
+                )
+
+    @given(_up_to_six_cars())
+    @settings(deadline=None)
+    def test_definition_matches_the_arrangement_sweep_up_to_six_cars(self, case):
+        lengths, z, prefs = case
+        assert is_strong_ps(lengths, z, prefs, definitional=True) == (
+            arrangements_park(lengths, z, prefs)
+        )
+
+    def test_twelve_distinct_lengths(self):
+        # 479,001,600 arrangements; no sweep reaches this size
+        assert is_strong_ps(range(1, 13), 1, (1,) * 12, definitional=True)
 
 
 class TestKStrong:

@@ -56,6 +56,12 @@ class TestExitCodes:
     def test_check_true_is_zero(self):
         assert run(["check", "--family", "ps", "--lengths", "1,2", "--prefs", "3,1"]) == 0
 
+    def test_check_inv_on_twelve_cars(self, capsys):
+        # 12! orderings; the verdict comes without listing them
+        cars = ["check", "--family", "inv", "--lengths", ",".join(["1"] * 12)]
+        assert run(cars + ["--prefs", ",".join(map(str, range(1, 13)))]) == 0
+        assert run(cars + ["--prefs", ",".join(map(str, range(2, 14)))]) == 1
+
     def test_usage_error_is_two(self, capsys):
         assert run(["check", "--family", "nonsense", "--prefs", "1"]) == 2
         assert run(["enumerate", "--family", "ps"]) == 2  # --lengths missing

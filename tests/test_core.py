@@ -13,7 +13,7 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
-from parkseq.core import _parks, _street_mask
+from parkseq.core import _park, _street_mask, _trailer_mask
 
 
 def test_street_length_fig1_instance():
@@ -177,10 +177,20 @@ def test_replay_is_bit_identical_and_covers_on_success(case):
         assert _exact_cover(instance, first)
 
 
-@given(_instance_and_prefs())
+@given(_instance_and_prefs(), st.integers(0, 5))
 @settings(deadline=None)
-def test_success_only_kernel_agrees_with_simulate(case):
+def test_success_only_kernel_agrees_with_simulate(case, cut):
     instance, prefs = case
-    street = _street_mask(instance.street_length)
-    parked = _parks(instance.lengths, instance.trailer_z, prefs, street)
-    assert parked == simulate(instance, prefs).success
+    lengths = instance.lengths
+    street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
+    parked = _park(lengths, prefs, street, start)
+    outcome = simulate(instance, prefs)
+    if outcome.success:
+        spots = {s for first, last in outcome.placements for s in range(first, last + 1)}
+        assert parked == sum(1 << s for s in spots | set(range(1, instance.trailer_z)))
+    else:
+        assert parked is None
+    # parking a prefix and then the rest from its mask is parking everything
+    head = _park(lengths[:cut], prefs[:cut], street, start)
+    rest = None if head is None else _park(lengths[cut:], prefs[cut:], street, head)
+    assert rest == parked

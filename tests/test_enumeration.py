@@ -1,8 +1,10 @@
 """Brute-force listings: pinned sets, counts, lexicographic order, budget guard."""
 
 import itertools
+import random
 
 import pytest
+from sweeps import orbit_parks
 
 from parkseq import (
     BudgetExceededError,
@@ -106,20 +108,48 @@ def test_enum_ps_inv_two_big_cars_count():
     assert enum_ps_inv(ParkingInstance((2, 2, 1), 1)).cardinality == 7
 
 
-def test_enum_ps_inv_matches_the_predicate_on_the_cube():
-    from parkseq import is_permutation_invariant
+def _orbit_sweep_members(instance):
+    spots = instance.street_length
+    return tuple(
+        prefs
+        for prefs in itertools.product(range(1, spots + 1), repeat=instance.car_count)
+        if orbit_parks(instance, prefs)
+    )
 
+
+def test_enum_ps_inv_matches_the_predicate_on_the_cube():
     # none of these lengths has a closed invariance rule
     cases = (((2, 2, 1), 1), ((4, 3, 1), 1), ((1, 3, 2), 2), ((3, 1, 2), 1), ((2, 1, 2, 1), 1))
     for lengths, z in cases:
         instance = ParkingInstance(lengths, z)
+        assert enum_ps_inv(instance).members == _orbit_sweep_members(instance)
+
+
+def test_enum_ps_inv_matches_the_orbit_sweep_up_to_three_cars():
+    for n in (1, 2, 3):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2):
+                instance = ParkingInstance(lengths, z)
+                assert enum_ps_inv(instance).members == _orbit_sweep_members(instance)
+
+
+def test_enum_ps_inv_matches_the_orbit_sweep_on_draws_up_to_six_cars():
+    rng = random.Random(6)
+    for _ in range(12):
+        lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(4, 6)))
+        instance = ParkingInstance(lengths, rng.randint(1, 2))
+        members = set(enum_ps_inv(instance).members)
         spots = instance.street_length
-        expected = tuple(
-            prefs
-            for prefs in itertools.product(range(1, spots + 1), repeat=len(lengths))
-            if is_permutation_invariant(instance, prefs)
-        )
-        assert enum_ps_inv(instance).members == expected
+        for _ in range(25):
+            prefs = tuple(rng.randint(1, spots) for _ in lengths)
+            assert (prefs in members) == orbit_parks(instance, prefs), (instance, prefs)
+        for prefs in rng.sample(sorted(members), min(5, len(members))):
+            assert orbit_parks(instance, prefs), (instance, prefs)
+
+
+def test_enum_ps_inv_sizes_no_sweep_reaches():
+    assert enum_ps_inv(ParkingInstance((3, 3, 1, 1, 1, 1, 1), 1)).cardinality == 1408
+    assert enum_ps_inv(ParkingInstance((2, 2, 1, 1, 1, 1, 1), 1)).cardinality == 10683
 
 
 def test_enum_u_pf_matches_the_predicate_on_the_cube():
