@@ -43,10 +43,9 @@ class LatticePath:
     def __post_init__(self) -> None:
         object.__setattr__(self, "xs", _as_int_tuple(self.xs, "north steps", minimum=0))
         object.__setattr__(self, "boundary", check_boundary(self.boundary))
+        object.__setattr__(self, "width", _positive(self.width, "width", minimum=0))
         if len(self.xs) != len(self.boundary):
-            raise ValueError(
-                f"expected {len(self.boundary)} north steps, got {len(self.xs)}"
-            )
+            raise ValueError(f"expected {len(self.boundary)} north steps, got {len(self.xs)}")
         if any(a > b for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError(f"north steps must be nondecreasing, got {self.xs}")
         if any(x >= b for x, b in zip(self.xs, self.boundary)):

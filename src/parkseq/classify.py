@@ -44,9 +44,23 @@ __all__ = [
 def distinct_permutations(values: Sequence[int]) -> list[tuple[int, ...]]:
     """All distinct rearrangements of a multiset, sorted lexicographically.
 
-    Every ordering is built, so this only expands multisets already admitted.
+    Next-permutation steps from the sorted multiset build each distinct
+    ordering once, n! / (m_1! ... m_k!) of them, never all n!.
     """
-    return sorted(set(itertools.permutations(values)))
+    v = sorted(values)
+    out = [tuple(v)]
+    while True:
+        i = len(v) - 2
+        while i >= 0 and v[i] >= v[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(v) - 1
+        while v[j] <= v[i]:
+            j -= 1
+        v[i], v[j] = v[j], v[i]
+        v[i + 1 :] = v[:i:-1]
+        out.append(tuple(v))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -46,16 +46,16 @@ def _as_int_tuple(values: Iterable[int], what: str, minimum: int = 1) -> tuple[i
     return out
 
 
-def _positive(value: int, what: str) -> int:
-    """Coerce one true integer >= 1, rejecting floats and bools."""
+def _positive(value: int, what: str, minimum: int = 1) -> int:
+    """Coerce one true integer >= ``minimum``, rejecting floats and bools."""
     try:
         if type(value) is bool:
             raise TypeError("booleans are not integers")
         out = operator.index(value)
     except TypeError as exc:
         raise ValueError(f"{what} must be an integer") from exc
-    if out < 1:
-        raise ValueError(f"{what} must be >= 1, got {out}")
+    if out < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {out}")
     return out
 
 

@@ -1,14 +1,14 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against, so each tests the defining predicate
-(the invariant family once per multiset, by the every-ordering recursion of
-:mod:`parkseq.classify`).  A preference above the street length M can never
-park, which bounds the space for a length-n instance at M^n candidates; a
-budget guard refuses sweeps whose candidate space exceeds it, never truncating.
-
-All listings come back lexicographically sorted so output is reproducible
-and diffable.
+characterizations are verified against.  Two generators build them all: the
+pruned :func:`enum_ps` search, kept where it parks under other length vectors
+too, and one capped walk over nondecreasing tuples, expanded into sorted
+rearrangements for the families closed under reordering.  A preference above
+the street length M can never park, which bounds the space for a length-n
+instance at M^n candidates; a budget guard refuses sweeps whose candidate
+space exceeds it, never truncating.  All listings come back lexicographically
+sorted so output is reproducible and diffable.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
 from .classify import _ordering_reach, check_boundary, compositions, distinct_permutations
@@ -71,6 +71,36 @@ class FamilyListing:
     @property
     def cardinality(self) -> int:
         return len(self.members)
+
+
+def _nondecreasing(
+    caps: Sequence[int], admit: Callable[[tuple[int, ...]], bool] | None = None, lowest: int = 1
+) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order.
+
+    Grown an entry at a time; ``admit`` drops a prefix with all its extensions.
+    """
+    prefixes: list[tuple[int, ...]] = [()]
+    for cap in caps:
+        grown = [p + (x,) for p in prefixes for x in range(p[-1] if p else lowest, cap + 1)]
+        prefixes = grown if admit is None else list(filter(admit, grown))
+    return prefixes
+
+
+def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Every ordering of every multiset, sorted."""
+    return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
+
+
+def _parking_for_all(
+    vectors: list[tuple[int, ...]], trailer_z: int, budget: int
+) -> tuple[tuple[int, ...], ...]:
+    """The :func:`enum_ps` members for ``vectors[0]`` that park under every other vector."""
+    first, *others = vectors  # one total, so one street
+    instance = ParkingInstance(first, trailer_z)
+    street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
+    members = enum_ps(instance, budget).members
+    return tuple(c for c in members if all(_park(y, c, street, start) is not None for y in others))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -139,46 +169,22 @@ def enum_ips(
         raise ValueError(f"unknown method {method!r}; use 'bounds' or 'filter'")
     bounds = standard_order_bounds(instance)
     _guard(math.prod(bounds), budget)
-    n = instance.car_count
-    members: list[tuple[int, ...]] = []
-    prefix = [0] * n
-
-    def extend(depth: int, lowest: int) -> None:
-        for pref in range(lowest, bounds[depth] + 1):
-            prefix[depth] = pref
-            if depth + 1 != n:
-                extend(depth + 1, pref)
-            else:
-                members.append(tuple(prefix))
-
-    extend(0, 1)
-    return FamilyListing("ips", params, tuple(members))
+    return FamilyListing("ips", params, tuple(_nondecreasing(bounds)))
 
 
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Members whose every rearrangement also parks.
 
-    Grows nondecreasing multisets in [1..M]^n an entry at a time under the
-    every-ordering recursion, cutting one with a failing ordering (so do all
-    its extensions), then lists the rearrangements of the admitted ones,
-    sorted.  The budget guard is that of :func:`enum_ps`.
+    The rearrangements of the nondecreasing multisets in [1..M]^n that the
+    every-ordering recursion admits; a multiset with a failing ordering is cut
+    with all its extensions.  The budget guard is that of :func:`enum_ps`.
     """
     spots = instance.street_length
     _guard(spots**instance.car_count, budget)
     reach = _ordering_reach(instance)
-    multisets: list[tuple[int, ...]] = [()]
-    for _ in instance.lengths:
-        multisets = [
-            grown
-            for multiset in multisets
-            for pref in range(multiset[-1] if multiset else 1, spots + 1)
-            if reach(grown := multiset + (pref,)) is not None
-        ]
-    return FamilyListing(
-        "inv",
-        {"lengths": instance.lengths, "trailer": instance.trailer_z},
-        tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets)))),
-    )
+    multisets = _nondecreasing((spots,) * instance.car_count, lambda m: reach(m) is not None)
+    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
+    return FamilyListing("inv", params, _rearrangements(multisets))
 
 
 def enum_sps(
@@ -189,9 +195,9 @@ def enum_sps(
 ) -> FamilyListing:
     """Sequences that park under every rearrangement of the length vector.
 
-    ``method="definition"`` intersects the simulation sweeps over all distinct
-    rearrangements, starting from the sorted arrangement because it admits the
-    fewest sequences.  ``method="bounds"`` emits the characterized set
+    ``method="definition"`` keeps the :func:`enum_ps` members for the sorted
+    arrangement (it admits the fewest sequences) that park under every other
+    distinct arrangement too.  ``method="bounds"`` emits the characterized set
     directly: the plain family for constant lengths, otherwise the
     standard-order box on the sorted lengths.  The set depends only on the
     multiset of lengths, so the listing records them sorted.
@@ -200,14 +206,7 @@ def enum_sps(
     instance = ParkingInstance(ordered, trailer_z)
     params = {"lengths": ordered, "trailer": instance.trailer_z}
     if method == "definition":
-        base = enum_ps(instance, budget)
-        others = [a for a in distinct_permutations(ordered) if a != ordered]
-        street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
-        members = tuple(
-            prefs
-            for prefs in base.members
-            if all(_park(arr, prefs, street, start) is not None for arr in others)
-        )
+        members = _parking_for_all(distinct_permutations(ordered), instance.trailer_z, budget)
         return FamilyListing("strong", params, members)
     if method != "bounds":
         raise ValueError(f"unknown method {method!r}; use 'definition' or 'bounds'")
@@ -231,10 +230,10 @@ def enum_sps_k(
 
     The street has z + total - 1 spots, which also caps useful preferences.
     The default route lists the strong family on the binding composition
-    (1, ..., 1, total - k + 1); ``definitional=True`` instead intersects
-    plain membership over every composition of ``total`` into k parts (the
-    compositions are closed under reordering, so that intersection is the
-    definition).
+    (1, ..., 1, total - k + 1); ``definitional=True`` instead keeps the
+    :func:`enum_ps` members for that composition that park under every other
+    composition of ``total`` into k parts (the compositions are closed under
+    reordering, so this is the definition).
     """
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
@@ -242,32 +241,23 @@ def enum_sps_k(
     trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)
-    params = {"n": total, "k": k, "trailer": trailer_z}
-    if definitional:
-        street, start = _street_mask(ceiling), _trailer_mask(trailer_z)
-        parts_list = list(compositions(total, k))
-        members = tuple(
-            prefs
-            for prefs in itertools.product(range(1, ceiling + 1), repeat=k)
-            if all(_park(parts, prefs, street, start) is not None for parts in parts_list)
-        )
-        return FamilyListing("kstrong", params, members)
-    witness = (1,) * (k - 1) + (total - k + 1,)
-    strong = enum_sps(witness, trailer_z, budget, method="bounds")
-    return FamilyListing("kstrong", params, strong.members)
+    if definitional:  # compositions come in lex order, the binding one first
+        members = _parking_for_all(list(compositions(total, k)), trailer_z, budget)
+    else:
+        witness = (1,) * (k - 1) + (total - k + 1,)
+        members = enum_sps(witness, trailer_z, budget, method="bounds").members
+    return FamilyListing("kstrong", {"n": total, "k": k, "trailer": trailer_z}, members)
 
 
 def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyListing:
-    """All vector parking functions for a nondecreasing boundary."""
+    """All vector parking functions for a nondecreasing boundary.
+
+    A member's order statistics are nondecreasing with x_(i) <= u_i, so the
+    family is the sorted rearrangements of those nondecreasing tuples.
+    """
     bounds = check_boundary(bounds)
-    n = len(bounds)
-    _guard(bounds[-1] ** n, budget)
-    members = tuple(
-        values
-        for values in itertools.product(range(1, bounds[-1] + 1), repeat=n)
-        if all(x <= u for x, u in zip(sorted(values), bounds))
-    )
-    return FamilyListing("upf", {"boundary": bounds}, members)
+    _guard(bounds[-1] ** len(bounds), budget)
+    return FamilyListing("upf", {"boundary": bounds}, _rearrangements(_nondecreasing(bounds)))
 
 
 def enum_lattice_paths(
@@ -282,23 +272,7 @@ def enum_lattice_paths(
     rectangle also caps every step at ``x_i <= width``.
     """
     boundary = check_boundary(boundary)
-    if width is None:
-        width = boundary[-1] - 1
-    elif width < 0:
-        raise ValueError(f"width must be >= 0, got {width}")
-    caps = tuple(min(b, width + 1) for b in boundary)
-    _guard(math.prod(caps), budget)
-    q = len(boundary)
-    paths: list[LatticePath] = []
-    steps = [0] * q
-
-    def extend(depth: int, lowest: int) -> None:
-        for x in range(lowest, caps[depth]):
-            steps[depth] = x
-            if depth + 1 != q:
-                extend(depth + 1, x)
-            else:
-                paths.append(LatticePath(tuple(steps), boundary, width))
-
-    extend(0, 0)
-    return paths
+    width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
+    caps = [min(b - 1, width) for b in boundary]
+    _guard(math.prod(c + 1 for c in caps), budget)
+    return [LatticePath(xs, boundary, width) for xs in _nondecreasing(caps, lowest=0)]

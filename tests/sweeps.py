@@ -1,13 +1,15 @@
-"""Literal "every ordering parks" sweeps through ``simulate``, for tests only.
+"""Literal sweeps for tests only: every candidate built outright and filtered.
 
-The library answers both questions with one memoized recursion over
-sub-multisets; these oracles share no code with it beyond ``simulate`` and
-build every ordering outright, so keep them to n <= 6.
+The library answers "every ordering parks" with one memoized recursion over
+sub-multisets and builds its listings from a capped nondecreasing walk and a
+filtered ``enum_ps`` search; these oracles share no code with either beyond
+``simulate`` and the public predicates, and build every ordering or every
+point of the product, so keep them to n <= 6.
 """
 
 import itertools
 
-from parkseq import ParkingInstance, simulate
+from parkseq import ParkingInstance, is_u_parking_function, simulate
 
 
 def orbit_parks(instance, prefs):
@@ -23,4 +25,38 @@ def arrangements_park(lengths, trailer_z, prefs):
     return all(
         simulate(ParkingInstance(arrangement, trailer_z), prefs).success
         for arrangement in set(itertools.permutations(lengths))
+    )
+
+
+def permutation_set(values):
+    """The distinct orderings, from all n! of them."""
+    return sorted(set(itertools.permutations(values)))
+
+
+def u_pf_sweep(bounds):
+    """Vector parking functions: the product [1..u_n]^n filtered by the predicate."""
+    return tuple(
+        values
+        for values in itertools.product(range(1, bounds[-1] + 1), repeat=len(bounds))
+        if is_u_parking_function(bounds, values)
+    )
+
+
+def lattice_path_sweep(boundary, width=None):
+    """North steps in [0..width]^q that are nondecreasing and left of the boundary."""
+    width = boundary[-1] - 1 if width is None else width
+    return [
+        xs
+        for xs in itertools.product(range(width + 1), repeat=len(boundary))
+        if list(xs) == sorted(xs) and all(x < b for x, b in zip(xs, boundary))
+    ]
+
+
+def k_strong_sweep(total, k, trailer_z):
+    """Sequences in [1..z+total-1]^k that park every k lengths summing to ``total``."""
+    parts = [p for p in itertools.product(range(1, total + 1), repeat=k) if sum(p) == total]
+    return tuple(
+        prefs
+        for prefs in itertools.product(range(1, trailer_z + total), repeat=k)
+        if all(simulate(ParkingInstance(p, trailer_z), prefs).success for p in parts)
     )

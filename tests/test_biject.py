@@ -71,8 +71,11 @@ class TestLatticePathMap:
             LatticePath((2, 1), (3, 3), 3)  # decreasing steps
         with pytest.raises(ValueError):
             LatticePath((0, 3), (1, 3), 3)  # crosses the boundary
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overrun width 1$"):
             LatticePath((0, 2), (1, 3), 1)  # overruns the width
+        for width in (1.5, True, "1"):
+            with pytest.raises(ValueError, match="width must be an integer$"):
+                LatticePath((0,), (1,), width)
 
 
 class TestOffsetContraction:

@@ -1,10 +1,11 @@
 """Brute-force listings: pinned sets, counts, lexicographic order, budget guard."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
-from sweeps import orbit_parks
+from sweeps import k_strong_sweep, lattice_path_sweep, orbit_parks, permutation_set, u_pf_sweep
 
 from parkseq import (
     BudgetExceededError,
@@ -152,15 +153,14 @@ def test_enum_ps_inv_sizes_no_sweep_reaches():
     assert enum_ps_inv(ParkingInstance((2, 2, 1, 1, 1, 1, 1), 1)).cardinality == 10683
 
 
-def test_enum_u_pf_matches_the_predicate_on_the_cube():
-    from parkseq import is_u_parking_function
+def _nondecreasing_boundaries():
+    for n in range(1, 5):
+        yield from itertools.combinations_with_replacement(range(1, 6), n)
 
-    expected = tuple(
-        values
-        for values in itertools.product(range(1, 4), repeat=2)
-        if is_u_parking_function((2, 3), values)
-    )
-    assert enum_u_pf((2, 3)).members == expected
+
+def test_enum_u_pf_matches_the_predicate_on_the_cube():
+    for bounds in _nondecreasing_boundaries():
+        assert enum_u_pf(bounds).members == u_pf_sweep(bounds), bounds
 
 
 def test_enum_ps_inv_is_a_union_of_orbits():
@@ -229,8 +229,11 @@ def test_enum_lattice_paths_dyck_boundary():
     assert len(enum_lattice_paths((1, 2, 3))) == 5  # Catalan number
     narrow = enum_lattice_paths((1, 2, 3), width=1)
     assert [path.xs for path in narrow] == [(0, 0, 0), (0, 0, 1), (0, 1, 1)]
-    with pytest.raises(ValueError, match="width must be >= 0"):
+    with pytest.raises(ValueError, match="width must be >= 0, got -1$"):
         enum_lattice_paths((1, 2, 3), width=-1)
+    for width in (1.5, "2", True):
+        with pytest.raises(ValueError, match="width must be an integer$"):
+            enum_lattice_paths((1, 2, 3), width=width)
 
 
 def test_enum_lattice_paths_single_step():
@@ -248,6 +251,20 @@ def test_budget_guard_raises_instead_of_truncating():
     for enumerate_family in (enum_ps, enum_ps_inv):
         with pytest.raises(BudgetExceededError, match="would sweep 216 candidates, budget is 10$"):
             enumerate_family(ParkingInstance((2, 2, 2), 1), budget=10)
+    refusals = (
+        (lambda: enum_ips(ParkingInstance((2, 2, 2), 1), budget=10), 15, 10),
+        (lambda: enum_u_pf((2, 3, 3), budget=10), 27, 10),
+        (lambda: enum_lattice_paths((1, 2, 3), budget=5), 6, 5),
+        (lambda: enum_lattice_paths((2, 4, 6), width=1, budget=5), 8, 5),
+        (lambda: enum_sps((2, 1, 2), 1, budget=10), 125, 10),
+        (lambda: enum_sps((2, 1, 2), 1, budget=5, method="bounds"), 8, 5),
+        (lambda: enum_sps_k(4, 2, 1, budget=10), 16, 10),
+        (lambda: enum_sps_k(4, 2, 1, budget=10, definitional=True), 16, 10),
+    )
+    for listing, candidates, budget in refusals:
+        message = f"would sweep {candidates} candidates, budget is {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            listing()
 
 
 def test_family_listing_rejects_unsorted_members():
@@ -255,3 +272,91 @@ def test_family_listing_rejects_unsorted_members():
         FamilyListing("ps", {}, ((2,), (1,)))
     with pytest.raises(ValueError):
         FamilyListing("ps", {}, ((1,), (1,)))
+
+
+def test_distinct_permutations_match_the_permutation_set():
+    for n in range(7):
+        for multiset in itertools.combinations_with_replacement((1, 2, 3), n):
+            expected = permutation_set(multiset)
+            assert distinct_permutations(multiset) == expected
+            assert distinct_permutations(multiset[::-1]) == expected
+
+
+def test_distinct_permutations_build_only_the_distinct_orderings():
+    # 21! orderings, 21 of them distinct
+    orderings = distinct_permutations((1,) * 20 + (2,))
+    assert orderings == [(1,) * i + (2,) + (1,) * (20 - i) for i in range(20, -1, -1)]
+
+
+def test_enum_lattice_paths_match_the_product_sweep():
+    for boundary in _nondecreasing_boundaries():
+        for width in (None, 0, 1, 3):
+            paths = enum_lattice_paths(boundary, width)
+            assert [path.xs for path in paths] == lattice_path_sweep(boundary, width)
+            expected_width = boundary[-1] - 1 if width is None else width
+            assert all(path.width == expected_width for path in paths)
+
+
+def test_enum_sps_k_definitional_matches_the_product_sweep():
+    for total in range(1, 6):
+        for k in range(1, total + 1):
+            for z in (1, 2):
+                swept = k_strong_sweep(total, k, z)
+                assert enum_sps_k(total, k, z, definitional=True).members == swept, (total, k, z)
+
+
+def _length_grid():
+    for n in range(1, 5):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                yield ParkingInstance(lengths, z)
+
+
+# Per family: the listings on a fixed grid, and the sha256 of the repr of the
+# list of their member tuples (north-step tuples for paths) in grid order.
+_PINNED_LISTINGS = {
+    "ips": (
+        lambda: (enum_ips(instance).members for instance in _length_grid()),
+        "3c731f078467b313147f3675f8cfc89b4ea74fc1f5d92714550247ce68556cd7",
+    ),
+    "inv": (
+        lambda: (enum_ps_inv(instance).members for instance in _length_grid()),
+        "03998189590d0a893b9bfe0bb6f1ff28b2ac484bb80887cde226f95edff44024",
+    ),
+    "upf": (
+        lambda: (enum_u_pf(bounds).members for bounds in _nondecreasing_boundaries()),
+        "2ff9754fc4d40592ad82ac155a225dd8d21c8604e5161c8920386e872e2ca471",
+    ),
+    "paths": (
+        lambda: (
+            [path.xs for path in enum_lattice_paths(boundary, width)]
+            for boundary in _nondecreasing_boundaries()
+            for width in (None, 0, 1, 3)
+        ),
+        "ed741eca6bd727abd4b06715e19b1432ddd7e0857d9721195fec84fad69ab6f3",
+    ),
+    "strong": (
+        lambda: (
+            enum_sps(lengths, z).members
+            for n in range(1, 5)
+            for lengths in itertools.combinations_with_replacement((1, 2, 3), n)
+            for z in (1, 2)
+        ),
+        "02cc32db2bacc907d48dff0e6ebee4fad13983663de7661b1c88fe5dbfe0240c",
+    ),
+    "kstrong": (
+        lambda: (
+            enum_sps_k(total, k, z, definitional=True).members
+            for total in range(1, 6)
+            for k in range(1, total + 1)
+            for z in (1, 2)
+        ),
+        "775db3c08f8d9de36344b4ff07dc725618864640c54f758a8c8d679573b7f633",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_LISTINGS))
+def test_listings_match_their_pinned_digests(family):
+    listings, expected = _PINNED_LISTINGS[family]
+    assert hashlib.sha256(repr(list(listings())).encode()).hexdigest() == expected
