@@ -4,9 +4,10 @@ Two maps, both tested by round trip and by exact image equality:
 
 * nondecreasing members of a family correspond to lattice paths with a
   strict right boundary, by shifting every entry down one;
-* invariant members for constant or two-block lengths correspond to vector
-  parking functions, by contracting the offsets above the trailer from step
-  ``a`` down to step 1.
+* the invariant members for the four characterized length shapes correspond
+  to vector parking functions, by contracting the offsets above the trailer
+  from step ``a`` down to step 1.  :func:`_invariant_contraction` names the
+  step and the boundary for each shape; ``classify`` decides invariance by it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classify import check_boundary, is_increasing_ps
-from .core import ParkingInstance, _as_int_tuple, _positive, standard_order_bounds
+from .core import (
+    ParkingInstance, _as_int_tuple, _integer, _positive, check_boundary, check_preferences,
+    standard_order_bounds,
+)
 
 __all__ = [
     "LatticePath",
@@ -55,15 +58,20 @@ class LatticePath:
 
 
 def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> LatticePath:
-    """Shift a nondecreasing member down one entrywise into a lattice path."""
-    prefs = _as_int_tuple(prefs, "preferences")
-    if not is_increasing_ps(instance, prefs):
-        raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
-    return LatticePath(
-        tuple(c - 1 for c in prefs),
-        standard_order_bounds(instance),
-        instance.street_length,
-    )
+    """Shift a nondecreasing member down one entrywise into a lattice path.
+
+    The path's own checks are the membership test: nondecreasing with
+    c_i <= z + y_1 + ... + y_{i-1} is nondecreasing and left of the boundary.
+    """
+    prefs = check_preferences(instance, prefs)
+    try:
+        return LatticePath(
+            tuple(c - 1 for c in prefs),
+            standard_order_bounds(instance),
+            instance.street_length,
+        )
+    except ValueError:
+        raise ValueError(f"{prefs} is not a nondecreasing member for this instance") from None
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
@@ -90,18 +98,21 @@ def to_vector_parking_function(
     """
     prefs = _as_int_tuple(prefs, "preferences")
     step = _positive(step, "step")
-    out = []
-    for c in prefs:
-        if c <= trailer_z:
-            out.append(c)
-            continue
-        offset = c - trailer_z
-        if offset % step:
-            raise ValueError(
-                f"entry {c} is above {trailer_z} but not on the step-{step} grid"
-            )
-        out.append(trailer_z + offset // step)
-    return tuple(out)
+    out = _contract(trailer_z, step, prefs)
+    if None in out:
+        c = prefs[out.index(None)]
+        raise ValueError(f"entry {c} is above {trailer_z} but not on the step-{step} grid")
+    return out
+
+
+def _contract(trailer_z: int, step: int, prefs: Sequence[int]) -> tuple[int | None, ...]:
+    """The contraction on checked input; an entry above z off the grid maps to None."""
+    return tuple(
+        c if c <= trailer_z
+        else None if (c - trailer_z) % step
+        else trailer_z + (c - trailer_z) // step
+        for c in prefs
+    )
 
 
 def from_vector_parking_function(
@@ -118,13 +129,48 @@ def from_vector_parking_function(
 def arithmetic_boundary(trailer_z: int, n: int) -> tuple[int, ...]:
     """(z, z+1, ..., z+n-1): the boundary matched to constant lengths."""
     trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
-    return tuple(range(trailer_z, trailer_z + n))
+    return _block_boundary(trailer_z, n, n)
 
 
 def two_block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
     """(z, ..., z, z+1, ..., z+r-1) with n-r+1 copies of z, for two-block lengths."""
     trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
+    r = _integer(r, "leading block length")
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < {n}, got {r}")
-    r = _positive(r, "leading block length")
+    return _block_boundary(trailer_z, n, r)
+
+
+def _block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
+    """n - r + 1 copies of z, then z + 1, ..., z + r - 1; unchecked."""
     return (trailer_z,) * (n - r + 1) + tuple(range(trailer_z + 1, trailer_z + r))
+
+
+def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, ...]] | None:
+    """(step, boundary) for the characterized length shapes, else None.
+
+    The invariant members are the sequences whose entries above z sit on the
+    grid z + s*step and whose contraction is a vector parking function for the
+    boundary.  The dispatch reads the literal arrangement of the lengths:
+
+    * strictly increasing: step 1, boundary (z, ..., z);
+    * (a^r, b^(n-r)) with a < b, or constant (r = n): step a,
+      :func:`two_block_boundary` (for r = n, :func:`arithmetic_boundary`);
+    * (a, 1, ..., 1) with a > 1: step 1, :func:`arithmetic_boundary`.
+
+    Sorting the lengths first would be wrong: (1, 2) is strictly increasing
+    with invariant set [z]^2, while (2, 1) has one big car and a larger set.
+    """
+    lengths, n = instance.lengths, instance.car_count
+    run = 1
+    while run < n and lengths[run] == lengths[0]:
+        run += 1
+    if all(a < b for a, b in zip(lengths, lengths[1:])):
+        step, r = 1, 1
+    elif run == n or (len(set(lengths[run:])) == 1 and lengths[0] < lengths[run]):
+        step, r = lengths[0], run
+    elif lengths[0] > 1 and all(v == 1 for v in lengths[1:]):
+        step, r = 1, n
+    else:
+        return None
+    return step, _block_boundary(instance.trailer_z, n, r)

@@ -1,26 +1,28 @@
 """Membership tests for the parking-sequence families.
 
 Every family has a defining test that parks the cars; where it asks that every
-ordering of the preferences or of the lengths park, one memoized recursion over
+ordering of the preferences or of the lengths park, one memoized walk over
 sub-multisets runs it.  Families with a closed characterization get that form
 too; ``verify`` and the tests keep both forms in agreement on desk-scale grids.
+The closed invariance rule is the contraction onto vector parking functions
+that :func:`parkseq.biject._invariant_contraction` names for each length shape.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
+from .biject import _contract, _invariant_contraction
 from .core import (
     ParkingInstance,
     _as_int_tuple,
+    _integer,
     _park,
-    _positive,
     _street_mask,
     _trailer_mask,
+    check_boundary,
     check_preferences,
-    order_statistics,
     simulate,
     standard_order_bounds,
 )
@@ -65,21 +67,12 @@ def distinct_permutations(values: Sequence[int]) -> list[tuple[int, ...]]:
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered compositions of ``total`` into ``parts`` positive parts, lex order."""
+    total, parts = _integer(total, "total"), _integer(parts, "part count")
     if parts < 1 or parts > total:
         raise ValueError(f"need 1 <= parts <= {total}, got {parts}")
     for cuts in itertools.combinations(range(1, total), parts - 1):
         edges = (0,) + cuts + (total,)
         yield tuple(b - a for a, b in zip(edges, edges[1:]))
-
-
-def check_boundary(bounds: Iterable[int]) -> tuple[int, ...]:
-    """Validate a nondecreasing vector of positive integers."""
-    out = _as_int_tuple(bounds, "boundary")
-    if not out:
-        raise ValueError("boundary must not be empty")
-    if any(a > b for a, b in zip(out, out[1:])):
-        raise ValueError(f"boundary must be nondecreasing, got {out}")
-    return out
 
 
 def is_parking_sequence(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
@@ -135,32 +128,45 @@ def parks_in_standard_order(instance: ParkingInstance, prefs: Sequence[int]) -> 
 def _ordering_reach(
     instance: ParkingInstance, prefs: tuple[int, ...] | None = None
 ) -> Callable[[tuple[int, ...]], set[int] | None]:
-    """``reach``, the "every ordering parks" recursion; one memo per returned function.
+    """``reach``, the "every ordering parks" walk; one memo per returned function.
 
     Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
     value drawn from a pool (a preference, or else a length).  ``reach(pool)``,
     for a sorted pool, is the set of masks the pool's orderings leave after
     cars 1..len(pool), or None once one ordering fails: the union, over the
     distinct values v, of one car step from each mask of ``reach(pool - v)``.
-    It visits at most prod(m_i + 1) sub-multisets, not n! / prod(m_i!) orderings.
+    It visits at most prod(m_i + 1) sub-multisets, not n! / prod(m_i!) orderings,
+    from an explicit stack, so the pool may be longer than the recursion limit.
     """
     street = _street_mask(instance.street_length)
+    memo: dict[tuple[int, ...], set[int] | None] = {(): {_trailer_mask(instance.trailer_z)}}
 
-    @functools.cache
-    def reach(pool: tuple[int, ...]) -> set[int] | None:
-        if not pool:
-            return {_trailer_mask(instance.trailer_z)}
-        j = len(pool) - 1
-        masks: set[int] = set()
-        for value in set(pool):
-            i = pool.index(value)
-            before = reach(pool[:i] + pool[i + 1 :])
-            car = ((value,), prefs[j : j + 1]) if prefs else (instance.lengths[j : j + 1], (value,))
-            after = None if before is None else {_park(*car, street, mask) for mask in before}
-            if after is None or None in after:
-                return None
-            masks |= after
-        return masks
+    def frame(pool: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], set[int]]:
+        return pool, list(set(pool))[::-1], set()  # values popped in set order
+
+    def reach(top: tuple[int, ...]) -> set[int] | None:
+        stack = [] if top in memo else [frame(top)]
+        while stack:
+            pool, values, masks = stack[-1]
+            j = len(pool) - 1
+            while values:
+                i = pool.index(values[-1])
+                sub = pool[:i] + pool[i + 1 :]
+                if sub not in memo:
+                    stack.append(frame(sub))
+                    break
+                value, before = values.pop(), memo[sub]
+                car = ((value,), prefs[j : j + 1]) if prefs else (instance.lengths[j : j + 1], (value,))
+                after = None if before is None else {_park(*car, street, mask) for mask in before}
+                if after is None or None in after:  # one failing ordering cuts the pool
+                    memo[pool] = None
+                    stack.pop()
+                    break
+                masks |= after
+            else:
+                memo[pool] = masks
+                stack.pop()
+        return memo[top]
 
     return reach
 
@@ -171,53 +177,23 @@ def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) ->
     return _ordering_reach(instance)(tuple(sorted(prefs))) is not None
 
 
-def _two_block_invariant_ok(n: int, r: int, small: int, z: int, prefs: tuple[int, ...]) -> bool:
-    # the n-r+1 smallest order statistics sit at or below z; the j-th largest
-    # beyond them may also sit on the grid z + small, ..., z + (j-1) * small
-    stats = order_statistics(prefs)
-    if any(c > z for c in stats[: n - r + 1]):
-        return False
-    for j in range(2, r + 1):
-        c = stats[n - r + j - 1]
-        if c <= z:
-            continue
-        if (c - z) % small or (c - z) // small > j - 1:
-            return False
-    return True
-
-
 def perm_invariant_characterized(
     instance: ParkingInstance, prefs: Sequence[int]
 ) -> bool | None:
-    """Closed-form invariance verdict for the characterized length families.
+    """Closed-form invariance verdict for the characterized length shapes.
 
-    Matched against the literal arrangement of the lengths:
-
-    * strictly increasing lengths: invariant iff every entry is at most z;
-    * (a, ..., a, b, ..., b) with a < b: the two-block order-statistic rule;
-    * constant lengths: the two-block rule with r = n, their degenerate case;
-    * (a, 1, ..., 1) with a > 1: vector parking function for (z, ..., z+n-1).
-
-    Returns None when the lengths match none of these; callers fall back to
-    :func:`is_permutation_invariant`.  The dispatch is deliberately literal:
-    for example (1, 2) is the strictly increasing case with invariant set
-    [z]^2, while the rearranged (2, 1) is the one-big-car case with a strictly
-    larger invariant set, so sorting the lengths first would be wrong.
+    Invariant iff every entry above z sits on the contraction's step grid and
+    the contracted order statistics lie under its boundary, for the (step,
+    boundary) of :func:`parkseq.biject._invariant_contraction`.  Returns None
+    for the other shapes; callers fall back to :func:`is_permutation_invariant`.
     """
     prefs = check_preferences(instance, prefs)
-    lengths = instance.lengths
-    n = instance.car_count
-    z = instance.trailer_z
-    if all(a < b for a, b in zip(lengths, lengths[1:])):
-        return all(c <= z for c in prefs)
-    run = 1
-    while run < n and lengths[run] == lengths[0]:
-        run += 1
-    if run == n or (len(set(lengths[run:])) == 1 and lengths[0] < lengths[run]):
-        return _two_block_invariant_ok(n, run, lengths[0], z, prefs)
-    if lengths[0] > 1 and all(v == 1 for v in lengths[1:]):
-        return is_u_parking_function(tuple(range(z, z + n)), prefs)
-    return None
+    contraction = _invariant_contraction(instance)
+    if contraction is None:
+        return None
+    step, boundary = contraction
+    image = _contract(instance.trailer_z, step, prefs)
+    return None not in image and all(x <= u for x, u in zip(sorted(image), boundary))
 
 
 def is_strong_ps(
@@ -260,9 +236,9 @@ def is_k_strong(
     (1, ..., 1, total - k + 1), so the check reduces to a strong-sequence test
     against it; ``definitional=True`` sweeps every composition instead.
     """
+    total, k = _integer(total, "street weight"), _integer(k, "car count")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
-    total, k = _positive(total, "street weight"), _positive(k, "car count")
     witness = (1,) * (k - 1) + (total - k + 1,)
     if definitional:
         instance = ParkingInstance(witness, trailer_z)

@@ -46,14 +46,19 @@ def _as_int_tuple(values: Iterable[int], what: str, minimum: int = 1) -> tuple[i
     return out
 
 
-def _positive(value: int, what: str, minimum: int = 1) -> int:
-    """Coerce one true integer >= ``minimum``, rejecting floats and bools."""
+def _integer(value: int, what: str) -> int:
+    """Coerce one true integer, rejecting floats, bools and strings."""
     try:
         if type(value) is bool:
             raise TypeError("booleans are not integers")
-        out = operator.index(value)
+        return operator.index(value)
     except TypeError as exc:
         raise ValueError(f"{what} must be an integer") from exc
+
+
+def _positive(value: int, what: str, minimum: int = 1) -> int:
+    """Coerce one true integer >= ``minimum``, rejecting floats and bools."""
+    out = _integer(value, what)
     if out < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {out}")
     return out
@@ -125,6 +130,16 @@ def check_preferences(instance: ParkingInstance, prefs: Sequence[int]) -> tuple[
     return out
 
 
+def check_boundary(bounds: Iterable[int]) -> tuple[int, ...]:
+    """Validate a nondecreasing vector of positive integers (exported by ``classify``)."""
+    out = _as_int_tuple(bounds, "boundary")
+    if not out:
+        raise ValueError("boundary must not be empty")
+    if any(a > b for a, b in zip(out, out[1:])):
+        raise ValueError(f"boundary must be nondecreasing, got {out}")
+    return out
+
+
 def _street_mask(spots: int) -> int:
     """Bits 1..spots set."""
     return (1 << (spots + 1)) - 2
@@ -175,17 +190,14 @@ def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
         end = start + size - 1
         block = ((1 << size) - 1) << start
         if end > spots or occupied & block:
-            blocked = next(
-                (s for s in range(start + 1, min(end, spots) + 1) if occupied >> s & 1),
-                None,
-            )
+            hit = occupied & block  # spot start is empty, so the lowest hit is past it
             return ParkOutcome(
                 False,
                 tuple(placements),
                 failed_car=car,
                 reason=FailureReason.COLLISION,
                 attempted_start=start,
-                blocked_spot=blocked,
+                blocked_spot=(hit & -hit).bit_length() - 1 if hit else None,
             )
         occupied |= block
         placements.append((start, end))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import ParkingInstance, _positive, standard_order_bounds
+from .core import ParkingInstance, _integer, _positive, standard_order_bounds
 
 __all__ = [
     "binomial",
@@ -145,9 +145,9 @@ def count_inv_two_block(n: int, r: int, trailer_z: int) -> int:
     """
     n = _positive(n, "car count")
     z = _positive(trailer_z, "trailer parameter")
+    r = _integer(r, "leading block length")
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < {n}, got {r}")
-    r = _positive(r, "leading block length")
     total = z**n
     for j in range(1, r):
         total += binomial(n, j) * (r - j) * r ** (j - 1) * z ** (n - j)
@@ -188,9 +188,9 @@ def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     """
     total = _positive(total, "street weight")
     z = _positive(trailer_z, "trailer parameter")
+    k = _integer(k, "car count")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
-    k = _positive(k, "car count")
     if k == total:
         return count_inv_constant(total, z)
     return rising_factorial(z, k)

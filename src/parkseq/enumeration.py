@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
-from .classify import _ordering_reach, check_boundary, compositions, distinct_permutations
+from .classify import _ordering_reach, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _park, _positive, _street_mask, _trailer_mask, standard_order_bounds,
+    ParkingInstance, _as_int_tuple, _integer, _park, _positive, _street_mask, _trailer_mask,
+    check_boundary, standard_order_bounds,
 )
 
 __all__ = [
@@ -146,27 +147,14 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
     )
 
 
-def enum_ips(
-    instance: ParkingInstance,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "bounds",
-) -> FamilyListing:
+def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """The nondecreasing members of the family.
 
-    ``method="bounds"`` (default) generates them straight from the prefix-sum
-    caps c_1 <= ... <= c_n, c_i <= z + y_1 + ... + y_{i-1}, with no
-    simulation.  ``method="filter"`` keeps the nondecreasing members of
-    :func:`enum_ps` instead.  Both routes agree; the tests pin that.
+    Generated straight from the prefix-sum caps c_1 <= ... <= c_n,
+    c_i <= z + y_1 + ... + y_{i-1}, with no simulation; the tests and
+    ``verify`` compare them with the nondecreasing members of :func:`enum_ps`.
     """
     params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-    if method == "filter":
-        base = enum_ps(instance, budget)
-        members = tuple(
-            m for m in base.members if all(a <= b for a, b in zip(m, m[1:]))
-        )
-        return FamilyListing("ips", params, members)
-    if method != "bounds":
-        raise ValueError(f"unknown method {method!r}; use 'bounds' or 'filter'")
     bounds = standard_order_bounds(instance)
     _guard(math.prod(bounds), budget)
     return FamilyListing("ips", params, tuple(_nondecreasing(bounds)))
@@ -235,9 +223,9 @@ def enum_sps_k(
     composition of ``total`` into k parts (the compositions are closed under
     reordering, so this is the definition).
     """
+    total, k = _integer(total, "street weight"), _integer(k, "car count")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
-    total, k = _positive(total, "street weight"), _positive(k, "car count")
     trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)

@@ -12,12 +12,11 @@ import random
 from dataclasses import dataclass
 
 from .biject import (
-    arithmetic_boundary,
+    _invariant_contraction,
     from_vector_parking_function,
     ips_to_lattice_path,
     lattice_path_to_ips,
     to_vector_parking_function,
-    two_block_boundary,
 )
 from .classify import distinct_permutations, perm_invariant_characterized
 from .core import ParkingInstance, standard_order_bounds
@@ -86,27 +85,31 @@ def _instance_grid(max_n):
 
 
 def _invariant_grid(max_n):
-    """The constant, then the two-block (a^r, b^(n-r)) instances, trailers 1, 2, 3.
+    """The four characterized shapes, trailers 1, 2, 3, each with its invariant count.
 
-    Yields (kind, instance, contraction step, boundary, invariant count): the
-    contraction with that step maps the invariant set onto the vector parking
-    functions for that boundary.
+    Strictly increasing lengths over {1..4}, constant lengths, two-block
+    lengths (a^r, b^(n-r)) with a < b, then one big car ahead of unit cars.
+    Yields (kind, instance, count).
     """
-    for size in (1, 2, 3):
-        for n in range(1, max_n + 1):
-            for z in (1, 2, 3):
-                yield ("constant", ParkingInstance((size,) * n, z), size,
-                       arithmetic_boundary(z, n), count_inv_constant(n, z))
-    for small, large in ((1, 2), (1, 3), (2, 3)):
-        for n in range(2, max_n + 1):
-            for r in range(1, n):
-                for z in (1, 2, 3):
-                    yield ("two-block", ParkingInstance((small,) * r + (large,) * (n - r), z),
-                           small, two_block_boundary(z, n, r), count_inv_two_block(n, r, z))
+    ns = range(1, max_n + 1)
+    shapes = itertools.chain(
+        (("increasing", lengths, count_inv_strictly_increasing, ())
+         for n in ns for lengths in itertools.combinations(range(1, 5), n)),
+        (("constant", (size,) * n, count_inv_constant, ()) for size in (1, 2, 3) for n in ns),
+        (("two-block", (small,) * r + (large,) * (n - r), count_inv_two_block, (r,))
+         for small, large in ((1, 2), (1, 3), (2, 3)) for n in ns[1:] for r in range(1, n)),
+        (("one-big-car", (size,) + (1,) * (n - 1), count_inv_constant, ())
+         for size in (2, 3) for n in ns[1:]),
+    )
+    for kind, lengths, count, extra in shapes:
+        for z in (1, 2, 3):
+            yield kind, ParkingInstance(lengths, z), count(len(lengths), *extra, z)
 
 
-def _contracts_onto(z, step, members, boundary, budget):
-    """Does the contraction map these members onto the vector parking functions?"""
+def _contracts_onto(instance, members, budget):
+    """Does the instance's contraction map these members onto its vector parking functions?"""
+    step, boundary = _invariant_contraction(instance)
+    z = instance.trailer_z
     image = sorted(to_vector_parking_function(z, step, prefs) for prefs in members)
     return tuple(image) == enum_u_pf(boundary, budget).members
 
@@ -242,7 +245,10 @@ def _suite_determinant(max_n, seed, budget):
                     params,
                     True,
                     enum_ips(instance, budget).members
-                    == enum_ips(instance, budget, method="filter").members,
+                    == tuple(
+                        m for m in enum_ps(instance, budget).members
+                        if all(a <= b for a, b in zip(m, m[1:]))
+                    ),
                     "bound generation equals filtering the simulation sweep",
                 )
             )
@@ -265,65 +271,31 @@ def _suite_determinant(max_n, seed, budget):
 def _suite_inv_characterizations(max_n, seed, budget):
     max_n = 4 if max_n is None else max_n
     records = []
-
-    def set_and_count(instance, tag, expected_members, expected_count):
+    for kind, instance, count in _invariant_grid(max_n):
         inv = enum_ps_inv(instance, budget)
         params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
         records.append(
             ReportRecord(
-                f"{tag}-set",
+                f"inv-{kind}-set",
                 params,
                 True,
-                inv.members == expected_members,
+                inv.members == _characterized_set(instance),
                 "sweep equals the characterized set",
             )
         )
         records.append(
-            ReportRecord(
-                f"{tag}-count", params, expected_count, inv.cardinality, "count formula"
-            )
+            ReportRecord(f"inv-{kind}-count", params, count, inv.cardinality, "count formula")
         )
-        return inv
-
-    # strictly increasing lengths: the invariant set is the full box [z]^n
-    for n in range(1, max_n + 1):
-        for lengths in itertools.combinations(range(1, 5), n):
-            for z in (1, 2, 3):
-                box = tuple(itertools.product(range(1, z + 1), repeat=n))
-                set_and_count(
-                    ParkingInstance(lengths, z),
-                    "inv-increasing",
-                    box,
-                    count_inv_strictly_increasing(n, z),
-                )
-
-    # constant lengths, then two-block lengths plus the contraction image
-    for kind, instance, step, boundary, count in _invariant_grid(max_n):
-        inv = set_and_count(instance, f"inv-{kind}", _characterized_set(instance), count)
         if kind == "two-block":
-            z = instance.trailer_z
             records.append(
                 ReportRecord(
                     "inv-two-block-image",
-                    {"lengths": instance.lengths, "trailer": z},
+                    params,
                     True,
-                    _contracts_onto(z, step, inv.members, boundary, budget),
+                    _contracts_onto(instance, inv.members, budget),
                     "contraction maps the sweep onto the boundary family",
                 )
             )
-
-    # one big car ahead of unit cars
-    for size in (2, 3):
-        for n in range(2, max_n + 1):
-            for z in (1, 2, 3):
-                instance = ParkingInstance((size,) + (1,) * (n - 1), z)
-                target = enum_u_pf(arithmetic_boundary(z, n), budget)
-                set_and_count(
-                    instance,
-                    "inv-one-big-car",
-                    target.members,
-                    count_inv_constant(n, z),
-                )
     return records
 
 
@@ -450,8 +422,10 @@ def _suite_bijections(max_n, seed, budget):
             )
         )
 
-    for kind, instance, step, boundary, _ in _invariant_grid(max_n):
-        z = instance.trailer_z
+    for kind, instance, _ in _invariant_grid(max_n):
+        if kind not in ("constant", "two-block"):
+            continue
+        step, z = _invariant_contraction(instance)[0], instance.trailer_z
         domain = _characterized_set(instance)
         params = {"lengths": instance.lengths, "trailer": z}
         records.append(
@@ -474,7 +448,7 @@ def _suite_bijections(max_n, seed, budget):
                 f"contraction-{kind}-image",
                 params,
                 True,
-                _contracts_onto(z, step, domain, boundary, budget),
+                _contracts_onto(instance, domain, budget),
                 "characterized set maps onto the boundary family",
             )
         )

@@ -1,10 +1,11 @@
 """Literal sweeps for tests only: every candidate built outright and filtered.
 
-The library answers "every ordering parks" with one memoized recursion over
+The library answers "every ordering parks" with one memoized walk over
 sub-multisets and builds its listings from a capped nondecreasing walk and a
 filtered ``enum_ps`` search; these oracles share no code with either beyond
 ``simulate`` and the public predicates, and build every ordering or every
-point of the product, so keep them to n <= 6.
+point of the product, so keep them to n <= 6.  ``invariance_rule`` is the
+closed invariance rule written out case by case, without the contraction.
 """
 
 import itertools
@@ -60,3 +61,32 @@ def k_strong_sweep(total, k, trailer_z):
         for prefs in itertools.product(range(1, trailer_z + total), repeat=k)
         if all(simulate(ParkingInstance(p, trailer_z), prefs).success for p in parts)
     )
+
+
+def invariance_rule(lengths, trailer_z, prefs):
+    """The closed invariance verdicts, dispatched on the literal arrangement of the lengths.
+
+    * strictly increasing: every entry at most z;
+    * two-block (a^r, b^(n-r)) with a < b, or constant (r = n): the n-r+1
+      smallest order statistics at most z, and the j-th largest beyond them
+      at most z or on the grid z + a, ..., z + (j-1)a;
+    * (a, 1, ..., 1) with a > 1: order statistics under (z, z+1, ..., z+n-1);
+    * anything else: None.
+    """
+    n, z, stats = len(lengths), trailer_z, sorted(prefs)
+    if all(a < b for a, b in zip(lengths, lengths[1:])):
+        return all(c <= z for c in prefs)
+    r = 1
+    while r < n and lengths[r] == lengths[0]:
+        r += 1
+    if r == n or (len(set(lengths[r:])) == 1 and lengths[0] < lengths[r]):
+        if any(c > z for c in stats[: n - r + 1]):
+            return False
+        for j in range(2, r + 1):
+            c = stats[n - r + j - 1]
+            if c > z and ((c - z) % lengths[0] or (c - z) // lengths[0] > j - 1):
+                return False
+        return True
+    if lengths[0] > 1 and all(v == 1 for v in lengths[1:]):
+        return all(c <= z + i for i, c in enumerate(stats))
+    return None

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sweeps import arrangements_park, orbit_parks
+from sweeps import arrangements_park, invariance_rule, orbit_parks
 
 from parkseq import (
     ParkingInstance,
@@ -185,6 +185,30 @@ class TestCharacterizedInvariance:
                         prefs,
                     )
 
+    def test_matches_the_literal_rule(self):
+        # lengths over {1..4}, n <= 4, z <= 3, entries up to M + 2: every tuple
+        # for n <= 2, every multiset in sorted and reversed order beyond that
+        for n in range(1, 5):
+            for lengths in itertools.product(range(1, 5), repeat=n):
+                for z in (1, 2, 3):
+                    instance = ParkingInstance(lengths, z)
+                    if invariance_rule(lengths, z, (1,) * n) is None:
+                        # the shape alone decides that there is no closed rule
+                        assert perm_invariant_characterized(instance, (1,) * n) is None
+                        continue
+                    entries = range(1, instance.street_length + 3)
+                    if n <= 2:
+                        cases = itertools.product(entries, repeat=n)
+                    else:
+                        cases = itertools.chain.from_iterable(
+                            (m, m[::-1])
+                            for m in itertools.combinations_with_replacement(entries, n)
+                        )
+                    for prefs in cases:
+                        assert perm_invariant_characterized(instance, prefs) == (
+                            invariance_rule(lengths, z, prefs)
+                        ), (lengths, z, prefs)
+
     def test_verdict_depends_only_on_the_multiset(self):
         # verify builds its characterized sets from sorted representatives
         for instance in _grid():
@@ -233,6 +257,9 @@ class TestStrong:
         # 479,001,600 arrangements; no sweep reaches this size
         assert is_strong_ps(range(1, 13), 1, (1,) * 12, definitional=True)
 
+    def test_pool_longer_than_the_recursion_limit(self):
+        assert is_strong_ps((1,) * 600, 1, (1,) * 600, definitional=True)
+
 
 class TestKStrong:
     def test_listed_sets_for_three_unit_weights(self):
@@ -250,13 +277,15 @@ class TestKStrong:
         assert is_k_strong(3, 3, 1, (3, 2, 1))
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 1 <= k <= 3, got 4"):
             is_k_strong(3, 4, 1, (1, 1, 1, 1))
         for definitional in (False, True):
             for total, k, prefs, message in (
                 (3, True, (1,), "car count must be an integer"),
                 (3, 2.0, (1, 1), "car count must be an integer"),
                 (3.0, 2, (1, 1), "street weight must be an integer"),
+                (3, "2", (1, 1), "car count must be an integer"),
+                ("3", 2, (1, 1), "street weight must be an integer"),
             ):
                 with pytest.raises(ValueError, match=message):
                     is_k_strong(total, k, 1, prefs, definitional=definitional)
@@ -296,6 +325,9 @@ def test_compositions_cover_and_sum():
     assert all(sum(p) == 6 for p in compositions(6, 3))
     with pytest.raises(ValueError):
         list(compositions(3, 4))
+    for total, parts, message in (("3", 2, "total"), (3, "2", "part count")):
+        with pytest.raises(ValueError, match=f"{message} must be an integer"):
+            list(compositions(total, parts))
 
 
 def test_nondecreasing_members_park_standard():

@@ -62,6 +62,12 @@ class TestExitCodes:
         assert run(cars + ["--prefs", ",".join(map(str, range(1, 13)))]) == 0
         assert run(cars + ["--prefs", ",".join(map(str, range(2, 14)))]) == 1
 
+    def test_check_inv_beyond_the_recursion_limit(self, capsys):
+        # the every-ordering walk runs 600 levels deep from an explicit stack
+        cars = ",".join(["1"] * 600)
+        assert run(["check", "--family", "inv", "--lengths", cars, "--prefs", cars]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_usage_error_is_two(self, capsys):
         assert run(["check", "--family", "nonsense", "--prefs", "1"]) == 2
         assert run(["enumerate", "--family", "ps"]) == 2  # --lengths missing

@@ -201,7 +201,7 @@ class TestInvariantCounts:
     def test_two_block_needs_valid_r(self):
         with pytest.raises(ValueError):
             count_inv_two_block(3, 3, 1)
-        for r in (True, 1.5):
+        for r in (True, 1.5, "2"):
             with pytest.raises(ValueError, match="leading block length must be an integer"):
                 count_inv_two_block(4, r, 1)
             with pytest.raises(ValueError, match="leading block length must be an integer"):
@@ -242,10 +242,15 @@ class TestKStrongCounts:
     def test_k_range_checked(self):
         with pytest.raises(ValueError):
             count_sps_k(3, 0, 1)
-        for k in (True, 2.5):
+        for k in (True, 2.5, "2"):
             for call in (count_sps_k, enum_sps_k):
                 with pytest.raises(ValueError, match="car count must be an integer"):
                     call(5, k, 1)
+        for call in (count_sps_k, enum_sps_k):
+            with pytest.raises(ValueError, match="street weight must be an integer"):
+                call("3", 2, 1)
+            with pytest.raises(ValueError, match=r"need 1 <= k <= 3, got 4"):
+                call(3, 4, 1)
 
 
 class TestArithmeticBoundaryCount:

@@ -1,4 +1,7 @@
-"""The package namespace: what the modules export, and nothing else."""
+"""The package namespace: what the modules export, and nothing else; the module layers."""
+
+import ast
+from pathlib import Path
 
 import parkseq
 from parkseq import biject, classify, core, count, enumeration, verify
@@ -13,3 +16,20 @@ def test_package_exports_the_union_of_module_exports():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(parkseq, name) is getattr(module, name)
+
+
+# each module may import only from modules before it
+LAYERS = ("core", "biject", "classify", "count", "enumeration", "verify", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    source = Path(parkseq.__file__).parent
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((source / f"{name}.py").read_text())
+        imported = {
+            node.module or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        assert imported <= set(LAYERS[:rank]), (name, sorted(imported))
