@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ParkingInstance, _as_int_tuple, _integer, _positive, check_boundary, check_preferences,
-    standard_order_bounds,
+    ParkingInstance, _as_int_tuple, _integer, _nondecreasing_under, _positive, check_boundary,
+    check_preferences, standard_order_bounds,
 )
 
 __all__ = [
@@ -56,22 +56,28 @@ class LatticePath:
         if self.xs[-1] > self.width:
             raise ValueError(f"steps {self.xs} overrun width {self.width}")
 
+    @classmethod
+    def _unchecked(cls, xs: tuple[int, ...], boundary: tuple[int, ...], width: int) -> LatticePath:
+        """A path from fields the caller guarantees valid, skipping every check."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "xs", xs)
+        object.__setattr__(path, "boundary", boundary)
+        object.__setattr__(path, "width", width)
+        return path
+
 
 def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> LatticePath:
     """Shift a nondecreasing member down one entrywise into a lattice path.
 
-    The path's own checks are the membership test: nondecreasing with
-    c_i <= z + y_1 + ... + y_{i-1} is nondecreasing and left of the boundary.
+    Membership, nondecreasing with c_i <= z + y_1 + ... + y_{i-1}, is exactly
+    what the path needs: steps nondecreasing and left of the boundary, and
+    within the width because the last bound is at most the street length.
     """
     prefs = check_preferences(instance, prefs)
-    try:
-        return LatticePath(
-            tuple(c - 1 for c in prefs),
-            standard_order_bounds(instance),
-            instance.street_length,
-        )
-    except ValueError:
-        raise ValueError(f"{prefs} is not a nondecreasing member for this instance") from None
+    bounds = standard_order_bounds(instance)
+    if not _nondecreasing_under(prefs, bounds):
+        raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
+    return LatticePath._unchecked(tuple(c - 1 for c in prefs), bounds, instance.street_length)
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
@@ -98,6 +104,7 @@ def to_vector_parking_function(
     """
     prefs = _as_int_tuple(prefs, "preferences")
     step = _positive(step, "step")
+    trailer_z = _positive(trailer_z, "trailer parameter")
     out = _contract(trailer_z, step, prefs)
     if None in out:
         c = prefs[out.index(None)]
@@ -121,6 +128,7 @@ def from_vector_parking_function(
     """Expand entries z + s back to z + s*step; inverse of the contraction."""
     values = _as_int_tuple(values, "values")
     step = _positive(step, "step")
+    trailer_z = _positive(trailer_z, "trailer parameter")
     return tuple(
         v if v <= trailer_z else trailer_z + (v - trailer_z) * step for v in values
     )

@@ -18,6 +18,7 @@ from .core import (
     ParkingInstance,
     _as_int_tuple,
     _integer,
+    _nondecreasing_under,
     _park,
     _street_mask,
     _trailer_mask,
@@ -108,9 +109,7 @@ def is_increasing_ps(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     suite asserts the equivalence against the simulator exhaustively.
     """
     prefs = check_preferences(instance, prefs)
-    if any(a > b for a, b in zip(prefs, prefs[1:])):
-        return False
-    return all(c <= b for c, b in zip(prefs, standard_order_bounds(instance)))
+    return _nondecreasing_under(prefs, standard_order_bounds(instance))
 
 
 def parks_in_standard_order(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
@@ -191,8 +190,14 @@ def perm_invariant_characterized(
     contraction = _invariant_contraction(instance)
     if contraction is None:
         return None
-    step, boundary = contraction
-    image = _contract(instance.trailer_z, step, prefs)
+    return _admits(instance.trailer_z, *contraction, prefs)
+
+
+def _admits(
+    trailer_z: int, step: int, boundary: tuple[int, ...], prefs: Sequence[int]
+) -> bool:
+    """The closed invariance rule on checked input: contract, then bound the sorted image."""
+    image = _contract(trailer_z, step, prefs)
     return None not in image and all(x <= u for x, u in zip(sorted(image), boundary))
 
 

@@ -140,6 +140,13 @@ def check_boundary(bounds: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _nondecreasing_under(prefs: Sequence[int], bounds: Sequence[int]) -> bool:
+    """Nondecreasing with c_i <= bounds[i] for every i; on checked input."""
+    return all(a <= b for a, b in zip(prefs, prefs[1:])) and all(
+        c <= b for c, b in zip(prefs, bounds)
+    )
+
+
 def _street_mask(spots: int) -> int:
     """Bits 1..spots set."""
     return (1 << (spots + 1)) - 2

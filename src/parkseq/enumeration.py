@@ -120,7 +120,7 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
     members: list[tuple[int, ...]] = []
     prefix = [0] * n
 
-    def extend(depth: int, occupied: int) -> None:
+    def extend(depth: int, occupied: int, extend: Callable[..., None]) -> None:
         size = lengths[depth]
         unit = (1 << size) - 1
         free = street & ~occupied
@@ -135,11 +135,13 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
                 continue
             prefix[depth] = pref
             if depth != last:
-                extend(depth + 1, occupied | piece)
+                extend(depth + 1, occupied | piece, extend)
             else:
                 members.append(tuple(prefix))
 
-    extend(0, _trailer_mask(instance.trailer_z))
+    # handed itself, not closed over its own name: that cycle would hold the
+    # members until a full garbage collection
+    extend(0, _trailer_mask(instance.trailer_z), extend)
     return FamilyListing(
         "ps",
         {"lengths": lengths, "trailer": instance.trailer_z},
@@ -263,4 +265,5 @@ def enum_lattice_paths(
     width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
     caps = [min(b - 1, width) for b in boundary]
     _guard(math.prod(c + 1 for c in caps), budget)
-    return [LatticePath(xs, boundary, width) for xs in _nondecreasing(caps, lowest=0)]
+    # the caps and lowest=0 meet every check LatticePath makes
+    return [LatticePath._unchecked(xs, boundary, width) for xs in _nondecreasing(caps, lowest=0)]

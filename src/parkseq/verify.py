@@ -18,7 +18,7 @@ from .biject import (
     lattice_path_to_ips,
     to_vector_parking_function,
 )
-from .classify import distinct_permutations, perm_invariant_characterized
+from .classify import _admits, distinct_permutations
 from .core import ParkingInstance, standard_order_bounds
 from .count import (
     count_inv_constant,
@@ -119,12 +119,14 @@ def _characterized_set(instance):
 
     The closed rules read only the multiset, so each sorted representative is
     tested once and, if admitted, expanded to its distinct rearrangements.
+    The instance must have a characterized length shape.
     """
-    spots = range(1, instance.street_length + 1)
+    step, boundary = _invariant_contraction(instance)
+    z, spots = instance.trailer_z, range(1, instance.street_length + 1)
     return tuple(sorted(
         prefs
         for rep in itertools.combinations_with_replacement(spots, instance.car_count)
-        if perm_invariant_characterized(instance, rep)
+        if _admits(z, step, boundary, rep)
         for prefs in distinct_permutations(rep)
     ))
 

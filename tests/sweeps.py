@@ -10,7 +10,12 @@ closed invariance rule written out case by case, without the contraction.
 
 import itertools
 
-from parkseq import ParkingInstance, is_u_parking_function, simulate
+from parkseq import (
+    ParkingInstance,
+    is_u_parking_function,
+    perm_invariant_characterized,
+    simulate,
+)
 
 
 def orbit_parks(instance, prefs):
@@ -61,6 +66,17 @@ def k_strong_sweep(total, k, trailer_z):
         for prefs in itertools.product(range(1, trailer_z + total), repeat=k)
         if all(simulate(ParkingInstance(p, trailer_z), prefs).success for p in parts)
     )
+
+
+def characterized_set(instance):
+    """Every orbit whose sorted representative the public closed predicate admits."""
+    spots = range(1, instance.street_length + 1)
+    return tuple(sorted(
+        prefs
+        for rep in itertools.combinations_with_replacement(spots, instance.car_count)
+        if perm_invariant_characterized(instance, rep)
+        for prefs in permutation_set(rep)
+    ))
 
 
 def invariance_rule(lengths, trailer_z, prefs):

@@ -6,12 +6,16 @@ suites so the command line gate checks the same things.  Every suite runs
 once, and a digest of all its records pins the gate's output.
 """
 
+import gc
 import hashlib
 
 import pytest
 
 from parkseq import (
     ParkingInstance,
+    enum_ps,
+    enum_sps,
+    enum_sps_k,
     is_parking_sequence,
     necessary_condition,
     simulate,
@@ -107,3 +111,23 @@ def test_gate_records_are_pinned(suites):
     lines = (repr((r.check, r.params, r.expected, r.computed, r.note)) for r in records)
     assert len(records) == GATE_RECORDS
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GATE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: enum_ps(ParkingInstance((1,) * 7)), id="enum_ps"),
+        pytest.param(lambda: enum_sps((1, 2, 2, 3), 1), id="enum_sps"),
+        pytest.param(lambda: enum_sps_k(7, 4, 1, definitional=True), id="enum_sps_k"),
+    ]
+    + [pytest.param(lambda name=name: run_suite(name), id=name) for name in SUITE_NAMES],
+)
+def test_leaves_no_reference_cycles(call):
+    # cyclic garbage holds whole listings until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

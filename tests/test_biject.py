@@ -19,6 +19,7 @@ from parkseq import (
     to_vector_parking_function,
     two_block_boundary,
 )
+from parkseq import biject
 
 
 class TestLatticePathMap:
@@ -66,6 +67,33 @@ class TestLatticePathMap:
         assert lattice_path_to_ips(instance, path) == (3, 4, 4, 8)
         assert ips_to_lattice_path(instance, (3, 4, 4, 8)) == path
 
+    def test_outcomes_are_pinned(self):
+        # lengths (2, 1, 3), z = 2: boundary (2, 4, 5), width 7
+        instance = ParkingInstance((2, 1, 3), 2)
+        not_member = "{} is not a nondecreasing member for this instance"
+        for prefs, outcome in (
+            ((1, 1, 1), (0, 0, 0)),
+            ((2, 1, 1), not_member.format((2, 1, 1))),
+            ((1, 1, 5), (0, 0, 4)),
+            ((0, 1, 1), "preferences must all be >= 1, got (0, 1, 1)"),
+            ((1, 1), "expected 3 preferences, got 2"),
+            ((1.0, 1, 1), "preferences must be integers"),
+            ((True, 1, 1), "preferences must be integers"),
+            ((2, 4, 5), (1, 3, 4)),
+            ((2, 4, 6), not_member.format((2, 4, 6))),
+            ("abc", "preferences must be integers"),
+            ((1, 1, -1), "preferences must all be >= 1, got (1, 1, -1)"),
+        ):
+            if isinstance(outcome, str):
+                with pytest.raises(ValueError) as caught:
+                    ips_to_lattice_path(instance, prefs)
+                assert str(caught.value) == outcome
+            else:
+                assert ips_to_lattice_path(instance, prefs) == LatticePath(outcome, (2, 4, 5), 7)
+
+    def test_unchecked_constructor_is_private(self):
+        assert "_unchecked" not in biject.__all__
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticePath((2, 1), (3, 3), 3)  # decreasing steps
@@ -95,6 +123,19 @@ class TestOffsetContraction:
     def test_off_grid_entries_rejected(self):
         with pytest.raises(ValueError):
             to_vector_parking_function(1, 4, (1, 3, 1))
+
+    def test_trailer_validated(self):
+        for trailer, message in (
+            (0, "trailer parameter must be >= 1, got 0"),
+            (-1, "trailer parameter must be >= 1, got -1"),
+            (1.5, "trailer parameter must be an integer"),
+            (True, "trailer parameter must be an integer"),
+            ("1", "trailer parameter must be an integer"),
+        ):
+            for convert in (to_vector_parking_function, from_vector_parking_function):
+                with pytest.raises(ValueError) as caught:
+                    convert(trailer, 1, (1, 3))
+                assert str(caught.value) == message
 
     def test_maps_invariant_family_onto_boundary_family(self):
         # one representative pair beyond the verify sweeps

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sweeps import arrangements_park, invariance_rule, orbit_parks
+from sweeps import arrangements_park, characterized_set, invariance_rule, orbit_parks
 
 from parkseq import (
     ParkingInstance,
@@ -23,6 +23,7 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
+from parkseq.verify import _characterized_set, _invariant_grid
 
 
 def _grid(max_n=3, max_y=3, zs=(1, 2)):
@@ -208,6 +209,11 @@ class TestCharacterizedInvariance:
                         assert perm_invariant_characterized(instance, prefs) == (
                             invariance_rule(lengths, z, prefs)
                         ), (lengths, z, prefs)
+
+    def test_verify_builds_the_set_the_predicate_admits(self):
+        # verify contracts once per instance instead of calling the predicate
+        for _, instance, _ in _invariant_grid(4):
+            assert _characterized_set(instance) == characterized_set(instance), instance
 
     def test_verdict_depends_only_on_the_multiset(self):
         # verify builds its characterized sets from sorted representatives

@@ -10,6 +10,7 @@ from sweeps import k_strong_sweep, lattice_path_sweep, orbit_parks, permutation_
 from parkseq import (
     BudgetExceededError,
     FamilyListing,
+    LatticePath,
     ParkingInstance,
     count_ps_product,
     distinct_permutations,
@@ -290,6 +291,8 @@ def test_enum_lattice_paths_match_the_product_sweep():
             assert [path.xs for path in paths] == lattice_path_sweep(boundary, width)
             expected_width = boundary[-1] - 1 if width is None else width
             assert all(path.width == expected_width for path in paths)
+            # the listing skips the path's checks; the checked constructor agrees
+            assert all(LatticePath(p.xs, p.boundary, p.width) == p for p in paths)
 
 
 def test_enum_sps_k_definitional_matches_the_product_sweep():
