@@ -239,18 +239,36 @@ def is_k_strong(
 
     The street has z + total - 1 spots.  The binding composition is
     (1, ..., 1, total - k + 1), so the check reduces to a strong-sequence test
-    against it; ``definitional=True`` sweeps every composition instead.
+    against it.  ``definitional=True`` runs the definition instead, over
+    every composition at once: car by car, each mask the cars so far can
+    leave meets every length that still leaves room for the cars after it,
+    and the first car that fails answers False.  A car starts at the same
+    spot whatever its length, and a block fits wherever a longer one does, so
+    parking the longest length decides them all.
     """
     total, k = _integer(total, "street weight"), _integer(k, "car count")
     if not 1 <= k <= total:
         raise ValueError(f"need 1 <= k <= {total}, got {k}")
     witness = (1,) * (k - 1) + (total - k + 1,)
-    if definitional:
-        instance = ParkingInstance(witness, trailer_z)
-        prefs = check_preferences(instance, prefs)
-        street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
-        return all(_park(parts, prefs, street, start) is not None for parts in compositions(total, k))
-    return is_strong_ps(witness, trailer_z, prefs)
+    if not definitional:
+        return is_strong_ps(witness, trailer_z, prefs)
+    instance = ParkingInstance(witness, trailer_z)
+    prefs = check_preferences(instance, prefs)
+    street = _street_mask(instance.street_length)
+    frontier = {_trailer_mask(instance.trailer_z): 0}  # mask -> length parked
+    for later, pref in zip(range(k - 1, -1, -1), prefs):
+        grown: dict[int, int] = {}
+        for mask, used in frontier.items():
+            longest = total - used - later
+            after = _park((longest,), (pref,), street, mask)
+            if after is None:
+                return False
+            block = after ^ mask
+            first = block & -block
+            for size in range(1, longest + 1):
+                grown[mask | first * ((1 << size) - 1)] = used + size
+        frontier = grown
+    return True
 
 
 def is_u_parking_function(bounds: Sequence[int], values: Sequence[int]) -> bool:

@@ -1,27 +1,35 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against.  Two generators build them all: the
-pruned :func:`enum_ps` search, kept where it parks under other length vectors
-too, and one capped walk over nondecreasing tuples, expanded into sorted
-rearrangements for the families closed under reordering.  A preference above
-the street length M can never park, which bounds the space for a length-n
-instance at M^n candidates; a budget guard refuses sweeps whose candidate
-space exceeds it, never truncating.  All listings come back lexicographically
-sorted so output is reproducible and diffable.
+characterizations are verified against.  Two searches and one walk build them
+all.  The searches step over occupancy masks: from a mask, every preference
+after the previous empty spot up to an empty spot j lands on j, so a state has
+at most one successor per empty spot, reached by that whole interval of
+preferences.  :func:`enum_ps` runs this step on one length vector; the
+definitional strong and k-strong listings run it on one mask per length
+vector at once, cutting a prefix as soon as any vector fails and walking each
+state reached through several prefixes once.  The walk is one capped pass over
+nondecreasing tuples, expanded into sorted rearrangements for the families
+closed under reordering.  A preference above the street length M can never
+park, which bounds the space for a length-n instance at M^n candidates; a
+budget guard refuses sweeps whose candidate space exceeds it, never
+truncating.  All listings come back lexicographically sorted so output is
+reproducible and diffable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
 from .classify import _ordering_reach, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _integer, _park, _positive, _street_mask, _trailer_mask,
+    ParkingInstance, _as_int_tuple, _integer, _positive, _street_mask, _trailer_mask,
     check_boundary, standard_order_bounds,
 )
 
@@ -66,7 +74,8 @@ class FamilyListing:
     members: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
+        members = self.members
+        if not all(map(operator.lt, members, itertools.islice(members, 1, None))):
             raise ValueError("members must be strictly increasing lexicographically")
 
     @property
@@ -94,54 +103,134 @@ def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...]
 
 
 def _parking_for_all(
-    vectors: list[tuple[int, ...]], trailer_z: int, budget: int
+    instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The :func:`enum_ps` members for ``vectors[0]`` that park under every other vector."""
-    first, *others = vectors  # one total, so one street
-    instance = ParkingInstance(first, trailer_z)
-    street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
-    members = enum_ps(instance, budget).members
-    return tuple(c for c in members if all(_park(y, c, street, start) is not None for y in others))
+    """The sequences under which every length vector parks, in lex order.
+
+    ``instance`` holds one of the vectors and the trailer; they all share its
+    total, so its street.  ``vectors()`` lists them, called only once the
+    budget allows the walk.  Depth first over the tuple of masks, one per
+    vector: the preference intervals are cut at every empty spot of any mask,
+    the cars of all vectors park from each interval at once, and an interval
+    where one fails is dropped with its subtree.  The suffix list of each
+    state is kept, keyed on its masks (they fix the depth), so a state
+    reached through several prefixes is walked, or cut, once.
+    """
+    spots, n = instance.street_length, instance.car_count
+    _guard(spots**n, budget)
+    vectors = list(vectors())
+    if len(vectors) == 1:
+        return enum_ps(instance, budget).members
+    street = _street_mask(spots)
+    sizes = [tuple(vector[depth] for vector in vectors) for depth in range(n)]
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    last = n - 1
+
+    def suffixes(depth: int, masks: tuple[int, ...], suffixes: Callable[..., list]) -> list:
+        known = memo.get(masks)
+        if known is not None:
+            return known
+        # past the last empty spot of any mask, that vector cannot park
+        frees = [street & ~mask for mask in masks]
+        bounds = (1 << min(free.bit_length() for free in frees)) - 1
+        cuts = 0
+        for free in frees:
+            cuts |= free
+        cuts &= bounds
+        found: list[tuple[int, ...]] = []
+        lo = 1
+        while cuts:
+            spot = (cuts & -cuts).bit_length() - 1  # prefs lo..spot land alike
+            children = []
+            for mask, free, size in zip(masks, frees, sizes[depth]):
+                tail = free >> spot
+                start = spot + ((tail & -tail).bit_length() - 1)
+                piece = ((1 << size) - 1) << start
+                if piece & ~free:
+                    break
+                children.append(mask | piece)
+            else:
+                if depth == last:
+                    found.extend(zip(range(lo, spot + 1)))
+                else:
+                    tails = suffixes(depth + 1, tuple(children), suffixes)
+                    for pref in range(lo, spot + 1):
+                        found.extend(map((pref,).__add__, tails))
+            lo = spot + 1
+            cuts &= cuts - 1
+        memo[masks] = found
+        return found
+
+    # handed itself, not closed over its own name: that cycle would hold the
+    # memo until a full garbage collection
+    start = _trailer_mask(instance.trailer_z)
+    return tuple(suffixes(0, (start,) * len(vectors), suffixes))
+
+
+def _landings(free: int, size: int) -> list[tuple[int, int]]:
+    """(lo, spot) for each empty spot where a block of ``size`` fits.
+
+    ``free`` is the mask of empty spots.  Preferences lo..spot all land on
+    ``spot``; a preference past the last empty spot cannot park.
+    """
+    unit = (1 << size) - 1
+    found = []
+    lo = 1
+    empty = free
+    while empty:
+        spot = (empty & -empty).bit_length() - 1
+        if not (unit << spot) & ~free:
+            found.append((lo, spot))
+        lo = spot + 1
+        empty &= empty - 1
+    return found
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Every preference sequence in [1..M]^n under which all cars park.
 
-    Depth-first over prefixes: a partial sequence is only extended while its
-    cars still park, which prunes most of the space while keeping the sweep
-    exhaustive over [1..M]^n.
+    Depth-first over occupancy masks, one step per empty spot j whose block
+    fits: the preferences from just past the previous empty spot up to j all
+    land on j, so they share the child mask.  The last car's preferences
+    depend only on the mask it meets, so they are found once per mask and
+    appended to each prefix in one step.  The sweep stays exhaustive over
+    [1..M]^n.
     """
     spots = instance.street_length
     n = instance.car_count
     _guard(spots**n, budget)
     street = _street_mask(spots)
     lengths = instance.lengths
-    last = n - 1
+    finals: dict[int, list[int]] = {}
     members: list[tuple[int, ...]] = []
-    prefix = [0] * n
 
-    def extend(depth: int, occupied: int, extend: Callable[..., None]) -> None:
+    def last_prefs(occupied: int) -> list[int]:
+        prefs = finals.get(occupied)
+        if prefs is None:
+            landings = _landings(street & ~occupied, lengths[-1])
+            prefs = finals[occupied] = [p for lo, spot in landings for p in range(lo, spot + 1)]
+        return prefs
+
+    def extend(
+        depth: int, occupied: int, prefix: tuple[int, ...], extend: Callable[..., None]
+    ) -> None:
         size = lengths[depth]
-        unit = (1 << size) - 1
-        free = street & ~occupied
-        blocked = ~free
-        for pref in range(1, spots + 1):
-            tail = free >> pref
-            if not tail:
-                break  # nothing empty at or past pref, so larger prefs fail too
-            start = pref + ((tail & -tail).bit_length() - 1)
-            piece = unit << start
-            if piece & blocked:
-                continue
-            prefix[depth] = pref
-            if depth != last:
-                extend(depth + 1, occupied | piece, extend)
+        for lo, spot in _landings(street & ~occupied, size):
+            child = occupied | (((1 << size) - 1) << spot)
+            if depth == n - 2:  # the prefix, this interval, then the last car's preferences
+                ends = last_prefs(child)
+                members.extend(itertools.product(*zip(prefix), range(lo, spot + 1), ends))
             else:
-                members.append(tuple(prefix))
+                for pref in range(lo, spot + 1):
+                    extend(depth + 1, child, prefix + (pref,), extend)
 
-    # handed itself, not closed over its own name: that cycle would hold the
-    # members until a full garbage collection
-    extend(0, _trailer_mask(instance.trailer_z), extend)
+    start = _trailer_mask(instance.trailer_z)
+    if n == 1:
+        members.extend(zip(last_prefs(start)))
+    else:
+        # handed itself, not closed over its own name: that cycle would hold
+        # the members until a full garbage collection
+        extend(0, start, (), extend)
     return FamilyListing(
         "ps",
         {"lengths": lengths, "trailer": instance.trailer_z},
@@ -185,9 +274,9 @@ def enum_sps(
 ) -> FamilyListing:
     """Sequences that park under every rearrangement of the length vector.
 
-    ``method="definition"`` keeps the :func:`enum_ps` members for the sorted
-    arrangement (it admits the fewest sequences) that park under every other
-    distinct arrangement too.  ``method="bounds"`` emits the characterized set
+    ``method="definition"`` runs the all-vectors search over every distinct
+    arrangement at once (the plain :func:`enum_ps` listing when there is only
+    one).  ``method="bounds"`` emits the characterized set
     directly: the plain family for constant lengths, otherwise the
     standard-order box on the sorted lengths.  The set depends only on the
     multiset of lengths, so the listing records them sorted.
@@ -196,7 +285,8 @@ def enum_sps(
     instance = ParkingInstance(ordered, trailer_z)
     params = {"lengths": ordered, "trailer": instance.trailer_z}
     if method == "definition":
-        members = _parking_for_all(distinct_permutations(ordered), instance.trailer_z, budget)
+        arrangements = partial(distinct_permutations, ordered)
+        members = _parking_for_all(instance, arrangements, budget)
         return FamilyListing("strong", params, members)
     if method != "bounds":
         raise ValueError(f"unknown method {method!r}; use 'definition' or 'bounds'")
@@ -220,10 +310,9 @@ def enum_sps_k(
 
     The street has z + total - 1 spots, which also caps useful preferences.
     The default route lists the strong family on the binding composition
-    (1, ..., 1, total - k + 1); ``definitional=True`` instead keeps the
-    :func:`enum_ps` members for that composition that park under every other
-    composition of ``total`` into k parts (the compositions are closed under
-    reordering, so this is the definition).
+    (1, ..., 1, total - k + 1); ``definitional=True`` instead runs the
+    all-vectors search over every composition of ``total`` into k parts (the
+    compositions are closed under reordering, so this is the definition).
     """
     total, k = _integer(total, "street weight"), _integer(k, "car count")
     if not 1 <= k <= total:
@@ -231,10 +320,11 @@ def enum_sps_k(
     trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)
-    if definitional:  # compositions come in lex order, the binding one first
-        members = _parking_for_all(list(compositions(total, k)), trailer_z, budget)
+    witness = (1,) * (k - 1) + (total - k + 1,)
+    if definitional:
+        instance = ParkingInstance(witness, trailer_z)
+        members = _parking_for_all(instance, partial(compositions, total, k), budget)
     else:
-        witness = (1,) * (k - 1) + (total - k + 1,)
         members = enum_sps(witness, trailer_z, budget, method="bounds").members
     return FamilyListing("kstrong", {"n": total, "k": k, "trailer": trailer_z}, members)
 

@@ -1,8 +1,9 @@
 """Literal sweeps for tests only: every candidate built outright and filtered.
 
 The library answers "every ordering parks" with one memoized walk over
-sub-multisets and builds its listings from a capped nondecreasing walk and a
-filtered ``enum_ps`` search; these oracles share no code with either beyond
+sub-multisets and builds its listings from a capped nondecreasing walk and
+searches that step from empty spot to empty spot of one occupancy mask per
+length vector; these oracles share no code with any of them beyond
 ``simulate`` and the public predicates, and build every ordering or every
 point of the product, so keep them to n <= 6.  ``invariance_rule`` is the
 closed invariance rule written out case by case, without the contraction.

@@ -5,7 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sweeps import arrangements_park, characterized_set, invariance_rule, orbit_parks
+from sweeps import (
+    arrangements_park, characterized_set, invariance_rule, k_strong_sweep, orbit_parks,
+)
 
 from parkseq import (
     ParkingInstance,
@@ -304,6 +306,23 @@ class TestKStrong:
                         assert is_k_strong(n, k, z, prefs) == is_k_strong(
                             n, k, z, prefs, definitional=True
                         )
+
+    def test_definition_matches_the_product_sweep(self):
+        # the car-by-car frontier against every composition parked outright;
+        # k = total has the one composition (1, ..., 1), swept here to total 5
+        for total in range(1, 7):
+            for k in range(1, min(total, 5) + 1):
+                for z in (1, 2):
+                    members = set(k_strong_sweep(total, k, z))
+                    for prefs in itertools.product(range(1, z + total), repeat=k):
+                        verdict = is_k_strong(total, k, z, prefs, definitional=True)
+                        assert verdict == (prefs in members), (total, k, z, prefs)
+
+    def test_definition_at_sizes_no_composition_sweep_reaches(self):
+        # C(39, 19) compositions, about 6.9e10
+        assert is_k_strong(40, 20, 1, (1,) * 20, definitional=True)
+        assert not is_k_strong(40, 20, 1, (2,) + (1,) * 19, definitional=True)
+        assert is_k_strong(40, 20, 1, (1,) * 19 + (2,), definitional=True)
 
 
 class TestUParkingFunction:

@@ -68,6 +68,12 @@ class TestExitCodes:
         assert run(["check", "--family", "inv", "--lengths", cars, "--prefs", cars]) == 0
         assert capsys.readouterr().out == "true\n"
 
+    def test_check_kstrong_definitional_on_forty_spots(self, capsys):
+        # C(39, 19) compositions; the definition answers without listing them
+        argv = ["check", "--family", "kstrong", "--definitional", "--n", "40", "--k", "20"]
+        assert run([*argv, "--trailer", "1", "--prefs", ",".join(["1"] * 20)]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_usage_error_is_two(self, capsys):
         assert run(["check", "--family", "nonsense", "--prefs", "1"]) == 2
         assert run(["enumerate", "--family", "ps"]) == 2  # --lengths missing

@@ -5,13 +5,17 @@ import itertools
 import random
 
 import pytest
-from sweeps import k_strong_sweep, lattice_path_sweep, orbit_parks, permutation_set, u_pf_sweep
+from sweeps import (
+    arrangements_park, k_strong_sweep, lattice_path_sweep, orbit_parks, permutation_set, u_pf_sweep,
+)
 
 from parkseq import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     FamilyListing,
     LatticePath,
     ParkingInstance,
+    compositions,
     count_ps_product,
     distinct_permutations,
     enum_ips,
@@ -22,7 +26,9 @@ from parkseq import (
     enum_sps_k,
     enum_u_pf,
     is_parking_sequence,
+    simulate,
 )
+from parkseq.enumeration import _parking_for_all
 
 
 def test_enum_ps_small_family():
@@ -194,6 +200,20 @@ def test_enum_sps_methods_agree():
                 )
 
 
+def test_enum_sps_matches_the_product_sweep():
+    # the all-vectors walk against [1..M]^n parked under every arrangement
+    for n in range(1, 5):
+        for lengths in itertools.combinations_with_replacement((1, 2, 3), n):
+            for z in (1, 2):
+                spots = z - 1 + sum(lengths)
+                swept = tuple(
+                    prefs
+                    for prefs in itertools.product(range(1, spots + 1), repeat=n)
+                    if arrangements_park(lengths, z, prefs)
+                )
+                assert enum_sps(lengths, z).members == swept, (lengths, z)
+
+
 def test_enum_sps_k_listed_sets():
     assert enum_sps_k(3, 1, 1).members == ((1,),)
     assert enum_sps_k(3, 2, 1).members == ((1, 1), (1, 2))
@@ -213,6 +233,31 @@ def test_enum_sps_k_definitional_agrees():
                     enum_sps_k(n, k, z).members
                     == enum_sps_k(n, k, z, definitional=True).members
                 )
+
+
+def test_all_vectors_walk_on_sets_not_closed_under_reordering():
+    # sets no reordering closes, whose states have differing completions, so
+    # a memo keyed on too little shows
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        pool = list(compositions(rng.randint(n, 6), n))
+        vectors = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+        z = rng.randint(1, 2)
+        spots = z - 1 + sum(vectors[0])
+        swept = tuple(
+            prefs
+            for prefs in itertools.product(range(1, spots + 1), repeat=n)
+            if all(simulate(ParkingInstance(v, z), prefs).success for v in vectors)
+        )
+        instance = ParkingInstance(vectors[0], z)
+        walked = _parking_for_all(instance, lambda: vectors, DEFAULT_BUDGET)
+        assert walked == swept, (vectors, z)
+
+
+def test_enum_sps_k_definitional_on_seven_cars():
+    # seven compositions of 8; 2.4 s when each enum_ps member was re-parked
+    assert enum_sps_k(8, 7, 1, definitional=True).members == enum_sps_k(8, 7, 1).members
 
 
 def test_enum_u_pf_counts():
@@ -256,6 +301,8 @@ def test_budget_guard_raises_instead_of_truncating():
         (lambda: enum_sps((2, 1, 2), 1, budget=5, method="bounds"), 8, 5),
         (lambda: enum_sps_k(4, 2, 1, budget=10), 16, 10),
         (lambda: enum_sps_k(4, 2, 1, budget=10, definitional=True), 16, 10),
+        # 9! arrangements, none built: the all-vectors walk refuses first
+        (lambda: enum_sps(range(1, 10), 1), 45**9, DEFAULT_BUDGET),
     )
     for listing, candidates, budget in refusals:
         message = f"would sweep {candidates} candidates, budget is {budget}$"
@@ -313,6 +360,10 @@ def _length_grid():
 # Per family: the listings on a fixed grid, and the sha256 of the repr of the
 # list of their member tuples (north-step tuples for paths) in grid order.
 _PINNED_LISTINGS = {
+    "ps": (
+        lambda: (enum_ps(instance).members for instance in _length_grid()),
+        "64033ed5f7bf336e64f96d2835ee043f64bc4a95863d3438d8208695a697b779",
+    ),
     "ips": (
         lambda: (enum_ips(instance).members for instance in _length_grid()),
         "3c731f078467b313147f3675f8cfc89b4ea74fc1f5d92714550247ce68556cd7",
