@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ParkingInstance, _as_int_tuple, _integer, _nondecreasing_under, _positive, check_boundary,
+    ParkingInstance, _as_int_tuple, _block_split, _nondecreasing_under, _positive, check_boundary,
     check_preferences, standard_order_bounds,
 )
 
@@ -142,10 +142,8 @@ def arithmetic_boundary(trailer_z: int, n: int) -> tuple[int, ...]:
 
 def two_block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
     """(z, ..., z, z+1, ..., z+r-1) with n-r+1 copies of z, for two-block lengths."""
-    trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
-    r = _integer(r, "leading block length")
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < {n}, got {r}")
+    trailer_z = _positive(trailer_z, "trailer parameter")
+    n, r = _block_split(n, r)
     return _block_boundary(trailer_z, n, r)
 
 

@@ -22,6 +22,7 @@ from .core import (
     _park,
     _street_mask,
     _trailer_mask,
+    _weight_and_count,
     check_boundary,
     check_preferences,
     simulate,
@@ -246,9 +247,7 @@ def is_k_strong(
     spot whatever its length, and a block fits wherever a longer one does, so
     parking the longest length decides them all.
     """
-    total, k = _integer(total, "street weight"), _integer(k, "car count")
-    if not 1 <= k <= total:
-        raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    total, k = _weight_and_count(total, k)
     witness = (1,) * (k - 1) + (total - k + 1,)
     if not definitional:
         return is_strong_ps(witness, trailer_z, prefs)

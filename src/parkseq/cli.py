@@ -253,31 +253,32 @@ def _cmd_enumerate(args) -> int:
     flags, _, enumerator = _FAMILIES[args.family]
     _need(args, f"--family {args.family}", flags)
     listing = enumerator(args)
-    params = dict(listing.params, family=listing.family)
-    result = {"cardinality": listing.cardinality}
-    if not args.count_only:
-        result["members"] = listing.members
-    if args.out:
-        _write_listing(args.out, listing, params, result)
-        print(f"wrote {listing.cardinality} members to {args.out}")
+    if not args.out:
+        _print_listing(listing, args.json, args.count_only)
         return EXIT_OK
-    if args.json:
-        print(_document("enumerate", params, result))
-    elif args.count_only:
-        print(listing.cardinality)
-    else:
-        for member in listing.members:
-            print(",".join(str(v) for v in member))
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
+    print(f"wrote {listing.cardinality} members to {args.out}")
     return EXIT_OK
 
 
-def _write_listing(path: str, listing: FamilyListing, params: dict, result: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        if path.endswith(".json"):
-            handle.write(_document("enumerate", params, result) + "\n")
-            return
+def _print_listing(listing: FamilyListing, document: bool, count_only: bool, file=None) -> None:
+    """Print the enumerate output to ``file`` (stdout when None).
+
+    The ``--json`` document, else the cardinality alone with ``--count-only``,
+    else one CSV row per member.
+    """
+    if document:
+        result = {"cardinality": listing.cardinality}
+        if not count_only:
+            result["members"] = listing.members
+        params = dict(listing.params, family=listing.family)
+        print(_document("enumerate", params, result), file=file)
+    elif count_only:
+        print(listing.cardinality, file=file)
+    else:
         for member in listing.members:
-            handle.write(",".join(str(v) for v in member) + "\n")
+            print(",".join(str(v) for v in member), file=file)
 
 
 def _cmd_count(args) -> int:

@@ -64,6 +64,22 @@ def _positive(value: int, what: str, minimum: int = 1) -> int:
     return out
 
 
+def _weight_and_count(total: int, k: int) -> tuple[int, int]:
+    """The (street weight, car count) pair of the k-strong family: 1 <= k <= total."""
+    total, k = _positive(total, "street weight"), _integer(k, "car count")
+    if not 1 <= k <= total:
+        raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    return total, k
+
+
+def _block_split(n: int, r: int) -> tuple[int, int]:
+    """The (car count, leading block length) pair of two-block lengths: 1 <= r < n."""
+    n, r = _positive(n, "car count"), _integer(r, "leading block length")
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < {n}, got {r}")
+    return n, r
+
+
 class FailureReason(str, enum.Enum):
     """Why the first failing car could not park."""
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import ParkingInstance, _integer, _positive, standard_order_bounds
+from .core import (
+    ParkingInstance, _block_split, _positive, _weight_and_count, standard_order_bounds,
+)
 
 __all__ = [
     "binomial",
@@ -143,11 +145,8 @@ def count_inv_two_block(n: int, r: int, trailer_z: int) -> int:
     The sum over j of C(n, j)(r - j) r^(j-1) z^(n-j) for 0 <= j <= r - 1;
     the j = 0 term collapses to z^n, so the value never depends on a or b.
     """
-    n = _positive(n, "car count")
+    n, r = _block_split(n, r)
     z = _positive(trailer_z, "trailer parameter")
-    r = _integer(r, "leading block length")
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < {n}, got {r}")
     total = z**n
     for j in range(1, r):
         total += binomial(n, j) * (r - j) * r ** (j - 1) * z ** (n - j)
@@ -186,11 +185,8 @@ def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     Rising factorial z(z+1)...(z+k-1) for k < n; the unit-car case k = n is
     the constant-length invariant count z(n+z)^(n-1) instead.
     """
-    total = _positive(total, "street weight")
+    total, k = _weight_and_count(total, k)
     z = _positive(trailer_z, "trailer parameter")
-    k = _integer(k, "car count")
-    if not 1 <= k <= total:
-        raise ValueError(f"need 1 <= k <= {total}, got {k}")
     if k == total:
         return count_inv_constant(total, z)
     return rising_factorial(z, k)

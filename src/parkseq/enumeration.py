@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .biject import LatticePath
 from .classify import _ordering_reach, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _integer, _positive, _street_mask, _trailer_mask,
+    ParkingInstance, _as_int_tuple, _positive, _street_mask, _trailer_mask, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
 
@@ -314,9 +314,7 @@ def enum_sps_k(
     all-vectors search over every composition of ``total`` into k parts (the
     compositions are closed under reordering, so this is the definition).
     """
-    total, k = _integer(total, "street weight"), _integer(k, "car count")
-    if not 1 <= k <= total:
-        raise ValueError(f"need 1 <= k <= {total}, got {k}")
+    total, k = _weight_and_count(total, k)
     trailer_z = _positive(trailer_z, "trailer parameter")
     ceiling = trailer_z + total - 1
     _guard(ceiling**k, budget)

@@ -1,8 +1,10 @@
 """Named cross-check suites: formulas against sweeps, pinned values, round trips.
 
-Each suite returns :class:`ReportRecord` rows; a record passes only when the
-expected and computed values match exactly.  The ``all`` suite chains every
-suite and is the repository's gate: ``parkseq verify --suite all``.
+Each suite yields ``(check, params, expected, computed, note)`` rows, and
+:func:`run_suite` wraps every row in a :class:`ReportRecord`; a record passes
+only when the expected and computed values match exactly.  ``_SUITES`` is the
+one table of the suites and their default sizes.  The ``all`` suite chains
+every suite and is the repository's gate: ``parkseq verify --suite all``.
 """
 
 from __future__ import annotations
@@ -131,342 +133,156 @@ def _characterized_set(instance):
     ))
 
 
+def _params(instance):
+    """The params of a record about one instance: its lengths and trailer."""
+    return {"lengths": instance.lengths, "trailer": instance.trailer_z}
+
+
 def _suite_eq3(max_n, seed, budget):
-    max_n = 4 if max_n is None else max_n
-    return [
-        ReportRecord(
-            "ps-product-vs-enum",
-            {"lengths": instance.lengths, "trailer": instance.trailer_z},
-            count_ps_product(instance.lengths, instance.trailer_z),
-            enum_ps(instance, budget).cardinality,
-            "product count formula against the exhaustive sweep",
-        )
-        for instance in _instance_grid(max_n)
-    ]
+    for instance in _instance_grid(max_n):
+        yield ("ps-product-vs-enum", _params(instance),
+               count_ps_product(instance.lengths, instance.trailer_z),
+               enum_ps(instance, budget).cardinality,
+               "product count formula against the exhaustive sweep")
 
 
 def _suite_table1(max_n, seed, budget):
-    records = []
     for size, row in _TWO_BIG_CAR_COUNTS.items():
         for extra, expected in enumerate(row):
-            lengths = (size, size) + (1,) * extra
-            records.append(
-                ReportRecord(
-                    "inv-two-big-cars-count",
-                    {"lengths": lengths, "trailer": 1},
-                    expected,
-                    enum_ps_inv(ParkingInstance(lengths, 1), budget).cardinality,
-                    "pinned reference count",
-                )
-            )
-    return records
+            instance = ParkingInstance((size, size) + (1,) * extra, 1)
+            yield ("inv-two-big-cars-count", _params(instance), expected,
+                   enum_ps_inv(instance, budget).cardinality, "pinned reference count")
 
 
 def _suite_catalan(max_n, seed, budget):
-    max_n = 6 if max_n is None else max_n
-    records = []
     for n in range(1, max_n + 1):
         computed = enum_ips(ParkingInstance((1,) * n, 1), budget).cardinality
-        records.append(
-            ReportRecord(
-                "catalan-formula-vs-enum",
-                {"n": n},
-                fuss_catalan(1, n),
-                computed,
-                "Catalan number",
-            )
-        )
+        yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
         if n <= len(_CATALAN):
-            records.append(
-                ReportRecord(
-                    "catalan-pinned",
-                    {"n": n},
-                    _CATALAN[n - 1],
-                    computed,
-                    "pinned reference value",
-                )
-            )
-    return records
+            yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
 
 
 def _suite_fuss(max_n, seed, budget):
-    max_n = 5 if max_n is None else max_n
-    records = []
     for n in range(1, max_n + 1):
         computed = enum_ips(ParkingInstance((2,) * n, 1), budget).cardinality
         expected = fuss_catalan(2, n)
-        records.append(
-            ReportRecord(
-                "fuss-formula-vs-enum",
-                {"n": n},
-                expected,
-                computed,
-                "Fuss-Catalan number, order 2",
-            )
-        )
-        records.append(
-            ReportRecord(
-                "fuss-vs-constant-count",
-                {"n": n},
-                expected,
-                count_ips_constant(2, n, 1),
-                "two closed forms for the same count",
-            )
-        )
+        yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
+        yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
+               "two closed forms for the same count")
         if n <= len(_FUSS_ORDER2):
-            records.append(
-                ReportRecord(
-                    "fuss-pinned",
-                    {"n": n},
-                    _FUSS_ORDER2[n - 1],
-                    computed,
-                    "pinned reference value",
-                )
-            )
-    return records
+            yield "fuss-pinned", {"n": n}, _FUSS_ORDER2[n - 1], computed, "pinned reference value"
 
 
 def _suite_determinant(max_n, seed, budget):
-    max_n = 4 if max_n is None else max_n
-    records = []
     for instance in _instance_grid(max_n):
-        params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-        records.append(
-            ReportRecord(
-                "ips-determinant-vs-enum",
-                params,
-                count_ips_determinant(instance.lengths, instance.trailer_z),
-                enum_ips(instance, budget).cardinality,
-                "boundary determinant against the direct sweep",
-            )
-        )
+        params, listing = _params(instance), enum_ips(instance, budget)
+        yield ("ips-determinant-vs-enum", params,
+               count_ips_determinant(instance.lengths, instance.trailer_z), listing.cardinality,
+               "boundary determinant against the direct sweep")
         if instance.car_count <= 3:
-            records.append(
-                ReportRecord(
-                    "ips-methods-agree",
-                    params,
-                    True,
-                    enum_ips(instance, budget).members
-                    == tuple(
-                        m for m in enum_ps(instance, budget).members
-                        if all(a <= b for a, b in zip(m, m[1:]))
-                    ),
-                    "bound generation equals filtering the simulation sweep",
-                )
+            filtered = tuple(
+                m for m in enum_ps(instance, budget).members
+                if all(a <= b for a, b in zip(m, m[1:]))
             )
+            yield ("ips-methods-agree", params, True, listing.members == filtered,
+                   "bound generation equals filtering the simulation sweep")
     rng = random.Random(seed)
     for index in range(20):
         lengths = tuple(rng.randint(1, 4) for _ in range(5))
         z = rng.randint(1, 3)
-        records.append(
-            ReportRecord(
-                "ips-determinant-vs-enum",
-                {"lengths": lengths, "trailer": z, "sample": index},
-                count_ips_determinant(lengths, z),
-                enum_ips(ParkingInstance(lengths, z), budget).cardinality,
-                f"seeded sample (seed {seed})",
-            )
-        )
-    return records
+        yield ("ips-determinant-vs-enum", {"lengths": lengths, "trailer": z, "sample": index},
+               count_ips_determinant(lengths, z),
+               enum_ips(ParkingInstance(lengths, z), budget).cardinality,
+               f"seeded sample (seed {seed})")
 
 
 def _suite_inv_characterizations(max_n, seed, budget):
-    max_n = 4 if max_n is None else max_n
-    records = []
     for kind, instance, count in _invariant_grid(max_n):
-        inv = enum_ps_inv(instance, budget)
-        params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-        records.append(
-            ReportRecord(
-                f"inv-{kind}-set",
-                params,
-                True,
-                inv.members == _characterized_set(instance),
-                "sweep equals the characterized set",
-            )
-        )
-        records.append(
-            ReportRecord(f"inv-{kind}-count", params, count, inv.cardinality, "count formula")
-        )
+        params, inv = _params(instance), enum_ps_inv(instance, budget)
+        yield (f"inv-{kind}-set", params, True, inv.members == _characterized_set(instance),
+               "sweep equals the characterized set")
+        yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
         if kind == "two-block":
-            records.append(
-                ReportRecord(
-                    "inv-two-block-image",
-                    params,
-                    True,
-                    _contracts_onto(instance, inv.members, budget),
-                    "contraction maps the sweep onto the boundary family",
-                )
-            )
-    return records
+            yield ("inv-two-block-image", params, True,
+                   _contracts_onto(instance, inv.members, budget),
+                   "contraction maps the sweep onto the boundary family")
 
 
 def _suite_strong(max_n, seed, budget):
-    max_n = 4 if max_n is None else max_n
-    records = []
     for n in range(2, max_n + 1):
         for lengths in itertools.combinations_with_replacement((1, 2, 3), n):
             if len(set(lengths)) == 1:
                 continue
             for z in (1, 2):
-                params = {"lengths": lengths, "trailer": z}
-                swept = enum_sps(lengths, z, budget)
+                params, swept = {"lengths": lengths, "trailer": z}, enum_sps(lengths, z, budget)
                 boxed = enum_sps(lengths, z, budget, method="bounds")
-                records.append(
-                    ReportRecord(
-                        "strong-definition-vs-bounds",
-                        params,
-                        True,
-                        swept.members == boxed.members,
-                        "rearrangement intersection equals the standard-order box",
-                    )
-                )
-                records.append(
-                    ReportRecord(
-                        "strong-count",
-                        params,
-                        count_sps(lengths, z),
-                        swept.cardinality,
-                        "partial-sum product formula",
-                    )
-                )
+                yield ("strong-definition-vs-bounds", params, True, swept.members == boxed.members,
+                       "rearrangement intersection equals the standard-order box")
+                yield ("strong-count", params, count_sps(lengths, z), swept.cardinality,
+                       "partial-sum product formula")
                 if n == 2:
-                    box = tuple(
-                        itertools.product(
-                            range(1, z + 1), range(1, z + lengths[0] + 1)
-                        )
-                    )
-                    records.append(
-                        ReportRecord(
-                            "strong-pair-box",
-                            params,
-                            box,
-                            swept.members,
-                            "two cars: box [z] x [z + smaller length]",
-                        )
-                    )
-    return records
+                    box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
+                    yield ("strong-pair-box", params, box, swept.members,
+                           "two cars: box [z] x [z + smaller length]")
 
 
 def _suite_sps_k(max_n, seed, budget):
-    max_n = 5 if max_n is None else max_n
-    records = []
     for k, expected in _KSTRONG_N3.items():
-        records.append(
-            ReportRecord(
-                "kstrong-listing",
-                {"n": 3, "k": k, "trailer": 1},
-                expected,
-                enum_sps_k(3, k, 1, budget).members,
-                "pinned reference listing",
-            )
-        )
+        yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected,
+               enum_sps_k(3, k, 1, budget).members, "pinned reference listing")
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             for z in (1, 2, 3):
-                params = {"n": n, "k": k, "trailer": z}
-                listing = enum_sps_k(n, k, z, budget)
-                records.append(
-                    ReportRecord(
-                        "kstrong-count",
-                        params,
-                        count_sps_k(n, k, z),
-                        listing.cardinality,
-                        "rising factorial, or the unit-car count when k = n",
-                    )
-                )
+                params, listing = {"n": n, "k": k, "trailer": z}, enum_sps_k(n, k, z, budget)
+                yield ("kstrong-count", params, count_sps_k(n, k, z), listing.cardinality,
+                       "rising factorial, or the unit-car count when k = n")
                 if n <= 4:
-                    records.append(
-                        ReportRecord(
-                            "kstrong-definition-vs-characterization",
-                            params,
-                            True,
-                            enum_sps_k(n, k, z, budget, definitional=True).members
-                            == listing.members,
-                            "composition intersection equals the characterized set",
-                        )
-                    )
-    return records
+                    definitional = enum_sps_k(n, k, z, budget, definitional=True)
+                    yield ("kstrong-definition-vs-characterization", params, True,
+                           definitional.members == listing.members,
+                           "composition intersection equals the characterized set")
 
 
 def _suite_bijections(max_n, seed, budget):
-    max_n = 4 if max_n is None else max_n
-    records = []
     for instance in _instance_grid(max_n):
-        params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-        members = enum_ips(instance, budget).members
+        params, members = _params(instance), enum_ips(instance, budget).members
         paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
-        records.append(
-            ReportRecord(
-                "ips-path-roundtrip",
-                params,
-                True,
-                all(
-                    lattice_path_to_ips(instance, path) == prefs
-                    for prefs, path in zip(members, paths)
-                ),
-                "shift there and back is the identity",
-            )
+        yield ("ips-path-roundtrip", params, True,
+               all(lattice_path_to_ips(instance, path) == prefs
+                   for prefs, path in zip(members, paths)),
+               "shift there and back is the identity")
+        bounded = enum_lattice_paths(
+            standard_order_bounds(instance), instance.street_length, budget
         )
-        records.append(
-            ReportRecord(
-                "ips-path-image",
-                params,
-                True,
-                tuple(path.xs for path in paths)
-                == tuple(
-                    path.xs
-                    for path in enum_lattice_paths(
-                        standard_order_bounds(instance), instance.street_length, budget
-                    )
-                ),
-                "image is exactly the bounded-path family",
-            )
-        )
+        yield ("ips-path-image", params, True,
+               tuple(path.xs for path in paths) == tuple(path.xs for path in bounded),
+               "image is exactly the bounded-path family")
 
     for kind, instance, _ in _invariant_grid(max_n):
         if kind not in ("constant", "two-block"):
             continue
         step, z = _invariant_contraction(instance)[0], instance.trailer_z
-        domain = _characterized_set(instance)
-        params = {"lengths": instance.lengths, "trailer": z}
-        records.append(
-            ReportRecord(
-                f"contraction-{kind}-roundtrip",
-                params,
-                True,
-                all(
-                    from_vector_parking_function(
-                        z, step, to_vector_parking_function(z, step, prefs)
-                    )
-                    == prefs
-                    for prefs in domain
-                ),
-                "contraction then expansion is the identity",
-            )
-        )
-        records.append(
-            ReportRecord(
-                f"contraction-{kind}-image",
-                params,
-                True,
-                _contracts_onto(instance, domain, budget),
-                "characterized set maps onto the boundary family",
-            )
-        )
-    return records
+        params, domain = _params(instance), _characterized_set(instance)
+        yield (f"contraction-{kind}-roundtrip", params, True,
+               all(from_vector_parking_function(z, step, to_vector_parking_function(z, step, prefs))
+                   == prefs for prefs in domain),
+               "contraction then expansion is the identity")
+        yield (f"contraction-{kind}-image", params, True,
+               _contracts_onto(instance, domain, budget),
+               "characterized set maps onto the boundary family")
 
 
+# name: (suite, default max_n); table1's rows are pinned and take no size.
 _SUITES = {
-    "eq3": _suite_eq3,
-    "table1": _suite_table1,
-    "catalan": _suite_catalan,
-    "fuss": _suite_fuss,
-    "determinant": _suite_determinant,
-    "inv-characterizations": _suite_inv_characterizations,
-    "strong": _suite_strong,
-    "sps-k": _suite_sps_k,
-    "bijections": _suite_bijections,
+    "eq3": (_suite_eq3, 4),
+    "table1": (_suite_table1, None),
+    "catalan": (_suite_catalan, 6),
+    "fuss": (_suite_fuss, 5),
+    "determinant": (_suite_determinant, 4),
+    "inv-characterizations": (_suite_inv_characterizations, 4),
+    "strong": (_suite_strong, 4),
+    "sps-k": (_suite_sps_k, 5),
+    "bijections": (_suite_bijections, 4),
 }
 
 SUITE_NAMES = ("all",) + tuple(_SUITES)
@@ -478,12 +294,16 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ReportRecord]:
-    """Run one named suite (or every suite for ``all``) and return its records."""
-    if name == "all":
-        records = []
-        for suite in _SUITES.values():
-            records.extend(suite(max_n, seed, budget))
-        return records
-    if name not in _SUITES:
+    """Run one named suite (or every suite for ``all``) and return its records.
+
+    ``max_n`` caps the sweep of every suite that has one; None runs each
+    suite at its default size.
+    """
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choices are {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](max_n, seed, budget)
+    suites = _SUITES.values() if name == "all" else (_SUITES[name],)
+    return [
+        ReportRecord(*row)
+        for suite, default in suites
+        for row in suite(default if max_n is None else max_n, seed, budget)
+    ]

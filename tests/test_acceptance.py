@@ -8,6 +8,7 @@ once, and a digest of all its records pins the gate's output.
 
 import gc
 import hashlib
+import re
 
 import pytest
 
@@ -27,6 +28,17 @@ from parkseq.verify import SUITE_NAMES, run_suite
 # changes it; an unchanged gate never does.
 GATE_RECORDS = 2324
 GATE_DIGEST = "6e392100998ef6993ed4a1ca359a1902760008ce60c96d6fee033d19d8d30730"
+# The same digest of run_suite("all", max_n=m): every sized suite at size m.
+SIZED_GATE = {
+    1: (147, "ebd3f63c458d5fb7b1da521fa3bb92223051b4a01729bddab6e1fd1c722dc626"),
+    2: (446, "e153f0945be0626341c2fe8110a76bc9cb4efb45a958efc373219e55517ba9b3"),
+    3: (1064, "a289b913d3b94d6e4d8e793ef264c1a83f79ed6bd5dd297d305d7d4e2d6a83f3"),
+}
+
+
+def _digest(records):
+    lines = (repr((r.check, r.params, r.expected, r.computed, r.note)) for r in records)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _criterion(tag, records):
@@ -108,9 +120,23 @@ def test_criterion_10_counterexample_pinning():
 
 def test_gate_records_are_pinned(suites):
     records = [record for records in suites.values() for record in records]
-    lines = (repr((r.check, r.params, r.expected, r.computed, r.note)) for r in records)
     assert len(records) == GATE_RECORDS
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GATE_DIGEST
+    assert _digest(records) == GATE_DIGEST
+
+
+@pytest.mark.parametrize("max_n", sorted(SIZED_GATE))
+def test_sized_gate_records_are_pinned(max_n):
+    records = run_suite("all", max_n=max_n)
+    assert (len(records), _digest(records)) == SIZED_GATE[max_n]
+
+
+def test_unknown_suite_is_refused():
+    message = (
+        "unknown suite 'nope'; choices are all, eq3, table1, catalan, fuss, determinant,"
+        " inv-characterizations, strong, sps-k, bijections"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("nope")
 
 
 @pytest.mark.parametrize(

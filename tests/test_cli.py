@@ -94,6 +94,25 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.endswith(f"error: argument {argv[-2]}: value must be >= 1, got {argv[-1]}\n")
 
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [
+            (0, 0, "street weight must be >= 1, got 0"),
+            (-2, 1, "street weight must be >= 1, got -2"),
+            (3, 0, "need 1 <= k <= 3, got 0"),
+            (3, 4, "need 1 <= k <= 3, got 4"),
+        ],
+    )
+    def test_kstrong_pair_gets_one_message(self, capsys, n, k, message):
+        pair = ["--n", str(n), "--k", str(k)]
+        for argv in (
+            ["count", "--formula", "sps-k", *pair],
+            ["check", "--family", "kstrong", *pair, "--prefs", "1"],
+            ["enumerate", "--family", "kstrong", *pair, "--count-only"],
+        ):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
 
@@ -166,6 +185,16 @@ class TestFileDumps:
         assert doc["result"]["members"] == [[1, 1], [1, 2], [3, 1]]
         capsys.readouterr()
         run(["enumerate", "--family", "ps", "--lengths", "1,2", "--json"])
+        assert target.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["members", "count-only"])
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_file_holds_what_stdout_prints(self, tmp_path, capsys, suffix, count_only):
+        target = tmp_path / f"family{suffix}"
+        argv = ["enumerate", "--family", "ps", "--lengths", "1,2", *count_only]
+        assert run([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"wrote 3 members to {target}\n"
+        assert run(argv + (["--json"] if suffix == ".json" else [])) == 0
         assert target.read_bytes() == capsys.readouterr().out.encode()
 
 

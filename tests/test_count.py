@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,17 @@ class TestInvariantCounts:
                 count_inv_two_block(4, r, 1)
             with pytest.raises(ValueError, match="leading block length must be an integer"):
                 two_block_boundary(1, 4, r)
+
+    def test_two_block_pair_gets_one_message(self):
+        for n, r, message in (
+            (0, 1, "car count must be >= 1, got 0"),
+            (3, 0, "need 1 <= r < 3, got 0"),
+            (3, 3, "need 1 <= r < 3, got 3"),
+            (1, 1, "need 1 <= r < 1, got 1"),
+        ):
+            for call in (count_inv_two_block, lambda n, r, z: two_block_boundary(z, n, r)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(n, r, 1)
 
 
 class TestStrongCounts:
