@@ -256,7 +256,11 @@ def _cmd_enumerate(args) -> int:
     if not args.out:
         _print_listing(listing, args.json, args.count_only)
         return EXIT_OK
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    try:
+        handle = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    with handle:
         _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
     print(f"wrote {listing.cardinality} members to {args.out}")
     return EXIT_OK

@@ -1,20 +1,19 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against.  Two searches and one walk build them
-all.  The searches step over occupancy masks: from a mask, every preference
-after the previous empty spot up to an empty spot j lands on j, so a state has
-at most one successor per empty spot, reached by that whole interval of
-preferences.  :func:`enum_ps` runs this step on one length vector; the
-definitional strong and k-strong listings run it on one mask per length
-vector at once, cutting a prefix as soon as any vector fails and walking each
-state reached through several prefixes once.  The walk is one capped pass over
-nondecreasing tuples, expanded into sorted rearrangements for the families
-closed under reordering.  A preference above the street length M can never
-park, which bounds the space for a length-n instance at M^n candidates; a
-budget guard refuses sweeps whose candidate space exceeds it, never
-truncating.  All listings come back lexicographically sorted so output is
-reproducible and diffable.
+characterizations are verified against.  One search and one walk build them
+all.  The search steps over a tuple of occupancy masks, one per length
+vector: every preference after the previous cut up to a spot j empty in some
+mask lands alike, so a state has at most one successor per such spot, reached
+by that whole interval of preferences.  :func:`enum_ps` runs it on its one
+length vector; the definitional strong and k-strong listings run it on every
+arrangement or composition at once, cutting a prefix as soon as any vector
+fails.  The walk is one capped pass over nondecreasing tuples, expanded into
+sorted rearrangements for the families closed under reordering.  A preference
+above the street length M can never park, which bounds the space for a
+length-n instance at M^n candidates; a budget guard refuses sweeps whose
+candidate space exceeds it, never truncating.  All listings come back
+lexicographically sorted so output is reproducible and diffable.
 """
 
 from __future__ import annotations
@@ -109,133 +108,84 @@ def _parking_for_all(
 
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  Depth first over the tuple of masks, one per
-    vector: the preference intervals are cut at every empty spot of any mask,
-    the cars of all vectors park from each interval at once, and an interval
-    where one fails is dropped with its subtree.  The suffix list of each
-    state is kept, keyed on its masks (they fix the depth), so a state
-    reached through several prefixes is walked, or cut, once.
+    budget allows the walk.  Depth first over the tuple of free-spot masks,
+    one per vector: the preference intervals are cut at every spot empty in
+    some mask, up to the first cut past some mask's last empty spot, and the
+    cars of all vectors park from each interval at once.  Each state's steps,
+    (interval, child steps) for the intervals whose child still completes,
+    are kept keyed on its masks (they fix the depth), so no state is walked
+    twice; the last car's steps are its preferences alone, appended to the
+    prefix in one step.
     """
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     vectors = list(vectors())
-    if len(vectors) == 1:
-        return enum_ps(instance, budget).members
-    street = _street_mask(spots)
-    sizes = [tuple(vector[depth] for vector in vectors) for depth in range(n)]
-    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    units = [tuple((1 << vector[depth]) - 1 for vector in vectors) for depth in range(n)]
+    memo: dict[tuple[int, ...], list] = {}
     last = n - 1
+    members: list[tuple[int, ...]] = []
 
-    def suffixes(depth: int, masks: tuple[int, ...], suffixes: Callable[..., list]) -> list:
-        known = memo.get(masks)
+    def steps(depth: int, frees: tuple[int, ...], steps: Callable[..., list]) -> list:
+        known = memo.get(frees)
         if known is not None:
             return known
-        # past the last empty spot of any mask, that vector cannot park
-        frees = [street & ~mask for mask in masks]
-        bounds = (1 << min(free.bit_length() for free in frees)) - 1
         cuts = 0
         for free in frees:
             cuts |= free
-        cuts &= bounds
-        found: list[tuple[int, ...]] = []
+        found: list = []
         lo = 1
         while cuts:
-            spot = (cuts & -cuts).bit_length() - 1  # prefs lo..spot land alike
+            spot = (cuts & -cuts).bit_length() - 1
             children = []
-            for mask, free, size in zip(masks, frees, sizes[depth]):
+            for free, unit in zip(frees, units[depth]):
                 tail = free >> spot
-                start = spot + ((tail & -tail).bit_length() - 1)
-                piece = ((1 << size) - 1) << start
+                if not tail:  # no empty spot from here on, so no later cut parks it
+                    cuts = 0
+                    break
+                piece = unit << (spot + (tail & -tail).bit_length() - 1)
                 if piece & ~free:
                     break
-                children.append(mask | piece)
+                children.append(free ^ piece)
             else:
                 if depth == last:
-                    found.extend(zip(range(lo, spot + 1)))
+                    found.extend(range(lo, spot + 1))
                 else:
-                    tails = suffixes(depth + 1, tuple(children), suffixes)
-                    for pref in range(lo, spot + 1):
-                        found.extend(map((pref,).__add__, tails))
+                    after = steps(depth + 1, tuple(children), steps)
+                    if after:
+                        found.append((range(lo, spot + 1), after))
             lo = spot + 1
             cuts &= cuts - 1
-        memo[masks] = found
+        memo[frees] = found
         return found
 
-    # handed itself, not closed over its own name: that cycle would hold the
-    # memo until a full garbage collection
-    start = _trailer_mask(instance.trailer_z)
-    return tuple(suffixes(0, (start,) * len(vectors), suffixes))
+    def emit(depth: int, found: list, prefix: tuple[int, ...], emit: Callable[..., None]) -> None:
+        for prefs, after in found:
+            if depth == last - 1:
+                members.extend(itertools.product(*zip(prefix), prefs, after))
+            else:
+                for pref in prefs:
+                    emit(depth + 1, after, prefix + (pref,), emit)
 
-
-def _landings(free: int, size: int) -> list[tuple[int, int]]:
-    """(lo, spot) for each empty spot where a block of ``size`` fits.
-
-    ``free`` is the mask of empty spots.  Preferences lo..spot all land on
-    ``spot``; a preference past the last empty spot cannot park.
-    """
-    unit = (1 << size) - 1
-    found = []
-    lo = 1
-    empty = free
-    while empty:
-        spot = (empty & -empty).bit_length() - 1
-        if not (unit << spot) & ~free:
-            found.append((lo, spot))
-        lo = spot + 1
-        empty &= empty - 1
-    return found
+    # each handed itself, not closed over its own name: that cycle would hold
+    # the memo and the members until a full garbage collection
+    start = _street_mask(spots) & ~_trailer_mask(instance.trailer_z)
+    found = steps(0, (start,) * len(vectors), steps)
+    if n == 1:
+        return tuple(zip(found))
+    emit(0, found, (), emit)
+    return tuple(members)
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Every preference sequence in [1..M]^n under which all cars park.
 
-    Depth-first over occupancy masks, one step per empty spot j whose block
-    fits: the preferences from just past the previous empty spot up to j all
-    land on j, so they share the child mask.  The last car's preferences
-    depend only on the mask it meets, so they are found once per mask and
-    appended to each prefix in one step.  The sweep stays exhaustive over
-    [1..M]^n.
+    The all-vectors walk on the one length vector: one step per empty spot
+    whose block fits, reached by the whole interval of preferences landing
+    on it.  The sweep stays exhaustive over [1..M]^n.
     """
-    spots = instance.street_length
-    n = instance.car_count
-    _guard(spots**n, budget)
-    street = _street_mask(spots)
-    lengths = instance.lengths
-    finals: dict[int, list[int]] = {}
-    members: list[tuple[int, ...]] = []
-
-    def last_prefs(occupied: int) -> list[int]:
-        prefs = finals.get(occupied)
-        if prefs is None:
-            landings = _landings(street & ~occupied, lengths[-1])
-            prefs = finals[occupied] = [p for lo, spot in landings for p in range(lo, spot + 1)]
-        return prefs
-
-    def extend(
-        depth: int, occupied: int, prefix: tuple[int, ...], extend: Callable[..., None]
-    ) -> None:
-        size = lengths[depth]
-        for lo, spot in _landings(street & ~occupied, size):
-            child = occupied | (((1 << size) - 1) << spot)
-            if depth == n - 2:  # the prefix, this interval, then the last car's preferences
-                ends = last_prefs(child)
-                members.extend(itertools.product(*zip(prefix), range(lo, spot + 1), ends))
-            else:
-                for pref in range(lo, spot + 1):
-                    extend(depth + 1, child, prefix + (pref,), extend)
-
-    start = _trailer_mask(instance.trailer_z)
-    if n == 1:
-        members.extend(zip(last_prefs(start)))
-    else:
-        # handed itself, not closed over its own name: that cycle would hold
-        # the members until a full garbage collection
-        extend(0, start, (), extend)
-    return FamilyListing(
-        "ps",
-        {"lengths": lengths, "trailer": instance.trailer_z},
-        tuple(members),
-    )
+    members = _parking_for_all(instance, lambda: (instance.lengths,), budget)
+    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
+    return FamilyListing("ps", params, members)
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -275,8 +225,7 @@ def enum_sps(
     """Sequences that park under every rearrangement of the length vector.
 
     ``method="definition"`` runs the all-vectors search over every distinct
-    arrangement at once (the plain :func:`enum_ps` listing when there is only
-    one).  ``method="bounds"`` emits the characterized set
+    arrangement at once.  ``method="bounds"`` emits the characterized set
     directly: the plain family for constant lengths, otherwise the
     standard-order box on the sorted lengths.  The set depends only on the
     multiset of lengths, so the listing records them sorted.
@@ -316,8 +265,6 @@ def enum_sps_k(
     """
     total, k = _weight_and_count(total, k)
     trailer_z = _positive(trailer_z, "trailer parameter")
-    ceiling = trailer_z + total - 1
-    _guard(ceiling**k, budget)
     witness = (1,) * (k - 1) + (total - k + 1,)
     if definitional:
         instance = ParkingInstance(witness, trailer_z)

@@ -197,6 +197,18 @@ class TestFileDumps:
         assert run(argv + (["--json"] if suffix == ".json" else [])) == 0
         assert target.read_bytes() == capsys.readouterr().out.encode()
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing/family.csv", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, name, reason):
+        target = tmp_path / name
+        assert run(["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: {reason}\n"
+
 
 def test_closed_pipe_ends_quietly():
     # 16,807 rows, more than a pipe holds, so the command is still writing

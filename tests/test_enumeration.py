@@ -17,6 +17,7 @@ from parkseq import (
     ParkingInstance,
     compositions,
     count_ps_product,
+    count_sps_k,
     distinct_permutations,
     enum_ips,
     enum_lattice_paths,
@@ -225,6 +226,11 @@ def test_enum_sps_k_rising_factorial_case():
     assert enum_sps_k(4, 2, 2).cardinality == 6  # 2 * 3
 
 
+def test_enum_sps_k_is_guarded_by_its_box():
+    # 100^5 preference lists, but a box of 1 * 2 * 3 * 4 * 5
+    assert enum_sps_k(100, 5, 1).cardinality == 120 == count_sps_k(100, 5, 1)
+
+
 def test_enum_sps_k_definitional_agrees():
     for n in (1, 2, 3, 4):
         for k in range(1, n + 1):
@@ -242,7 +248,7 @@ def test_all_vectors_walk_on_sets_not_closed_under_reordering():
     for _ in range(60):
         n = rng.randint(2, 4)
         pool = list(compositions(rng.randint(n, 6), n))
-        vectors = rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+        vectors = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
         z = rng.randint(1, 2)
         spots = z - 1 + sum(vectors[0])
         swept = tuple(
@@ -299,7 +305,7 @@ def test_budget_guard_raises_instead_of_truncating():
         (lambda: enum_lattice_paths((2, 4, 6), width=1, budget=5), 8, 5),
         (lambda: enum_sps((2, 1, 2), 1, budget=10), 125, 10),
         (lambda: enum_sps((2, 1, 2), 1, budget=5, method="bounds"), 8, 5),
-        (lambda: enum_sps_k(4, 2, 1, budget=10), 16, 10),
+        (lambda: enum_sps_k(4, 3, 1, budget=5), 6, 5),
         (lambda: enum_sps_k(4, 2, 1, budget=10, definitional=True), 16, 10),
         # 9! arrangements, none built: the all-vectors walk refuses first
         (lambda: enum_sps(range(1, 10), 1), 45**9, DEFAULT_BUDGET),
