@@ -1,27 +1,33 @@
 """Membership tests for the parking-sequence families.
 
-Every family has a defining test that parks the cars; where it asks that every
-ordering of the preferences or of the lengths park, one memoized walk over
-sub-multisets runs it.  Families with a closed characterization get that form
-too; ``verify`` and the tests keep both forms in agreement on desk-scale grids.
-The closed invariance rule is the contraction onto vector parking functions
-that :func:`parkseq.biject._invariant_contraction` names for each length shape.
+Every family has a defining test that parks the cars, one
+:func:`parkseq.core._park` step per car on a free-spot mask.  "Every ordering
+of the preferences (or of the lengths) parks" knows its sequence up to order,
+so :func:`_ordering_sweep` sweeps sorted sub-multisets, never orderings.  The
+k-strong definition has no one multiset, as every composition of the total
+counts, so its frontier of masks parks only the longest length that fits.
+Families with a closed characterization get that form too; ``verify`` and the
+tests keep both forms in agreement on desk-scale grids.  The closed
+invariance rule is the contraction onto vector parking functions that
+:func:`parkseq.biject._invariant_contraction` names for each length shape.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Callable, Iterator, Sequence
+import operator
+from collections import Counter
+from typing import Iterator, Sequence
 
 from .biject import _contract, _invariant_contraction
 from .core import (
     ParkingInstance,
     _as_int_tuple,
+    _empty_street,
     _integer,
     _nondecreasing_under,
     _park,
-    _street_mask,
-    _trailer_mask,
     _weight_and_count,
     check_boundary,
     check_preferences,
@@ -125,56 +131,55 @@ def parks_in_standard_order(instance: ParkingInstance, prefs: Sequence[int]) -> 
     )
 
 
-def _ordering_reach(
-    instance: ParkingInstance, prefs: tuple[int, ...] | None = None
-) -> Callable[[tuple[int, ...]], set[int] | None]:
-    """``reach``, the "every ordering parks" walk; one memo per returned function.
+def _ordering_sweep(
+    instance: ParkingInstance, room: dict[int, int], prefs: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], set[int]]:
+    """The "every ordering parks" sweep: its last layer, multiset -> masks left.
 
     Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
-    value drawn from a pool (a preference, or else a length).  ``reach(pool)``,
-    for a sorted pool, is the set of masks the pool's orderings leave after
-    cars 1..len(pool), or None once one ordering fails: the union, over the
-    distinct values v, of one car step from each mask of ``reach(pool - v)``.
-    It visits at most prod(m_i + 1) sub-multisets, not n! / prod(m_i!) orderings,
-    from an explicit stack, so the pool may be longer than the recursion limit.
+    value drawn from a pool holding up to ``room[v]`` copies of each value v
+    (a preference, or else a length).  Layer j maps each sorted j-multiset of
+    the pool whose orderings all park cars 1..j to the free-spot masks they
+    leave.  A (j+1)-multiset enters the next layer when, for every distinct
+    value v in it, the multiset without v is in layer j and car j+1 parks v
+    from every mask that entry left.  That is exact: every sub-multiset of a
+    multiset whose orderings all park has the same property, so one missing
+    from layer j has a failing ordering.  It visits at most prod(m_i + 1)
+    sub-multisets, not n! / prod(m_i!) orderings, and holds two layers.  When
+    the pool is one n-multiset, its first failing part ends the sweep empty.
     """
-    street = _street_mask(instance.street_length)
-    memo: dict[tuple[int, ...], set[int] | None] = {(): {_trailer_mask(instance.trailer_z)}}
-
-    def frame(pool: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], set[int]]:
-        return pool, list(set(pool))[::-1], set()  # values popped in set order
-
-    def reach(top: tuple[int, ...]) -> set[int] | None:
-        stack = [] if top in memo else [frame(top)]
-        while stack:
-            pool, values, masks = stack[-1]
-            j = len(pool) - 1
-            while values:
-                i = pool.index(values[-1])
-                sub = pool[:i] + pool[i + 1 :]
-                if sub not in memo:
-                    stack.append(frame(sub))
-                    break
-                value, before = values.pop(), memo[sub]
-                car = ((value,), prefs[j : j + 1]) if prefs else (instance.lengths[j : j + 1], (value,))
-                after = None if before is None else {_park(*car, street, mask) for mask in before}
-                if after is None or None in after:  # one failing ordering cuts the pool
-                    memo[pool] = None
-                    stack.pop()
-                    break
-                masks |= after
-            else:
-                memo[pool] = masks
-                stack.pop()
-        return memo[top]
-
-    return reach
+    values = sorted(room)
+    whole = sum(room.values()) == instance.car_count  # then one failing part fails the pool
+    layer: dict[tuple[int, ...], set[int]] = {(): {_empty_street(instance)}}
+    for fixed in prefs or instance.lengths:
+        grown: dict[tuple[int, ...], set[int]] = {}
+        for multiset in layer:
+            low = bisect.bisect_left(values, multiset[-1]) if multiset else 0
+            for value in values[low:]:
+                top = multiset + (value,)
+                if top.count(value) > room[value]:
+                    continue
+                masks: set[int] = set()
+                for v in set(top):
+                    i = top.index(v)
+                    before = layer.get(top[:i] + top[i + 1 :])
+                    car = (v, fixed) if prefs is None else (fixed, v)
+                    after = None if before is None else {_park(free, *car) for free in before}
+                    if after is None or None in after:
+                        if whole:
+                            return {}
+                        break
+                    masks |= after
+                else:
+                    grown[top] = masks
+        layer = grown
+    return layer
 
 
 def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     """Every rearrangement of the preferences (the sequence included) parks."""
     prefs = check_preferences(instance, prefs)
-    return _ordering_reach(instance)(tuple(sorted(prefs))) is not None
+    return tuple(sorted(prefs)) in _ordering_sweep(instance, Counter(prefs))
 
 
 def perm_invariant_characterized(
@@ -212,20 +217,21 @@ def is_strong_ps(
     """Parks under every rearrangement of the length vector.
 
     Characterized form: plain membership when the lengths are constant,
-    otherwise parking the sorted lengths in standard order.  With
+    otherwise parking the sorted lengths in standard order, which is every
+    c_i at most its cap in :func:`parkseq.core.standard_order_bounds`.  With
     ``definitional=True`` the definition is run instead, by
-    :func:`_ordering_reach` over the length multiset (kept for cross-checks).
+    :func:`_ordering_sweep` over the length multiset (kept for cross-checks).
     """
     lengths = _as_int_tuple(lengths, "car lengths")
     if definitional:
         instance = ParkingInstance(lengths, trailer_z)
         prefs = check_preferences(instance, prefs)
-        return _ordering_reach(instance, prefs)(tuple(sorted(lengths))) is not None
+        return tuple(sorted(lengths)) in _ordering_sweep(instance, Counter(lengths), prefs)
     if len(set(lengths)) == 1:
         return is_parking_sequence(ParkingInstance(lengths, trailer_z), prefs)
-    return parks_in_standard_order(
-        ParkingInstance(tuple(sorted(lengths)), trailer_z), prefs
-    )
+    instance = ParkingInstance(tuple(sorted(lengths)), trailer_z)
+    prefs = check_preferences(instance, prefs)
+    return all(map(operator.le, prefs, standard_order_bounds(instance)))
 
 
 def is_k_strong(
@@ -253,19 +259,18 @@ def is_k_strong(
         return is_strong_ps(witness, trailer_z, prefs)
     instance = ParkingInstance(witness, trailer_z)
     prefs = check_preferences(instance, prefs)
-    street = _street_mask(instance.street_length)
-    frontier = {_trailer_mask(instance.trailer_z): 0}  # mask -> length parked
+    frontier = {_empty_street(instance): 0}  # free-spot mask -> length parked
     for later, pref in zip(range(k - 1, -1, -1), prefs):
         grown: dict[int, int] = {}
-        for mask, used in frontier.items():
+        for free, used in frontier.items():
             longest = total - used - later
-            after = _park((longest,), (pref,), street, mask)
+            after = _park(free, pref, longest)
             if after is None:
                 return False
-            block = after ^ mask
+            block = after ^ free
             first = block & -block
             for size in range(1, longest + 1):
-                grown[mask | first * ((1 << size) - 1)] = used + size
+                grown[free ^ first * ((1 << size) - 1)] = used + size
         frontier = grown
     return True
 

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate (alias render), check, enumerate, count, verify.
+"""Command-line front end: simulate, check, enumerate, count, verify.
 
 Exit codes: 0 success or predicate true, 1 predicate false (a failed parking
 counts), 2 usage error, 3 verification mismatch, 4 enumeration budget
@@ -82,7 +82,8 @@ _FAMILIES = {
             lambda a: enum_ps_inv(_instance(a), a.budget)),
     "strong": (("lengths",),
                lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
-               lambda a: enum_sps(a.lengths, a.trailer, a.budget)),
+               lambda a: enum_sps(a.lengths, a.trailer, a.budget,
+                                  method="definition" if a.definitional else "bounds")),
     "kstrong": (("n", "k"),
                 lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
                 lambda a: enum_sps_k(a.n, a.k, a.trailer, a.budget, definitional=a.definitional)),
@@ -220,7 +221,7 @@ def _cmd_simulate(args) -> int:
     instance = ParkingInstance(args.lengths, args.trailer)
     outcome = simulate(instance, args.prefs)
     params = {"lengths": args.lengths, "trailer": args.trailer, "prefs": args.prefs}
-    diagram = render_street(instance, args.prefs) if (args.render or args.command == "render") else None
+    diagram = render_street(instance, args.prefs) if args.render else None
     if args.json:
         result = _outcome_result(instance, outcome)
         if diagram is not None:
@@ -365,11 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common_flags(sub):
         sub.add_argument("--json", action="store_true", help="machine-readable output")
 
-    sub = commands.add_parser(
-        "simulate",
-        aliases=["render"],
-        help="run the parking process once; render draws the street",
-    )
+    sub = commands.add_parser("simulate", help="run the parking process once")
     instance_args(sub, with_prefs=True)
     sub.add_argument("--render", action="store_true", help="include the text diagram")
     common_flags(sub)
@@ -399,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--width", type=int, help="east steps of the path rectangle (paths)")
     sub.add_argument("--count-only", action="store_true", help="print only the cardinality")
     sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
-    sub.add_argument("--definitional", action="store_true", help="kstrong: sweep all compositions")
+    sub.add_argument("--definitional", action="store_true",
+                     help="strong, kstrong: sweep every arrangement or composition")
     sub.add_argument("--out", help="write the listing to FILE (.json, else CSV rows)")
     common_flags(sub)
     sub.set_defaults(func=_cmd_enumerate)

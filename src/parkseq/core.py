@@ -10,8 +10,9 @@ also leaves.  A blocked car never keeps searching past the blocking interval.
 That single rule is the easiest one to get wrong, and the test suite pins it
 with the smallest counterexample (lengths (2, 2), preferences (2, 1)).
 
-Occupancy is tracked as a bitmask (bit ``j`` set when spot ``j`` is taken) so
-that the exhaustive sweeps in :mod:`parkseq.enumeration` stay cheap.
+Occupancy is a bitmask (bit ``j`` set when spot ``j`` is taken).  The walks
+park each car with :func:`_park` on the mask of free spots, the one other
+writing of the rule, which the tests hold to :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -173,24 +174,26 @@ def _trailer_mask(trailer_z: int) -> int:
     return (1 << trailer_z) - 2
 
 
-def _park(lengths: Sequence[int], prefs: Sequence[int], street: int, occupied: int) -> int | None:
-    """Success-only version of :func:`simulate` for hot loops: the mask the cars leave.
+def _empty_street(instance: ParkingInstance) -> int:
+    """The free-spot mask before any car parks: bits z..M set."""
+    return _street_mask(instance.street_length) & ~_trailer_mask(instance.trailer_z)
 
-    The cars park in order starting from the ``occupied`` mask (the trailer's
-    is :func:`_trailer_mask`), so a sequence can be parked a piece at a time.
-    ``street`` is the precomputed mask from :func:`_street_mask`.  None when
-    a car fails.
+
+def _park(free: int, pref: int, size: int) -> int | None:
+    """Success-only step of :func:`simulate` for hot loops: park one car.
+
+    ``free`` has bit j set when spot j is on the street and empty (the start
+    is :func:`_empty_street`).  Returns the mask the car leaves, or None when
+    it fails; a block running past the street end meets a clear bit, as a
+    taken spot does.
     """
-    for pref, size in zip(prefs, lengths):
-        tail = (street & ~occupied) >> pref
-        if not tail:
-            return None
-        start = pref + ((tail & -tail).bit_length() - 1)
-        block = ((1 << size) - 1) << start
-        if block & (occupied | ~street):
-            return None
-        occupied |= block
-    return occupied
+    tail = free >> pref
+    if not tail:
+        return None
+    block = ((1 << size) - 1) << (pref + (tail & -tail).bit_length() - 1)
+    if block & ~free:
+        return None
+    return free ^ block
 
 
 def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:

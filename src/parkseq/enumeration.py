@@ -1,19 +1,23 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against.  One search and one walk build them
-all.  The search steps over a tuple of occupancy masks, one per length
+characterizations are verified against.  Every car parked takes one
+:func:`parkseq.core._park` step on a free-spot mask.  :func:`_parking_for_all`
+lists preferences, so it walks ordered prefixes over one mask per length
 vector: every preference after the previous cut up to a spot j empty in some
-mask lands alike, so a state has at most one successor per such spot, reached
-by that whole interval of preferences.  :func:`enum_ps` runs it on its one
-length vector; the definitional strong and k-strong listings run it on every
-arrangement or composition at once, cutting a prefix as soon as any vector
-fails.  The walk is one capped pass over nondecreasing tuples, expanded into
-sorted rearrangements for the families closed under reordering.  A preference
-above the street length M can never park, which bounds the space for a
-length-n instance at M^n candidates; a budget guard refuses sweeps whose
-candidate space exceeds it, never truncating.  All listings come back
-lexicographically sorted so output is reproducible and diffable.
+mask lands alike, so a state has one successor per such spot, reached by that
+whole interval.  :func:`enum_ps` runs it on one vector, the definitional
+strong and k-strong listings on every arrangement or composition at once.
+The invariant family is closed under reordering, so :func:`enum_ps_inv`
+reads multisets from the last layer of
+:func:`parkseq.classify._ordering_sweep`, which the search would walk once
+per ordering.  One capped pass over nondecreasing tuples, parking no car,
+lists the closed boxes: nondecreasing members, vector parking functions,
+lattice paths.  Families closed under reordering come back as the sorted
+rearrangements of their multisets.  A preference above the street length M
+can never park, which bounds a length-n instance at M^n candidates; a budget
+guard refuses sweeps whose candidate space exceeds it, never truncating.  All
+listings come back lexicographically sorted so output is reproducible.
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
-from .classify import _ordering_reach, compositions, distinct_permutations
+from .classify import _ordering_sweep, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _positive, _street_mask, _trailer_mask, _weight_and_count,
+    ParkingInstance, _as_int_tuple, _empty_street, _park, _positive, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
 
@@ -82,17 +86,11 @@ class FamilyListing:
         return len(self.members)
 
 
-def _nondecreasing(
-    caps: Sequence[int], admit: Callable[[tuple[int, ...]], bool] | None = None, lowest: int = 1
-) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order.
-
-    Grown an entry at a time; ``admit`` drops a prefix with all its extensions.
-    """
+def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]]:
+    """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order."""
     prefixes: list[tuple[int, ...]] = [()]
     for cap in caps:
-        grown = [p + (x,) for p in prefixes for x in range(p[-1] if p else lowest, cap + 1)]
-        prefixes = grown if admit is None else list(filter(admit, grown))
+        prefixes = [p + (x,) for p in prefixes for x in range(p[-1] if p else lowest, cap + 1)]
     return prefixes
 
 
@@ -120,7 +118,7 @@ def _parking_for_all(
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     vectors = list(vectors())
-    units = [tuple((1 << vector[depth]) - 1 for vector in vectors) for depth in range(n)]
+    sizes = [tuple(vector[depth] for vector in vectors) for depth in range(n)]
     memo: dict[tuple[int, ...], list] = {}
     last = n - 1
     members: list[tuple[int, ...]] = []
@@ -129,23 +127,18 @@ def _parking_for_all(
         known = memo.get(frees)
         if known is not None:
             return known
-        cuts = 0
-        for free in frees:
-            cuts |= free
+        # past some mask's last empty spot no preference parks that vector
+        cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
         found: list = []
         lo = 1
         while cuts:
             spot = (cuts & -cuts).bit_length() - 1
             children = []
-            for free, unit in zip(frees, units[depth]):
-                tail = free >> spot
-                if not tail:  # no empty spot from here on, so no later cut parks it
-                    cuts = 0
+            for free, size in zip(frees, sizes[depth]):
+                child = _park(free, spot, size)
+                if child is None:
                     break
-                piece = unit << (spot + (tail & -tail).bit_length() - 1)
-                if piece & ~free:
-                    break
-                children.append(free ^ piece)
+                children.append(child)
             else:
                 if depth == last:
                     found.extend(range(lo, spot + 1))
@@ -168,8 +161,7 @@ def _parking_for_all(
 
     # each handed itself, not closed over its own name: that cycle would hold
     # the memo and the members until a full garbage collection
-    start = _street_mask(spots) & ~_trailer_mask(instance.trailer_z)
-    found = steps(0, (start,) * len(vectors), steps)
+    found = steps(0, (_empty_street(instance),) * len(vectors), steps)
     if n == 1:
         return tuple(zip(found))
     emit(0, found, (), emit)
@@ -204,14 +196,14 @@ def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyL
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
     """Members whose every rearrangement also parks.
 
-    The rearrangements of the nondecreasing multisets in [1..M]^n that the
-    every-ordering recursion admits; a multiset with a failing ordering is cut
-    with all its extensions.  The budget guard is that of :func:`enum_ps`.
+    The rearrangements of the multisets in the last layer of the
+    every-ordering sweep over [1..M], each value up to n times; a multiset
+    with a failing ordering never grows.  The budget guard is that of
+    :func:`enum_ps`.
     """
-    spots = instance.street_length
-    _guard(spots**instance.car_count, budget)
-    reach = _ordering_reach(instance)
-    multisets = _nondecreasing((spots,) * instance.car_count, lambda m: reach(m) is not None)
+    spots, n = instance.street_length, instance.car_count
+    _guard(spots**n, budget)
+    multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
     params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
     return FamilyListing("inv", params, _rearrangements(multisets))
 

@@ -1,6 +1,6 @@
 """Literal sweeps for tests only: every candidate built outright and filtered.
 
-The library answers "every ordering parks" with one memoized walk over
+The library answers "every ordering parks" with a layer sweep over
 sub-multisets and builds its listings from a capped nondecreasing walk and
 searches that step from empty spot to empty spot of one occupancy mask per
 length vector; these oracles share no code with any of them beyond

@@ -11,6 +11,7 @@ from sweeps import (
 
 from parkseq import (
     ParkingInstance,
+    classify,
     compositions,
     distinct_permutations,
     is_increasing_ps,
@@ -68,6 +69,10 @@ class TestNecessaryCondition:
 
     def test_needs_one_preference_at_most_z(self):
         assert not necessary_condition(ParkingInstance((1, 2), 1), (3, 3))
+
+    def test_needs_t_plus_one_preferences_under_each_bound(self):
+        # one preference is at most z + 1 where t = 1 asks for two
+        assert not necessary_condition(ParkingInstance((1, 1), 1), (1, 3))
 
     def test_fig1_prefs(self):
         assert necessary_condition(ParkingInstance((1, 2, 2, 3), 4), (3, 7, 5, 3))
@@ -267,6 +272,12 @@ class TestStrong:
 
     def test_pool_longer_than_the_recursion_limit(self):
         assert is_strong_ps((1,) * 600, 1, (1,) * 600, definitional=True)
+
+    def test_characterization_runs_no_simulation(self, monkeypatch):
+        # the caps of standard_order_bounds decide it, not the simulator
+        monkeypatch.setattr(classify, "simulate", None)
+        assert is_strong_ps((2, 1, 2), 1, (1, 2, 4))
+        assert not is_strong_ps((2, 1, 2), 1, (1, 3, 1))
 
 
 class TestKStrong:

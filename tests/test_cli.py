@@ -63,7 +63,7 @@ class TestExitCodes:
         assert run(cars + ["--prefs", ",".join(map(str, range(2, 14)))]) == 1
 
     def test_check_inv_beyond_the_recursion_limit(self, capsys):
-        # the every-ordering walk runs 600 levels deep from an explicit stack
+        # the every-ordering sweep runs 600 layers, with no recursion
         cars = ",".join(["1"] * 600)
         assert run(["check", "--family", "inv", "--lengths", cars, "--prefs", cars]) == 0
         assert capsys.readouterr().out == "true\n"
@@ -115,6 +115,14 @@ class TestExitCodes:
 
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
+
+    def test_enumerate_strong_honors_definitional(self, capsys):
+        # the characterized box holds 1 * 2 * 4 members; the definition
+        # sweeps 5^3 candidates
+        argv = ["enumerate", "--family", "strong", "--lengths", "2,1,2", "--budget", "10"]
+        assert run([*argv, "--count-only"]) == 0
+        assert capsys.readouterr().out == "8\n"
+        assert run([*argv, "--count-only", "--definitional"]) == 4
 
     def test_verify_pass_is_zero(self):
         assert run(["verify", "--suite", "table1"]) == 0
@@ -285,11 +293,29 @@ COUNT_DOCS = {
 }
 
 
+# simulate, without and with --render
+SIMULATE_DOC = (
+    "--lengths 2,2 --prefs 2,1",
+    {"lengths": [2, 2], "trailer": 1, "prefs": [2, 1]},
+    {"street_length": 4, "success": False, "placements": [[2, 3]], "failed_car": 2,
+     "reason": "collision", "blocked_spot": 2},
+    ["| .|C1|C1| .|", "| 1| 2| 3| 4|", "    ^^", "car 2 cannot park: collision at spot 2"],
+)
+
+
 def _document(command, params, result):
     return json.dumps({"command": command, "params": params, "result": result}, indent=2) + "\n"
 
 
 class TestPinnedDocuments:
+    def test_simulate(self, capsys):
+        flags, params, result, diagram = SIMULATE_DOC
+        assert run(["simulate", *flags.split(), "--json"]) == 1
+        assert capsys.readouterr().out == _document("simulate", params, result)
+        assert run(["simulate", *flags.split(), "--render", "--json"]) == 1
+        assert capsys.readouterr().out == _document("simulate", params, dict(result, diagram=diagram))
+        assert run(["render", *flags.split(), "--json"]) == 2
+
     @pytest.mark.parametrize("family", list(_FAMILIES))
     def test_enumerate(self, family, capsys):
         flags, params, result = ENUMERATE_DOCS[family]

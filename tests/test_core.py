@@ -13,7 +13,7 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
-from parkseq.core import _park, _street_mask, _trailer_mask
+from parkseq.core import _empty_street, _park
 
 
 def test_street_length_fig1_instance():
@@ -177,20 +177,19 @@ def test_replay_is_bit_identical_and_covers_on_success(case):
         assert _exact_cover(instance, first)
 
 
-@given(_instance_and_prefs(), st.integers(0, 5))
+@given(_instance_and_prefs())
 @settings(deadline=None)
-def test_success_only_kernel_agrees_with_simulate(case, cut):
+def test_success_only_kernel_agrees_with_simulate(case):
     instance, prefs = case
-    lengths = instance.lengths
-    street, start = _street_mask(instance.street_length), _trailer_mask(instance.trailer_z)
-    parked = _park(lengths, prefs, street, start)
     outcome = simulate(instance, prefs)
-    if outcome.success:
-        spots = {s for first, last in outcome.placements for s in range(first, last + 1)}
-        assert parked == sum(1 << s for s in spots | set(range(1, instance.trailer_z)))
-    else:
-        assert parked is None
-    # parking a prefix and then the rest from its mask is parking everything
-    head = _park(lengths[:cut], prefs[:cut], street, start)
-    rest = None if head is None else _park(lengths[cut:], prefs[cut:], street, head)
-    assert rest == parked
+    free, left = _empty_street(instance), []
+    for pref, size in zip(prefs, instance.lengths):
+        free = _park(free, pref, size)
+        if free is None:
+            break
+        left.append(free)
+    # car by car the kernel clears the blocks simulate places, and the cars
+    # of a success fill the street exactly
+    blocks = [sum(1 << s for s in range(first, last + 1)) for first, last in outcome.placements]
+    assert left == [_empty_street(instance) - taken for taken in itertools.accumulate(blocks)]
+    assert free == (0 if outcome.success else None)

@@ -74,6 +74,8 @@ class TestBinomial:
     def test_zero_conventions(self):
         assert binomial(3, -1) == 0
         assert binomial(3, 5) == 0
+        assert binomial(0, 0) == 1  # the upper index may be 0
+        assert binomial(0, 1) == 0
 
     def test_negative_upper_index_rejected(self):
         with pytest.raises(ValueError):

@@ -314,6 +314,10 @@ def test_budget_guard_raises_instead_of_truncating():
         message = f"would sweep {candidates} candidates, budget is {budget}$"
         with pytest.raises(BudgetExceededError, match=message):
             listing()
+    # a budget equal to the candidate count is enough, one less is not
+    assert enum_ps(ParkingInstance((1, 1), 1), budget=4).cardinality == 3
+    with pytest.raises(BudgetExceededError, match="would sweep 4 candidates, budget is 3$"):
+        enum_ps(ParkingInstance((1, 1), 1), budget=3)
 
 
 def test_family_listing_rejects_unsorted_members():
