@@ -1,9 +1,10 @@
 """Closed-form exact counts for each family, on plain Python integers.
 
-Everything here is exact end to end.  The lattice-path determinant runs
-fraction-free elimination so no rationals ever appear, and the two closed
-forms that divide a binomial assert divisibility instead of rounding.  Each
-count is checked against its brute-force listing by the ``verify`` suites.
+Everything here is exact end to end.  The lattice-path determinant is
+expanded minor by minor down its upper Hessenberg matrix, dividing only
+where a binomial ratio is exact, and the two closed forms that divide a
+binomial assert divisibility instead of rounding.  Each count is checked
+against its brute-force listing by the ``verify`` suites.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ __all__ = [
 def binomial(a: int, b: int) -> int:
     """C(a, b), with the convention C(a, b) = 0 for b < 0 or b > a.
 
-    The zero convention covers sub-diagonal determinant entries where the
-    lower index goes negative.  ``a`` must be nonnegative.
+    The zero convention lets a caller index past either end of a row of
+    Pascal's triangle.  ``a`` must be nonnegative.
     """
     if a < 0:
         raise ValueError(f"upper index must be nonnegative, got {a}")
@@ -55,41 +56,27 @@ def count_ps_product(lengths: Sequence[int], trailer_z: int) -> int:
     return total
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; every division is exact on integer input."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[-1][-1]
-
-
 def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
     """Number of nondecreasing members, as det[C(b_i, j - i + 1)].
 
     Here b_1 = z and b_i = z + y_1 + ... + y_{i-1}: the strict right boundary
-    of the matching lattice paths, whose count this determinant is.
+    of the matching lattice paths, whose count this determinant is.  The
+    matrix is upper Hessenberg with 1s below the diagonal, so its leading
+    minors satisfy D_0 = 1 and D_k = sum_{i<=k} (-1)^(k-i) C(b_i, k-i+1) D_(i-1),
+    and the count is D_n.  Row i adds its terms to the later minors once
+    D_(i-1) is known, and stops where C(b_i, m) or the matrix runs out.
     """
     instance = ParkingInstance(lengths, trailer_z)
     bounds = standard_order_bounds(instance)
     n = instance.car_count
-    rows = [
-        [binomial(bounds[i - 1], j - i + 1) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    det = _bareiss_determinant(rows)
+    minors = [1] + [0] * n
+    for i, bound in enumerate(bounds, start=1):
+        term, sign = minors[i - 1], 1
+        for m in range(1, min(bound, n - i + 1) + 1):
+            term = term * (bound - m + 1) // m
+            minors[i + m - 1] += sign * term
+            sign = -sign
+    det = minors[n]
     if det < 0:
         raise ArithmeticError(f"path count came out negative ({det}); this is a bug")
     return det

@@ -7,6 +7,8 @@ length vector; these oracles share no code with any of them beyond
 ``simulate`` and the public predicates, and build every ordering or every
 point of the product, so keep them to n <= 6.  ``invariance_rule`` is the
 closed invariance rule written out case by case, without the contraction.
+``bounded_nondecreasing_count`` is a DP, not a sweep; it shares no code with
+the boundary determinant it checks, and runs to n in the hundreds.
 """
 
 import itertools
@@ -17,6 +19,16 @@ from parkseq import (
     perm_invariant_characterized,
     simulate,
 )
+
+
+def bounded_nondecreasing_count(lengths, z):
+    """Sequences 1 <= c_1 <= ... <= c_n with c_i <= z + y_1 + ... + y_{i-1}."""
+    # ways[v - 1] counts the prefixes ending at v
+    bounds = list(itertools.accumulate(lengths[:-1], initial=z))
+    ways = [1] * bounds[0]
+    for bound in bounds[1:]:
+        ways = list(itertools.accumulate(ways + [0] * (bound - len(ways))))
+    return sum(ways)
 
 
 def orbit_parks(instance, prefs):

@@ -2,11 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from sweeps import bounded_nondecreasing_count
 
 import parkseq
 from parkseq import ParkingInstance
@@ -132,6 +134,14 @@ class TestOutputs:
     def test_count_prints_value(self, capsys):
         assert run(["count", "--formula", "sps-k", "--n", "3", "--k", "3", "--z", "1"]) == 0
         assert capsys.readouterr().out.strip() == "16"
+
+    def test_count_ips_det_on_200_cars(self, capsys):
+        rng = random.Random(1729)
+        lengths = [rng.randint(1, 4) for _ in range(200)]
+        argv = ["count", "--formula", "ips-det", "--lengths", ",".join(map(str, lengths))]
+        assert run([*argv, "--trailer", "2", "--json"]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]
+        assert value == bounded_nondecreasing_count(lengths, 2)
 
     def test_enumerate_streams_lexicographically(self, capsys):
         run(["enumerate", "--family", "ps", "--lengths", "1,2"])

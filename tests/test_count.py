@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from sweeps import bounded_nondecreasing_count
 
 from parkseq import (
     ParkingInstance,
@@ -26,16 +27,6 @@ from parkseq import (
     rising_factorial,
     two_block_boundary,
 )
-
-
-def _bounded_nondecreasing_count(lengths, z):
-    # independent oracle: a DP over 1 <= c_1 <= ... <= c_n with
-    # c_i <= z + y_1 + ... + y_{i-1}; ways[v - 1] counts the prefixes ending at v
-    bounds = list(itertools.accumulate(lengths[:-1], initial=z))
-    ways = [1] * bounds[0]
-    for bound in bounds[1:]:
-        ways = list(itertools.accumulate(ways + [0] * (bound - len(ways))))
-    return sum(ways)
 
 
 def _fraction_determinant(matrix):
@@ -116,9 +107,21 @@ class TestDeterminant:
         for n in list(range(1, 41)) + [50, 100, 150, 200]:
             lengths = tuple(rng.randint(1, 4) for _ in range(n))
             z = rng.randint(1, 3)
-            assert count_ips_determinant(lengths, z) == _bounded_nondecreasing_count(
+            assert count_ips_determinant(lengths, z) == bounded_nondecreasing_count(
                 lengths, z
             ), (lengths, z)
+
+    @pytest.mark.parametrize("n", [300, 400, 600])
+    def test_matches_bounded_sequence_dp_past_any_listing(self, n):
+        rng = random.Random(n)
+        lengths = tuple(rng.randint(1, 4) for _ in range(n))
+        z = rng.randint(1, 3)
+        assert count_ips_determinant(lengths, z) == bounded_nondecreasing_count(lengths, z)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_unit_cars_match_the_catalan_recurrence(self, n):
+        # b_i = i, so the first half of the rows stop short of the last minor
+        assert count_ips_determinant((1,) * n, 1) == _catalan_by_recurrence(n)[n]
 
     def test_matches_rational_elimination_of_the_full_matrix(self):
         rng = random.Random(2020)
