@@ -104,7 +104,6 @@ _FORMULAS = {
     "inv-two-block": (("n", "r", "trailer"), count_inv_two_block),
     "sps": (("lengths", "trailer"), count_sps),
     "sps-k": (("n", "k", "trailer"), count_sps_k),
-    "upf": (("trailer", "n"), lambda trailer, n: count_inv_constant(n, trailer)),
 }
 
 
@@ -227,11 +226,10 @@ def _cmd_simulate(args) -> int:
         if diagram is not None:
             result["diagram"] = diagram
         print(_document(args.command, params, result))
+    elif diagram is not None:
+        print("\n".join(diagram))
     else:
-        if diagram is not None:
-            print("\n".join(diagram))
-        else:
-            print("\n".join(_describe_outcome(instance, args.prefs, outcome)))
+        print("\n".join(_describe_outcome(instance, args.prefs, outcome)))
     return EXIT_OK if outcome.success else EXIT_FALSE
 
 
@@ -363,13 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated preferred spots, one per car",
             )
 
-    def common_flags(sub):
-        sub.add_argument("--json", action="store_true", help="machine-readable output")
-
     sub = commands.add_parser("simulate", help="run the parking process once")
     instance_args(sub, with_prefs=True)
     sub.add_argument("--render", action="store_true", help="include the text diagram")
-    common_flags(sub)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("check", help="test one sequence against a family")
@@ -384,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sweep every rearrangement or composition instead of the characterization",
     )
-    common_flags(sub)
     sub.set_defaults(func=_cmd_check)
 
     sub = commands.add_parser("enumerate", help="list a family exhaustively")
@@ -399,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--definitional", action="store_true",
                      help="strong, kstrong: sweep every arrangement or composition")
     sub.add_argument("--out", help="write the listing to FILE (.json, else CSV rows)")
-    common_flags(sub)
     sub.set_defaults(func=_cmd_enumerate)
 
     sub = commands.add_parser("count", help="evaluate a closed-form count")
@@ -408,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int)
     sub.add_argument("--k", type=int)
     sub.add_argument("--r", type=int, help="leading block length (inv-two-block)")
-    common_flags(sub)
     sub.set_defaults(func=_cmd_count)
 
     sub = commands.add_parser("verify", help="run formula-versus-sweep cross-checks")
@@ -416,9 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-n", type=_positive_int, help="cap the sweep size where applicable")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
     sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
-    common_flags(sub)
     sub.set_defaults(func=_cmd_verify)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

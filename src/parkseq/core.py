@@ -10,9 +10,10 @@ also leaves.  A blocked car never keeps searching past the blocking interval.
 That single rule is the easiest one to get wrong, and the test suite pins it
 with the smallest counterexample (lengths (2, 2), preferences (2, 1)).
 
-Occupancy is a bitmask (bit ``j`` set when spot ``j`` is taken).  The walks
-park each car with :func:`_park` on the mask of free spots, the one other
-writing of the rule, which the tests hold to :func:`simulate`.
+Occupancy is one free-spot mask (bit ``j`` set when spot ``j`` is on the
+street and empty).  The rule is written twice on it: by :func:`simulate`,
+and by :func:`_park`, the success-only step of every walk, which the tests
+hold to :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -164,19 +165,9 @@ def _nondecreasing_under(prefs: Sequence[int], bounds: Sequence[int]) -> bool:
     )
 
 
-def _street_mask(spots: int) -> int:
-    """Bits 1..spots set."""
-    return (1 << (spots + 1)) - 2
-
-
-def _trailer_mask(trailer_z: int) -> int:
-    """Bits 1..z-1 set."""
-    return (1 << trailer_z) - 2
-
-
 def _empty_street(instance: ParkingInstance) -> int:
     """The free-spot mask before any car parks: bits z..M set."""
-    return _street_mask(instance.street_length) & ~_trailer_mask(instance.trailer_z)
+    return (1 << (instance.street_length + 1)) - (1 << instance.trailer_z)
 
 
 def _park(free: int, pref: int, size: int) -> int | None:
@@ -199,12 +190,11 @@ def _park(free: int, pref: int, size: int) -> int | None:
 def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
     """Run the parking process; deterministic, one pass over the cars."""
     prefs = check_preferences(instance, prefs)
-    spots = instance.street_length
-    street = _street_mask(spots)
-    occupied = _trailer_mask(instance.trailer_z)
+    free = _empty_street(instance)
+    spots = free.bit_length() - 1
     placements: list[tuple[int, int]] = []
     for car, (pref, size) in enumerate(zip(prefs, instance.lengths), start=1):
-        tail = (street & ~occupied) >> pref
+        tail = free >> pref
         if not tail:
             return ParkOutcome(
                 False,
@@ -213,20 +203,21 @@ def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
                 reason=FailureReason.OFF_STREET,
             )
         start = pref + ((tail & -tail).bit_length() - 1)
-        end = start + size - 1
         block = ((1 << size) - 1) << start
-        if end > spots or occupied & block:
-            hit = occupied & block  # spot start is empty, so the lowest hit is past it
+        hit = block & ~free  # a taken spot, or a spot past the street end
+        if hit:
+            # start is empty, so the lowest hit is past it; above M it is the street end
+            spot = (hit & -hit).bit_length() - 1
             return ParkOutcome(
                 False,
                 tuple(placements),
                 failed_car=car,
                 reason=FailureReason.COLLISION,
                 attempted_start=start,
-                blocked_spot=(hit & -hit).bit_length() - 1 if hit else None,
+                blocked_spot=spot if spot <= spots else None,
             )
-        occupied |= block
-        placements.append((start, end))
+        free ^= block
+        placements.append((start, start + size - 1))
     order = sorted(range(1, instance.car_count + 1), key=lambda car: placements[car - 1][0])
     return ParkOutcome(True, tuple(placements), tuple(order))
 

@@ -99,6 +99,56 @@ def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...]
     return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
 
 
+def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict) -> list:
+    """The live steps of the all-vectors walk from the free-spot masks ``frees``.
+
+    ``sizes[0]`` holds the next car's length in each vector.  Preferences are
+    cut at every spot empty in some mask, up to the first cut past some mask's
+    last empty spot, and each interval parks the cars of all vectors at once.
+    A step is (interval, child steps) for an interval whose child completes;
+    the last car's steps are its preferences alone.
+    """
+    known = memo.get(frees)
+    if known is not None:
+        return known
+    # past some mask's last empty spot no preference parks that vector
+    cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
+    found: list = []
+    lo = 1
+    while cuts:
+        spot = (cuts & -cuts).bit_length() - 1
+        children = []
+        for free, size in zip(frees, sizes[0]):
+            child = _park(free, spot, size)
+            if child is None:
+                break
+            children.append(child)
+        else:
+            if len(sizes) == 1:
+                found.extend(range(lo, spot + 1))
+            else:
+                after = _steps(tuple(children), sizes[1:], memo)
+                if after:
+                    found.append((range(lo, spot + 1), after))
+        lo = spot + 1
+        cuts &= cuts - 1
+    memo[frees] = found
+    return found
+
+
+def _emit(found: list, left: int, prefix: tuple[int, ...], members: list) -> None:
+    """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow."""
+    if not left:
+        members.extend(itertools.product(*zip(prefix), found))
+        return
+    for prefs, after in found:
+        if left == 1:
+            members.extend(itertools.product(*zip(prefix), prefs, after))
+        else:
+            for pref in prefs:
+                _emit(after, left - 1, prefix + (pref,), members)
+
+
 def _parking_for_all(
     instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -106,66 +156,21 @@ def _parking_for_all(
 
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  Depth first over the tuple of free-spot masks,
-    one per vector: the preference intervals are cut at every spot empty in
-    some mask, up to the first cut past some mask's last empty spot, and the
-    cars of all vectors park from each interval at once.  Each state's steps,
-    (interval, child steps) for the intervals whose child still completes,
-    are kept keyed on its masks (they fix the depth), so no state is walked
-    twice; the last car's steps are its preferences alone, appended to the
-    prefix in one step.
+    budget allows the walk.  The memo keeps each state's steps keyed on its
+    masks (they fix the depth), so no state is walked twice.
     """
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     vectors = list(vectors())
-    sizes = [tuple(vector[depth] for vector in vectors) for depth in range(n)]
-    memo: dict[tuple[int, ...], list] = {}
-    last = n - 1
+    found = _steps((_empty_street(instance),) * len(vectors), tuple(zip(*vectors)), {})
     members: list[tuple[int, ...]] = []
-
-    def steps(depth: int, frees: tuple[int, ...], steps: Callable[..., list]) -> list:
-        known = memo.get(frees)
-        if known is not None:
-            return known
-        # past some mask's last empty spot no preference parks that vector
-        cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
-        found: list = []
-        lo = 1
-        while cuts:
-            spot = (cuts & -cuts).bit_length() - 1
-            children = []
-            for free, size in zip(frees, sizes[depth]):
-                child = _park(free, spot, size)
-                if child is None:
-                    break
-                children.append(child)
-            else:
-                if depth == last:
-                    found.extend(range(lo, spot + 1))
-                else:
-                    after = steps(depth + 1, tuple(children), steps)
-                    if after:
-                        found.append((range(lo, spot + 1), after))
-            lo = spot + 1
-            cuts &= cuts - 1
-        memo[frees] = found
-        return found
-
-    def emit(depth: int, found: list, prefix: tuple[int, ...], emit: Callable[..., None]) -> None:
-        for prefs, after in found:
-            if depth == last - 1:
-                members.extend(itertools.product(*zip(prefix), prefs, after))
-            else:
-                for pref in prefs:
-                    emit(depth + 1, after, prefix + (pref,), emit)
-
-    # each handed itself, not closed over its own name: that cycle would hold
-    # the memo and the members until a full garbage collection
-    found = steps(0, (_empty_street(instance),) * len(vectors), steps)
-    if n == 1:
-        return tuple(zip(found))
-    emit(0, found, (), emit)
+    _emit(found, n - 1, (), members)
     return tuple(members)
+
+
+def _params(instance: ParkingInstance) -> dict[str, object]:
+    """The params of a listing or record about one instance."""
+    return {"lengths": instance.lengths, "trailer": instance.trailer_z}
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -176,8 +181,7 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
     on it.  The sweep stays exhaustive over [1..M]^n.
     """
     members = _parking_for_all(instance, lambda: (instance.lengths,), budget)
-    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-    return FamilyListing("ps", params, members)
+    return FamilyListing("ps", _params(instance), members)
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -187,10 +191,9 @@ def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyL
     c_i <= z + y_1 + ... + y_{i-1}, with no simulation; the tests and
     ``verify`` compare them with the nondecreasing members of :func:`enum_ps`.
     """
-    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
     bounds = standard_order_bounds(instance)
     _guard(math.prod(bounds), budget)
-    return FamilyListing("ips", params, tuple(_nondecreasing(bounds)))
+    return FamilyListing("ips", _params(instance), tuple(_nondecreasing(bounds)))
 
 
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -204,8 +207,7 @@ def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> Fami
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
-    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
-    return FamilyListing("inv", params, _rearrangements(multisets))
+    return FamilyListing("inv", _params(instance), _rearrangements(multisets))
 
 
 def enum_sps(
@@ -224,20 +226,17 @@ def enum_sps(
     """
     ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
     instance = ParkingInstance(ordered, trailer_z)
-    params = {"lengths": ordered, "trailer": instance.trailer_z}
     if method == "definition":
-        arrangements = partial(distinct_permutations, ordered)
-        members = _parking_for_all(instance, arrangements, budget)
-        return FamilyListing("strong", params, members)
-    if method != "bounds":
+        members = _parking_for_all(instance, partial(distinct_permutations, ordered), budget)
+    elif method != "bounds":
         raise ValueError(f"unknown method {method!r}; use 'definition' or 'bounds'")
-    if len(set(ordered)) == 1:
-        base = enum_ps(instance, budget)
-        return FamilyListing("strong", params, base.members)
-    bounds = standard_order_bounds(instance)
-    _guard(math.prod(bounds), budget)
-    members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
-    return FamilyListing("strong", params, members)
+    elif len(set(ordered)) == 1:
+        members = enum_ps(instance, budget).members
+    else:
+        bounds = standard_order_bounds(instance)
+        _guard(math.prod(bounds), budget)
+        members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
+    return FamilyListing("strong", _params(instance), members)
 
 
 def enum_sps_k(

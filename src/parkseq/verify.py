@@ -20,7 +20,7 @@ from .biject import (
     lattice_path_to_ips,
     to_vector_parking_function,
 )
-from .classify import _admits, distinct_permutations
+from .classify import _admits
 from .core import ParkingInstance, standard_order_bounds
 from .count import (
     count_inv_constant,
@@ -35,6 +35,8 @@ from .count import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _params,
+    _rearrangements,
     enum_ips,
     enum_lattice_paths,
     enum_ps,
@@ -125,17 +127,11 @@ def _characterized_set(instance):
     """
     step, boundary = _invariant_contraction(instance)
     z, spots = instance.trailer_z, range(1, instance.street_length + 1)
-    return tuple(sorted(
-        prefs
+    return _rearrangements(
+        rep
         for rep in itertools.combinations_with_replacement(spots, instance.car_count)
         if _admits(z, step, boundary, rep)
-        for prefs in distinct_permutations(rep)
-    ))
-
-
-def _params(instance):
-    """The params of a record about one instance: its lengths and trailer."""
-    return {"lengths": instance.lengths, "trailer": instance.trailer_z}
+    )
 
 
 def _suite_eq3(max_n, seed, budget):

@@ -9,6 +9,8 @@ point of the product, so keep them to n <= 6.  ``invariance_rule`` is the
 closed invariance rule written out case by case, without the contraction.
 ``bounded_nondecreasing_count`` is a DP, not a sweep; it shares no code with
 the boundary determinant it checks, and runs to n in the hundreds.
+``park_on_spots`` is the oracle for ``simulate`` itself: the parking rule on
+a list of spots, with no masks and no parkseq code.
 """
 
 import itertools
@@ -29,6 +31,32 @@ def bounded_nondecreasing_count(lengths, z):
     for bound in bounds[1:]:
         ways = list(itertools.accumulate(ways + [0] * (bound - len(ways))))
     return sum(ways)
+
+
+def park_on_spots(lengths, trailer_z, prefs):
+    """Run the parking process on a list of spots, read straight from the rule.
+
+    Returns the fields of a ``ParkOutcome`` in order: success, placements,
+    configuration, failed car, reason, attempted start and blocked spot.
+    """
+    spots = trailer_z - 1 + sum(lengths)
+    taken = [spot < trailer_z for spot in range(spots + 1)]  # taken[0] is never read
+    placements = []
+    for car, (pref, size) in enumerate(zip(prefs, lengths), start=1):
+        empty = [spot for spot in range(pref, spots + 1) if not taken[spot]]
+        if not empty:
+            return False, tuple(placements), (), car, "off_street", None, None
+        start = empty[0]
+        wanted = range(start, start + size)
+        blocked = [spot for spot in wanted if spot <= spots and taken[spot]]
+        if blocked or wanted[-1] > spots:
+            return (False, tuple(placements), (), car, "collision", start,
+                    blocked[0] if blocked else None)
+        for spot in wanted:
+            taken[spot] = True
+        placements.append((start, wanted[-1]))
+    by_start = sorted(range(len(lengths)), key=lambda i: placements[i][0])
+    return True, tuple(placements), tuple(i + 1 for i in by_start), None, None, None, None
 
 
 def orbit_parks(instance, prefs):

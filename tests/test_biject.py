@@ -48,6 +48,11 @@ class TestLatticePathMap:
         with pytest.raises(ValueError):
             lattice_path_to_ips(ParkingInstance((1, 2), 1), path)
 
+    def test_width_mismatch_rejected(self):
+        path = LatticePath((0, 0), (1, 2), 2)  # the instance's street has 3 spots
+        with pytest.raises(ValueError, match="^path width 2 does not match street length 3$"):
+            lattice_path_to_ips(ParkingInstance((1, 2), 1), path)
+
     def test_round_trip_on_a_family(self):
         for lengths, z in (((1, 2, 2, 3), 4), ((2, 1, 3), 2), ((1, 1, 1), 1)):
             instance = ParkingInstance(lengths, z)
@@ -101,6 +106,8 @@ class TestLatticePathMap:
             LatticePath((0, 3), (1, 3), 3)  # crosses the boundary
         with pytest.raises(ValueError, match="overrun width 1$"):
             LatticePath((0, 2), (1, 3), 1)  # overruns the width
+        with pytest.raises(ValueError, match="^expected 2 north steps, got 1$"):
+            LatticePath((0,), (1, 2), 1)
         for width in (1.5, True, "1"):
             with pytest.raises(ValueError, match="width must be an integer$"):
                 LatticePath((0,), (1,), width)

@@ -11,6 +11,7 @@ from sweeps import (
 
 from parkseq import (
     ParkingInstance,
+    check_boundary,
     classify,
     compositions,
     distinct_permutations,
@@ -347,6 +348,10 @@ class TestUParkingFunction:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             is_u_parking_function((1, 2), (1, 1, 1))
+
+    def test_empty_boundary_rejected(self):
+        with pytest.raises(ValueError, match="^boundary must not be empty$"):
+            check_boundary(())
 
     @given(st.permutations([1, 1, 2, 4]))
     def test_invariant_under_rearrangement(self, shuffled):

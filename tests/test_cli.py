@@ -39,6 +39,27 @@ class TestRender:
         assert _cells(lines[0]) == ["C1"]
         assert "T" not in lines[0]
 
+    @pytest.mark.parametrize(
+        "flags, diagram",
+        [
+            ("--lengths 1 --prefs 2",
+             ["| .|", "| 1|", " ^^", "car 1 cannot park: no empty spot at or past 2"]),
+            ("--lengths 2,2 --prefs 4,1",
+             ["| .| .| .| .|", "| 1| 2| 3| 4|", "          ^^",
+              "car 1 cannot park: needs spots 4-5 but the street ends at 4"]),
+        ],
+        ids=["off-street", "street-end"],
+    )
+    def test_failure_marker(self, capsys, flags, diagram):
+        assert run(["simulate", *flags.split(), "--render"]) == 1
+        assert capsys.readouterr().out.splitlines() == diagram
+
+    def test_success_behind_a_trailer_is_described(self, capsys):
+        assert run(["simulate", "--lengths", "1,2", "--trailer", "3", "--prefs", "1,3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "spots 1-2: trailer", "car 1 -> spots 3-3", "car 2 -> spots 4-5", "configuration: T C1 C2",
+        ]
+
 
 class TestExitCodes:
     def test_simulate_success(self, capsys):
@@ -114,6 +135,20 @@ class TestExitCodes:
         ):
             assert run(argv) == 2, argv
             assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("simulate --lengths 1,x --prefs 1,1",
+             "argument --lengths: expected comma-separated integers, got '1,x'"),
+            ("enumerate --family ps --lengths 1,2 --budget x", "argument --budget: invalid int value: 'x'"),
+            ("check --family upf --boundary 3,1 --prefs 1,1", "boundary must be nondecreasing, got (3, 1)"),
+        ],
+        ids=["lengths", "budget", "boundary"],
+    )
+    def test_malformed_value_is_a_usage_error(self, capsys, argv, message):
+        assert run(argv.split()) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
@@ -299,7 +334,6 @@ COUNT_DOCS = {
                       {"n": 4, "r": 2, "trailer": 2, "formula": "inv-two-block"}, 48),
     "sps": ("--lengths 2,1,2", {"lengths": [2, 1, 2], "trailer": 1, "formula": "sps"}, 8),
     "sps-k": ("--n 4 --k 2 --trailer 2", {"n": 4, "k": 2, "trailer": 2, "formula": "sps-k"}, 6),
-    "upf": ("--n 3 --trailer 2", {"trailer": 2, "n": 3, "formula": "upf"}, 50),
 }
 
 
@@ -325,6 +359,14 @@ class TestPinnedDocuments:
         assert run(["simulate", *flags.split(), "--render", "--json"]) == 1
         assert capsys.readouterr().out == _document("simulate", params, dict(result, diagram=diagram))
         assert run(["render", *flags.split(), "--json"]) == 2
+
+    def test_simulate_success(self, capsys):
+        flags = "--lengths 1,2 --trailer 3 --prefs 1,3"
+        params = {"lengths": [1, 2], "trailer": 3, "prefs": [1, 3]}
+        result = {"street_length": 5, "success": True, "placements": [[3, 3], [4, 5]],
+                  "configuration": [1, 2]}
+        assert run(["simulate", *flags.split(), "--json"]) == 0
+        assert capsys.readouterr().out == _document("simulate", params, result)
 
     @pytest.mark.parametrize("family", list(_FAMILIES))
     def test_enumerate(self, family, capsys):

@@ -1,10 +1,12 @@
 """Simulator behaviour, pinned example runs, and process invariants."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweeps import park_on_spots
 
 from parkseq import (
     FailureReason,
@@ -193,3 +195,36 @@ def test_success_only_kernel_agrees_with_simulate(case):
     blocks = [sum(1 << s for s in range(first, last + 1)) for first, last in outcome.placements]
     assert left == [_empty_street(instance) - taken for taken in itertools.accumulate(blocks)]
     assert free == (0 if outcome.success else None)
+
+
+def _fields(outcome):
+    return tuple(getattr(outcome, field.name) for field in dataclasses.fields(outcome))
+
+
+def test_simulate_matches_the_spot_list_oracle_exhaustively():
+    # every field, on every case with lengths in {1,2,3}^n, n <= 3, z <= 3
+    # and preferences in [1..M+1]^n, so off-street failures are covered too
+    for n in (1, 2, 3):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                instance = ParkingInstance(lengths, z)
+                top = instance.street_length + 1
+                for prefs in itertools.product(range(1, top + 1), repeat=n):
+                    expected = park_on_spots(lengths, z, prefs)
+                    assert _fields(simulate(instance, prefs)) == expected, (lengths, z, prefs)
+
+
+@st.composite
+def _up_to_six_cars(draw):
+    lengths = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    z = draw(st.integers(1, 4))
+    top = z + sum(lengths)  # M + 1
+    prefs = tuple(draw(st.lists(st.integers(1, top), min_size=len(lengths), max_size=len(lengths))))
+    return lengths, z, prefs
+
+
+@given(_up_to_six_cars())
+@settings(deadline=None, max_examples=500)
+def test_simulate_matches_the_spot_list_oracle(case):
+    lengths, z, prefs = case
+    assert _fields(simulate(ParkingInstance(lengths, z), prefs)) == park_on_spots(lengths, z, prefs)

@@ -255,6 +255,8 @@ class TestKStrongCounts:
     def test_rising_factorial(self):
         assert rising_factorial(2, 3) == 24
         assert rising_factorial(5, 0) == 1
+        with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+            rising_factorial(2, -1)
 
     def test_k_range_checked(self):
         with pytest.raises(ValueError):

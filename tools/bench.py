@@ -8,10 +8,10 @@ It runs ``perfbench/run.py`` with ``--trace 0`` once for each of the four
 workloads, then once with ``--workload all --trace 1`` for the per-layer
 figures, all on seed 1729 with ``--seconds 15``, so that every record is
 taken with the same settings.  It also times the Tier-1 tests, hashes the
-gate document (``parkseq verify --suite all --json``) and reads the commit
-and the uncommitted paths, so that two records can be told apart.  Every
-step runs in a fresh process; the record is written only if all of them
-finish.
+gate document (``parkseq verify --suite all --json``), counts the lines of
+``src/parkseq/*.py`` and reads the commit and the uncommitted paths, so that
+two records can be told apart.  Every step runs in a fresh process; the
+record is written only if all of them finish.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ def _gate_digest():
             "records": len(json.loads(out)["records"])}
 
 
+def _src_lines():
+    """Line count of the library modules, as ``wc -l src/parkseq/*.py`` totals it."""
+    return sum(path.read_bytes().count(b"\n") for path in ROOT.glob("src/parkseq/*.py"))
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -102,6 +107,7 @@ def main(argv=None):
     record["tier1"] = _tier1()
     print("gate digest", file=sys.stderr)
     record["gate"] = _gate_digest()
+    record["src_lines"] = _src_lines()
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
