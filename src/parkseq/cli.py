@@ -6,11 +6,18 @@ exceeded, 141 (128 + SIGPIPE, as for a process the signal ends) with nothing
 on stderr when the reader closes stdout early (``parkseq enumerate ... | head``).
 ``--json`` swaps the text output for one stable document with top-level fields
 ``command``, ``params``, ``result`` and, for verify, ``records``.
+
+The argparse tree is built once per process, on the first ``run`` call (so
+importing this module builds nothing), and every later call parses with the
+same parser.  ``parse_args`` returns a fresh namespace each time and every
+default is immutable, so no state passes from one call to the next; handlers
+may write to their own namespace but must never mutate the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -150,7 +157,11 @@ def render_street(instance: ParkingInstance, prefs: Sequence[int]) -> list[str]:
     spots as dots, with the spot numbers beneath.  A failed run gets a marker
     under the blocking spot plus a one-line explanation.
     """
-    outcome = simulate(instance, prefs)
+    return _street_lines(instance, prefs, simulate(instance, prefs))
+
+
+def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> list[str]:
+    """The ``render_street`` diagram of an outcome already simulated."""
     spots = instance.street_length
     labels = [""] * (spots + 1)
     for spot in range(1, instance.trailer_z):
@@ -220,7 +231,7 @@ def _cmd_simulate(args) -> int:
     instance = ParkingInstance(args.lengths, args.trailer)
     outcome = simulate(instance, args.prefs)
     params = {"lengths": args.lengths, "trailer": args.trailer, "prefs": args.prefs}
-    diagram = render_street(instance, args.prefs) if args.render else None
+    diagram = _street_lines(instance, args.prefs, outcome) if args.render else None
     if args.json:
         result = _outcome_result(instance, outcome)
         if diagram is not None:
@@ -332,7 +343,9 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``parkseq`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="parkseq",
         description="Exact tools for parking sequences of cars with lengths behind a trailer.",
@@ -415,10 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse and execute; returns the exit code instead of raising SystemExit."""
-    parser = build_parser()
+    """Parse and execute; returns the exit code instead of raising SystemExit.
+
+    Every call parses with the one parser ``build_parser`` built for this
+    process; the handler gets that call's own namespace and must not mutate
+    the parser.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -12,7 +12,7 @@ from sweeps import bounded_nondecreasing_count
 
 import parkseq
 from parkseq import ParkingInstance
-from parkseq.cli import _FAMILIES, _FORMULAS, render_street, run
+from parkseq.cli import _FAMILIES, _FORMULAS, build_parser, render_street, run
 
 
 def _cells(line):
@@ -392,3 +392,71 @@ class TestPinnedDocuments:
         assert run(["count", "--formula", formula, *flags.split(), "--json"]) == 0
         assert capsys.readouterr().out == _document("count", params, {"value": value})
         assert run(["count", "--formula", formula, "--json"]) == 2
+
+
+class TestSharedParser:
+    """Every ``run`` call in a process parses with one parser; none leaks state."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_not_built_at_import(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).parents[1]))
+        code = "import parkseq.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_render_simulates_once(self, monkeypatch, capsys, json_flag):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        simulate = parkseq.cli.simulate
+        monkeypatch.setattr(parkseq.cli, "simulate", counted)
+        assert run(["simulate", "--lengths", "2,2", "--prefs", "2,1", "--render", *json_flag]) == 1
+        assert "car 2 cannot park: collision at spot 2" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_kstrong_k_comes_from_each_calls_prefs(self, capsys):
+        # (2, 1, 1) is not 3-strong on 4 spots, (2, 1, 1, 1) is 4-strong
+        for prefs, k, code in [("2,1,1", 3, 1), ("2,1,1,1", 4, 0), ("2,1,1", 3, 1)]:
+            assert run(["check", "--family", "kstrong", "--n", "4", "--prefs", prefs, "--json"]) == code
+            assert json.loads(capsys.readouterr().out)["params"]["k"] == k
+
+    def test_render_does_not_stick(self, capsys):
+        flags = ["simulate", "--lengths", "1,2", "--trailer", "3", "--prefs", "1,3"]
+        assert run([*flags, "--render"]) == 0
+        assert capsys.readouterr().out.startswith("| T|")
+        assert run(flags) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "spots 1-2: trailer", "car 1 -> spots 3-3", "car 2 -> spots 4-5", "configuration: T C1 C2",
+        ]
+
+    def test_out_does_not_stick(self, tmp_path, capsys):
+        argv = ["enumerate", "--family", "ps", "--lengths", "1,2"]
+        assert run([*argv, "--out", str(tmp_path / "family.csv")]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["1,1", "1,2", "3,1"]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        flags, params, value = COUNT_DOCS["sps-k"]
+        assert run(["count", "--formula", "sps-k", "--n", "four", "--json"]) == 2
+        capsys.readouterr()
+        assert run(["count", "--formula", "sps-k", *flags.split(), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == _document("count", params, {"value": value})
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", [None, "simulate", "check", "enumerate", "count", "verify"])
+    def test_help_is_stable(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("usage: parkseq " + (command or ""))
