@@ -12,7 +12,9 @@ Two maps, both tested by round trip and by exact image equality:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .core import (
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePath:
     """A path from (0, 0) to (width, q) as its north-step x-coordinates.
 
@@ -60,10 +62,16 @@ class LatticePath:
     def _unchecked(cls, xs: tuple[int, ...], boundary: tuple[int, ...], width: int) -> LatticePath:
         """A path from fields the caller guarantees valid, skipping every check."""
         path = object.__new__(cls)
-        object.__setattr__(path, "xs", xs)
-        object.__setattr__(path, "boundary", boundary)
-        object.__setattr__(path, "width", width)
+        _set_xs(path, xs)
+        _set_boundary(path, boundary)
+        _set_width(path, width)
         return path
+
+
+# The slot setters, past the frozen __setattr__, for LatticePath._unchecked.
+_set_xs, _set_boundary, _set_width = (
+    LatticePath.xs.__set__, LatticePath.boundary.__set__, LatticePath.width.__set__
+)
 
 
 def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> LatticePath:
@@ -77,7 +85,8 @@ def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> Latt
     bounds = standard_order_bounds(instance)
     if not _nondecreasing_under(prefs, bounds):
         raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
-    return LatticePath._unchecked(tuple(c - 1 for c in prefs), bounds, instance.street_length)
+    xs = tuple(map(operator.sub, prefs, repeat(1)))
+    return LatticePath._unchecked(xs, bounds, instance.street_length)
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
@@ -91,7 +100,7 @@ def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[i
         raise ValueError(
             f"path width {path.width} does not match street length {instance.street_length}"
         )
-    return tuple(x + 1 for x in path.xs)
+    return tuple(map(operator.add, path.xs, repeat(1)))
 
 
 def to_vector_parking_function(
@@ -114,12 +123,14 @@ def to_vector_parking_function(
 
 def _contract(trailer_z: int, step: int, prefs: Sequence[int]) -> tuple[int | None, ...]:
     """The contraction on checked input; an entry above z off the grid maps to None."""
-    return tuple(
+    if step == 1:  # every entry is on the step-1 grid and maps to itself
+        return tuple(prefs)
+    return tuple([
         c if c <= trailer_z
         else None if (c - trailer_z) % step
         else trailer_z + (c - trailer_z) // step
         for c in prefs
-    )
+    ])
 
 
 def from_vector_parking_function(

@@ -28,6 +28,7 @@ from .core import (
     _integer,
     _nondecreasing_under,
     _park,
+    _sorted_under,
     _weight_and_count,
     check_boundary,
     check_preferences,
@@ -204,7 +205,7 @@ def _admits(
 ) -> bool:
     """The closed invariance rule on checked input: contract, then bound the sorted image."""
     image = _contract(trailer_z, step, prefs)
-    return None not in image and all(x <= u for x, u in zip(sorted(image), boundary))
+    return None not in image and _sorted_under(image, boundary)
 
 
 def is_strong_ps(
@@ -281,4 +282,4 @@ def is_u_parking_function(bounds: Sequence[int], values: Sequence[int]) -> bool:
     values = _as_int_tuple(values, "values")
     if len(values) != len(bounds):
         raise ValueError(f"expected {len(bounds)} values, got {len(values)}")
-    return all(x <= u for x, u in zip(sorted(values), bounds))
+    return _sorted_under(values, bounds)

@@ -19,6 +19,7 @@ hold to :func:`simulate`.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,12 +36,18 @@ __all__ = [
 
 
 def _as_int_tuple(values: Iterable[int], what: str, minimum: int = 1) -> tuple[int, ...]:
-    """Coerce to a tuple of true integers, rejecting floats, bools and small values."""
+    """Coerce to a tuple of true integers, rejecting floats, bools and small values.
+
+    One scan of the element types; only a tuple holding some type other than
+    ``int`` pays for ``operator.index``, which makes ``__index__`` types exact.
+    """
     try:
         out = tuple(values)
-        if bool in map(type, out):
-            raise TypeError("booleans are not integers")
-        out = tuple(map(operator.index, out))
+        kinds = set(map(type, out))
+        if kinds - {int}:
+            if bool in kinds:
+                raise TypeError("booleans are not integers")
+            out = tuple(map(operator.index, out))
     except TypeError as exc:
         raise ValueError(f"{what} must be integers") from exc
     if out and min(out) < minimum:
@@ -89,9 +96,32 @@ class FailureReason(str, enum.Enum):
     COLLISION = "collision"  # target interval blocked, or past the street end
 
 
+class _stored:
+    """A computed attribute kept in the instance's ``__dict__`` from its first read on.
+
+    :func:`functools.cached_property` without its lock, which on Python 3.11
+    costs more than these small values do; two racing first reads just
+    compute the same value twice.  Not a field, so ``==``, ``hash``, ``repr``
+    and :func:`dataclasses.fields` never see it.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class ParkingInstance:
-    """Car lengths plus the trailer parameter ``z`` (spots ``1 .. z-1`` taken)."""
+    """Car lengths plus the trailer parameter ``z`` (spots ``1 .. z-1`` taken).
+
+    The street geometry (its length and the standard-order bounds) is
+    computed on first use and kept, as the fields never change.
+    """
 
     lengths: tuple[int, ...]
     trailer_z: int = 1
@@ -106,10 +136,15 @@ class ParkingInstance:
     def car_count(self) -> int:
         return len(self.lengths)
 
-    @property
+    @_stored
     def street_length(self) -> int:
         """Number of spots: z - 1 trailer spots plus the total car length."""
         return self.trailer_z - 1 + sum(self.lengths)
+
+    @_stored
+    def _bounds(self) -> tuple[int, ...]:
+        """z, z + y_1, ..., z + y_1 + ... + y_(n-1); see :func:`standard_order_bounds`."""
+        return tuple(itertools.accumulate(self.lengths[:-1], initial=self.trailer_z))
 
 
 @dataclass(frozen=True)
@@ -143,7 +178,7 @@ def check_preferences(instance: ParkingInstance, prefs: Sequence[int]) -> tuple[
     Entries above the street length stay legal; such a car just cannot park.
     """
     out = _as_int_tuple(prefs, "preferences")
-    if len(out) != instance.car_count:
+    if len(out) != len(instance.lengths):
         raise ValueError(f"expected {instance.car_count} preferences, got {len(out)}")
     return out
 
@@ -160,9 +195,12 @@ def check_boundary(bounds: Iterable[int]) -> tuple[int, ...]:
 
 def _nondecreasing_under(prefs: Sequence[int], bounds: Sequence[int]) -> bool:
     """Nondecreasing with c_i <= bounds[i] for every i; on checked input."""
-    return all(a <= b for a, b in zip(prefs, prefs[1:])) and all(
-        c <= b for c, b in zip(prefs, bounds)
-    )
+    return all(map(operator.le, prefs, prefs[1:])) and all(map(operator.le, prefs, bounds))
+
+
+def _sorted_under(values: Iterable[int], bounds: Sequence[int]) -> bool:
+    """Order statistics under the bounds, x_(i) <= bounds[i] for every i; on checked input."""
+    return all(map(operator.le, sorted(values), bounds))
 
 
 def _empty_street(instance: ParkingInstance) -> int:
@@ -230,9 +268,4 @@ def standard_order_bounds(instance: ParkingInstance) -> tuple[int, ...]:
     returned here.  Shifted down by one, the same vector is the strict right
     boundary of the lattice paths matched to the nondecreasing sequences.
     """
-    bounds = []
-    position = instance.trailer_z
-    for size in instance.lengths:
-        bounds.append(position)
-        position += size
-    return tuple(bounds)
+    return instance._bounds

@@ -1,7 +1,9 @@
 """Simulator behaviour, pinned example runs, and process invariants."""
 
 import dataclasses
+import enum
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from sweeps import park_on_spots
 
 from parkseq import (
     FailureReason,
+    LatticePath,
     ParkingInstance,
+    check_boundary,
     order_statistics,
     simulate,
     standard_order_bounds,
 )
-from parkseq.core import _empty_street, _park
+from parkseq.core import _empty_street, _park, check_preferences
 
 
 def test_street_length_fig1_instance():
@@ -228,3 +232,83 @@ def _up_to_six_cars(draw):
 def test_simulate_matches_the_spot_list_oracle(case):
     lengths, z, prefs = case
     assert _fields(simulate(ParkingInstance(lengths, z), prefs)) == park_on_spots(lengths, z, prefs)
+
+
+class _Size(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def _index_types():
+    np = pytest.importorskip("numpy")
+    return np.int64(1), _Size.ONE, np.int64(2), _Size.TWO
+
+
+def test_index_types_come_back_as_exact_ints():
+    one, enum_one, two, enum_two = _index_types()
+    instance = ParkingInstance((one, enum_two), enum_two)
+    assert instance == ParkingInstance((1, 2), 2)
+    checked = (
+        instance.lengths,
+        (instance.trailer_z,),
+        check_preferences(instance, (enum_one, two)),
+        order_statistics((two, enum_one)),
+        check_boundary((one, enum_two)),
+        LatticePath((0, enum_one), (one, enum_two), two).xs,
+        LatticePath((0, 1), (enum_one, two), 2).boundary,
+    )
+    for values in checked:
+        assert all(type(x) is int for x in values), values
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_non_integers_keep_their_messages(bad):
+    with pytest.raises(ValueError, match="^car lengths must be integers$"):
+        ParkingInstance((1, bad), 1)
+    with pytest.raises(ValueError, match="^preferences must be integers$"):
+        check_preferences(ParkingInstance((1, 1), 1), (bad, 1))
+    with pytest.raises(ValueError, match="^boundary must be integers$"):
+        check_boundary((1, bad))
+    with pytest.raises(ValueError, match="^north steps must be integers$"):
+        LatticePath((0, bad), (1, 2), 2)
+
+
+def _geometry_grid():
+    for n in range(1, 5):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                yield lengths, z
+
+
+def test_stored_geometry_matches_a_recomputation():
+    for lengths, z in _geometry_grid():
+        instance = ParkingInstance(lengths, z)
+        sums = tuple(itertools.accumulate(lengths, initial=z))
+        for _ in range(2):  # the first read computes, the second reads what was kept
+            assert standard_order_bounds(instance) == sums[:-1]
+            assert instance.street_length == sums[-1] - 1
+            assert _empty_street(instance) == sum(1 << j for j in range(z, sums[-1]))
+
+
+def test_reading_the_geometry_leaves_the_value_alone():
+    fields = [field.name for field in dataclasses.fields(ParkingInstance)]
+    assert fields == ["lengths", "trailer_z"]
+    for lengths, z in _geometry_grid():
+        read, fresh = ParkingInstance(lengths, z), ParkingInstance(lengths, z)
+        assert standard_order_bounds(read) and read.street_length
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert dataclasses.astuple(read) == (lengths, z)
+        copy = pickle.loads(pickle.dumps(read))
+        assert copy == fresh and standard_order_bounds(copy) == standard_order_bounds(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.street_length = 0
+
+
+def test_lattice_paths_stay_frozen_and_pickle():
+    path = LatticePath((0, 1, 1), (1, 3, 4), 5)
+    for name, value in (("xs", (0, 0, 0)), ("width", 6), ("boundary", (1, 1, 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(path, name, value)
+    assert pickle.loads(pickle.dumps(path)) == path
+    unchecked = LatticePath._unchecked((0, 1, 1), (1, 3, 4), 5)
+    assert unchecked == path and hash(unchecked) == hash(path) and repr(unchecked) == repr(path)

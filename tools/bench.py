@@ -81,7 +81,16 @@ def _src_lines():
 
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                          check=True).stdout.strip()
+                          check=True).stdout
+
+
+def _uncommitted(status):
+    """The paths in unstripped ``git status --porcelain`` output.
+
+    Each line is two status letters, a space and the path; the first letter
+    is often a space, so stripping the output would cut a path's first letter.
+    """
+    return [line[3:] for line in status.splitlines()]
 
 
 def main(argv=None):
@@ -90,8 +99,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "uncommitted": [line[3:] for line in _git("status", "--porcelain").splitlines()],
+        "commit": _git("rev-parse", "HEAD").strip(),
+        "uncommitted": _uncommitted(_git("status", "--porcelain")),
         "seed": SEED,
         "seconds": SECONDS,
         "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
