@@ -71,7 +71,8 @@ def _instance(args) -> ParkingInstance:
 
 def _paths_listing(args) -> FamilyListing:
     paths = enum_lattice_paths(args.boundary, args.width, args.budget)
-    return FamilyListing(
+    # the paths come in lex order of their steps, so the listing needs no scan
+    return FamilyListing._trusted(
         "paths",
         {"boundary": paths[0].boundary, "width": paths[0].width},
         tuple(path.xs for path in paths),
@@ -184,14 +185,17 @@ def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> lis
             message = f"car {car} cannot park: collision at spot {marker}"
         else:
             marker = outcome.attempted_start
-            end = marker + instance.lengths[car - 1] - 1
-            message = (
-                f"car {car} cannot park: needs spots {marker}-{end}"
-                f" but the street ends at {spots}"
-            )
+            message = f"car {car} cannot park: {_street_end(instance, outcome)}"
         lines.append(" " * (1 + (marker - 1) * (width + 1)) + "^" * width)
         lines.append(message)
     return lines
+
+
+def _street_end(instance: ParkingInstance, outcome: ParkOutcome) -> str:
+    """Why the failed car's block, started at an empty spot, runs off the street."""
+    start = outcome.attempted_start
+    end = start + instance.lengths[outcome.failed_car - 1] - 1
+    return f"needs spots {start}-{end} but the street ends at {instance.street_length}"
 
 
 def _outcome_result(instance: ParkingInstance, outcome: ParkOutcome) -> dict:
@@ -221,9 +225,13 @@ def _describe_outcome(instance: ParkingInstance, prefs, outcome: ParkOutcome) ->
         lines.append("configuration: " + " ".join(order))
     else:
         car = outcome.failed_car
-        reason = "collision" if outcome.reason is FailureReason.COLLISION else "off street"
-        detail = f" at spot {outcome.blocked_spot}" if outcome.blocked_spot else ""
-        lines.append(f"car {car} cannot park: {reason}{detail} (preference {prefs[car - 1]})")
+        if outcome.reason is FailureReason.OFF_STREET:
+            reason = "off street"
+        elif outcome.blocked_spot is not None:
+            reason = f"collision at spot {outcome.blocked_spot}"
+        else:
+            reason = _street_end(instance, outcome)
+        lines.append(f"car {car} cannot park: {reason} (preference {prefs[car - 1]})")
     return lines
 
 

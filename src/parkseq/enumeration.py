@@ -17,7 +17,9 @@ lattice paths.  Families closed under reordering come back as the sorted
 rearrangements of their multisets.  A preference above the street length M
 can never park, which bounds a length-n instance at M^n candidates; a budget
 guard refuses sweeps whose candidate space exceeds it, never truncating.  All
-listings come back lexicographically sorted so output is reproducible.
+listings come back lexicographically sorted so output is reproducible; every
+producer gives that order by construction, so the listings skip the order
+scan of the public :class:`FamilyListing` constructor.
 """
 
 from __future__ import annotations
@@ -81,17 +83,41 @@ class FamilyListing:
         if not all(map(operator.lt, members, itertools.islice(members, 1, None))):
             raise ValueError("members must be strictly increasing lexicographically")
 
+    @classmethod
+    def _trusted(cls, family: str, params: dict[str, object], members: tuple) -> FamilyListing:
+        """A listing whose producer builds its members strictly increasing, unscanned."""
+        listing = object.__new__(cls)
+        listing.__dict__.update(family=family, params=params, members=members)  # past frozen
+        return listing
+
     @property
     def cardinality(self) -> int:
         return len(self.members)
 
 
 def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]]:
-    """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order."""
+    """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order; caps not empty.
+
+    The last two entries (x, y), x <= caps[-2] and x <= y <= caps[-1], depend
+    only on the entry before them, so each lower bound builds its pairs once.
+    """
+    if len(caps) == 1:
+        return [(x,) for x in range(lowest, caps[0] + 1)]
+    *head, below, top = caps
     prefixes: list[tuple[int, ...]] = [()]
-    for cap in caps:
+    for cap in head:
         prefixes = [p + (x,) for p in prefixes for x in range(p[-1] if p else lowest, cap + 1)]
-    return prefixes
+    tails: dict[int, list[tuple[int, int]]] = {}
+    members: list[tuple[int, ...]] = []
+    for prefix in prefixes:
+        least = prefix[-1] if prefix else lowest
+        pairs = tails.get(least)
+        if pairs is None:
+            pairs = tails[least] = [
+                (x, y) for x in range(least, below + 1) for y in range(x, top + 1)
+            ]
+        members.extend(map(prefix.__add__, pairs))
+    return members
 
 
 def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -136,17 +162,27 @@ def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict)
     return found
 
 
-def _emit(found: list, left: int, prefix: tuple[int, ...], members: list) -> None:
-    """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow."""
+def _emit(found: list, left: int, prefix: tuple[int, ...], members: list, tails: dict) -> None:
+    """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow.
+
+    The last two cars' steps spell the same pairs after every prefix, so
+    ``tails`` keeps them per step list, keyed on its identity; every step list
+    stays reachable from the walk's root, so no identity is reused in a call.
+    """
     if not left:
-        members.extend(itertools.product(*zip(prefix), found))
+        members.extend(zip(found))
+        return
+    if left == 1:
+        pairs = tails.get(id(found))
+        if pairs is None:
+            pairs = tails[id(found)] = [
+                (pref, last) for prefs, after in found for pref in prefs for last in after
+            ]
+        members.extend(map(prefix.__add__, pairs))
         return
     for prefs, after in found:
-        if left == 1:
-            members.extend(itertools.product(*zip(prefix), prefs, after))
-        else:
-            for pref in prefs:
-                _emit(after, left - 1, prefix + (pref,), members)
+        for pref in prefs:
+            _emit(after, left - 1, prefix + (pref,), members, tails)
 
 
 def _parking_for_all(
@@ -164,7 +200,7 @@ def _parking_for_all(
     vectors = list(vectors())
     found = _steps((_empty_street(instance),) * len(vectors), tuple(zip(*vectors)), {})
     members: list[tuple[int, ...]] = []
-    _emit(found, n - 1, (), members)
+    _emit(found, n - 1, (), members, {})
     return tuple(members)
 
 
@@ -181,7 +217,7 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
     on it.  The sweep stays exhaustive over [1..M]^n.
     """
     members = _parking_for_all(instance, lambda: (instance.lengths,), budget)
-    return FamilyListing("ps", _params(instance), members)
+    return FamilyListing._trusted("ps", _params(instance), members)
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -193,7 +229,7 @@ def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyL
     """
     bounds = standard_order_bounds(instance)
     _guard(math.prod(bounds), budget)
-    return FamilyListing("ips", _params(instance), tuple(_nondecreasing(bounds)))
+    return FamilyListing._trusted("ips", _params(instance), tuple(_nondecreasing(bounds)))
 
 
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -207,7 +243,7 @@ def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> Fami
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
-    return FamilyListing("inv", _params(instance), _rearrangements(multisets))
+    return FamilyListing._trusted("inv", _params(instance), _rearrangements(multisets))
 
 
 def enum_sps(
@@ -236,7 +272,7 @@ def enum_sps(
         bounds = standard_order_bounds(instance)
         _guard(math.prod(bounds), budget)
         members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
-    return FamilyListing("strong", _params(instance), members)
+    return FamilyListing._trusted("strong", _params(instance), members)
 
 
 def enum_sps_k(
@@ -262,7 +298,7 @@ def enum_sps_k(
         members = _parking_for_all(instance, partial(compositions, total, k), budget)
     else:
         members = enum_sps(witness, trailer_z, budget, method="bounds").members
-    return FamilyListing("kstrong", {"n": total, "k": k, "trailer": trailer_z}, members)
+    return FamilyListing._trusted("kstrong", {"n": total, "k": k, "trailer": trailer_z}, members)
 
 
 def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -273,7 +309,9 @@ def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyList
     """
     bounds = check_boundary(bounds)
     _guard(bounds[-1] ** len(bounds), budget)
-    return FamilyListing("upf", {"boundary": bounds}, _rearrangements(_nondecreasing(bounds)))
+    return FamilyListing._trusted(
+        "upf", {"boundary": bounds}, _rearrangements(_nondecreasing(bounds))
+    )
 
 
 def enum_lattice_paths(

@@ -1,0 +1,25 @@
+"""The interleaved A/B script ``tools/ab.py``, run on this checkout against itself."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ab_runs_the_checkout_against_itself():
+    done = subprocess.run(
+        [sys.executable, "tools/ab.py", ".", ".", "--workload", "counting", "--pairs", "1"],
+        cwd=ROOT, capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("workload counting  seed 1729  1 pairs x 3 passes: min of 3")
+    assert lines[-1] == "failed ops: A 0, B 0"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[4:-1]}
+    assert "count.count_ips_determinant" in rows and "pass" in rows
+    for a_ms, b_ms, ratio in rows.values():
+        assert float(a_ms) > 0 and float(b_ms) > 0
+        assert float(ratio) == float(ratio)  # B/A is a number, not nan
+    # the two processes alternate, A first
+    assert done.stderr.splitlines() == ["pair 1: A", "pair 1: B"]

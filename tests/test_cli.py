@@ -60,6 +60,22 @@ class TestRender:
             "spots 1-2: trailer", "car 1 -> spots 3-3", "car 2 -> spots 4-5", "configuration: T C1 C2",
         ]
 
+    @pytest.mark.parametrize(
+        "flags, text",
+        [
+            ("--lengths 1 --prefs 2", ["car 1 cannot park: off street (preference 2)"]),
+            ("--lengths 2,2 --prefs 2,1",
+             ["car 1 -> spots 2-3", "car 2 cannot park: collision at spot 2 (preference 1)"]),
+            ("--lengths 1,2 --prefs 2,3",
+             ["car 1 -> spots 2-2",
+              "car 2 cannot park: needs spots 3-4 but the street ends at 3 (preference 3)"]),
+        ],
+        ids=["off-street", "collision", "street-end"],
+    )
+    def test_failure_is_described(self, capsys, flags, text):
+        assert run(["simulate", *flags.split()]) == 1
+        assert capsys.readouterr().out.splitlines() == text
+
 
 class TestExitCodes:
     def test_simulate_success(self, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from argparse import Namespace
 
 import pytest
 from sweeps import (
@@ -29,7 +30,8 @@ from parkseq import (
     is_parking_sequence,
     simulate,
 )
-from parkseq.enumeration import _parking_for_all
+from parkseq.cli import _paths_listing
+from parkseq.enumeration import _nondecreasing, _parking_for_all
 
 
 def test_enum_ps_small_family():
@@ -50,19 +52,61 @@ def test_enum_ps_matches_product_count():
 
 
 def test_enum_ps_is_exhaustive_over_the_cube():
-    instance = ParkingInstance((2, 1, 2), 2)
-    spots = instance.street_length
-    by_filter = tuple(
-        prefs
-        for prefs in itertools.product(range(1, spots + 1), repeat=3)
-        if is_parking_sequence(instance, prefs)
-    )
-    assert enum_ps(instance).members == by_filter
+    # n = 1 lists the last car's preferences alone, n = 2 only two-car tails,
+    # n = 3 a prefix before them
+    for n in (1, 2, 3):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                instance = ParkingInstance(lengths, z)
+                spots = instance.street_length
+                by_filter = tuple(
+                    prefs
+                    for prefs in itertools.product(range(1, spots + 1), repeat=n)
+                    if is_parking_sequence(instance, prefs)
+                )
+                assert enum_ps(instance).members == by_filter, (lengths, z)
 
 
-def test_listings_are_lexicographically_sorted():
-    members = enum_ps(ParkingInstance((2, 2, 1), 1)).members
-    assert list(members) == sorted(members)
+def _trusted_listings():
+    """Every listing route that skips FamilyListing's order scan, on a grid."""
+    for instance in _length_grid():
+        lengths, z = instance.lengths, instance.trailer_z
+        yield enum_ps(instance)
+        yield enum_ips(instance)
+        yield enum_ps_inv(instance)
+        yield enum_sps(lengths, z)
+        yield enum_sps(lengths, z, method="bounds")
+    for total in range(1, 7):
+        for k in range(1, total + 1):
+            for z in (1, 2):
+                yield enum_sps_k(total, k, z)
+                yield enum_sps_k(total, k, z, definitional=True)
+    for bounds in _nondecreasing_boundaries():
+        yield enum_u_pf(bounds)
+        for width in (None, 0, 1, 3):
+            yield _paths_listing(Namespace(boundary=bounds, width=width, budget=DEFAULT_BUDGET))
+
+
+def test_trusted_listings_are_strictly_increasing():
+    # the order the producers give by construction, which no listing rescans
+    for listing in _trusted_listings():
+        m = listing.members
+        assert all(a < b for a, b in zip(m, m[1:])), (listing.family, listing.params)
+        assert FamilyListing(listing.family, listing.params, m) == listing
+
+
+def test_nondecreasing_edge_cases_match_the_product_filter():
+    # one cap, equal caps, lowest=0 (all-zero caps are what a width-0 path listing
+    # asks for), a cap below lowest, and a cap below the one before
+    cases = [((4,), 1), ((0,), 0), ((0,), 1), ((3, 3), 1), ((2, 2, 2), 1), ((3, 3, 3), 0),
+             ((0, 0, 0), 0), ((1, 4), 0), ((3, 1), 1), ((1, 2, 3, 4), 2), ((2, 3, 3, 5), 0)]
+    for caps, lowest in cases:
+        expected = [
+            xs
+            for xs in itertools.product(range(lowest, max(caps) + 1), repeat=len(caps))
+            if all(a <= b for a, b in zip(xs, xs[1:])) and all(map(int.__le__, xs, caps))
+        ]
+        assert _nondecreasing(caps, lowest) == expected, (caps, lowest)
 
 
 def test_enum_ips_two_pairs():

@@ -1,0 +1,112 @@
+"""Interleaved A/B timing of two source trees on one benchmark workload.
+
+From the root of a source checkout:
+
+    python3 tools/ab.py TREE_A TREE_B --workload listing --pairs 10
+
+Each tree is a directory holding ``src/parkseq`` (a second checkout, an
+unpacked ``git archive``, or ``.``).  Every pair runs one fresh process per
+tree, alternating which tree goes first.  A process imports its tree's
+``src/``, builds the workload's ops from this checkout's
+``perfbench/workloads.py`` (so both trees run the same inputs), times every
+op over ``--passes`` passes and checks every answer against the workload's
+reference.  The report gives, per span and for the whole pass, the minimum
+over all passes of all processes of each tree, in milliseconds, and B/A.
+Times are as measured, uncorrected for the host's speed; alternating the
+trees lets both see the host in the same states.  The exit status is 1 if
+any op of either tree gave a wrong answer or raised.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("gate", "listing", "counting", "queries")
+
+
+def _child(tree, workload, seed, passes):
+    """Time the workload on ``tree``; print {span: [ms per pass], "failed": n} as JSON."""
+    src = (Path(tree) / "src").resolve()
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    import measure
+    import workloads
+
+    import parkseq
+    import parkseq.cli  # noqa: F401  (the queries workload calls lib.cli)
+
+    if Path(parkseq.__file__).resolve().parent != src / "parkseq":
+        raise ImportError(f"parkseq was imported from {parkseq.__file__}, not from {src}")
+    ops = workloads.BUILDERS[workload](parkseq, seed)
+    phase = measure.run_phase(ops, passes)
+    failed, _ = measure.check(ops, phase)
+    spans = {}
+    for index, seconds in enumerate(phase.op_times):
+        per_pass = spans.setdefault(ops[index % len(ops)].span, [0.0] * passes)
+        per_pass[index // len(ops)] += seconds * 1e3
+    spans["pass"] = [seconds * 1e3 for seconds in phase.pass_times]
+    print(json.dumps({"spans": spans, "failed": failed}))
+
+
+def _run_tree(tree, args):
+    argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
+            "--workload", args.workload, "--seed", str(args.seed), "--passes", str(args.passes)]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    if done.returncode:
+        raise SystemExit(f"{tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _report(trees, runs, args):
+    best = [{} for _ in trees]
+    failed = [0, 0]
+    for side, result in runs:
+        failed[side] += result["failed"]
+        for span, times in result["spans"].items():
+            best[side][span] = min(best[side].get(span, float("inf")), *times)
+    samples = args.pairs * args.passes
+    lines = [f"workload {args.workload}  seed {args.seed}  {args.pairs} pairs x {args.passes}"
+             f" passes: min of {samples} per tree, ms as measured",
+             f"A = {trees[0]}", f"B = {trees[1]}"]
+    width = max(map(len, best[0]))
+    lines.append(f"{'span':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}")
+    for span in sorted(best[0], key=lambda s: (s == "pass", s)):
+        a, b = best[0][span], best[1].get(span, float("nan"))
+        lines.append(f"{span:<{width}}  {a:>10.3f}  {b:>10.3f}  {b / a:>6.3f}")
+    lines.append(f"failed ops: A {failed[0]}, B {failed[1]}")
+    return lines, any(failed)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE", help="TREE_A TREE_B")
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--pairs", type=int, default=10, help="processes per tree (default 10)")
+    parser.add_argument("--passes", type=int, default=3,
+                        help="passes over the ops per process (default 3)")
+    parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--child", metavar="TREE", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _child(args.child, args.workload, args.seed, args.passes)
+        return 0
+    if len(args.trees) != 2 or args.pairs < 1 or args.passes < 1:
+        parser.error("give two trees, and --pairs and --passes of at least 1")
+    trees = [Path(tree).resolve() for tree in args.trees]
+    runs = []
+    for pair in range(args.pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            print(f"pair {pair + 1}: {'AB'[side]}", file=sys.stderr)
+            runs.append((side, _run_tree(trees[side], args)))
+    lines, any_failed = _report(trees, runs, args)
+    print("\n".join(lines))
+    return 1 if any_failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
