@@ -37,7 +37,6 @@ from .core import (
 )
 
 __all__ = [
-    "check_boundary",
     "compositions",
     "distinct_permutations",
     "is_increasing_ps",
@@ -47,7 +46,6 @@ __all__ = [
     "is_strong_ps",
     "is_u_parking_function",
     "necessary_condition",
-    "parks_in_standard_order",
     "perm_invariant_characterized",
 ]
 
@@ -118,18 +116,6 @@ def is_increasing_ps(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     """
     prefs = check_preferences(instance, prefs)
     return _nondecreasing_under(prefs, standard_order_bounds(instance))
-
-
-def parks_in_standard_order(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
-    """Does the sequence park the cars in index order right behind the trailer?
-
-    Defined through the simulator; agrees with the per-car caps from
-    :func:`parkseq.core.standard_order_bounds` (also pinned by the tests).
-    """
-    outcome = simulate(instance, prefs)
-    return outcome.success and outcome.configuration == tuple(
-        range(1, instance.car_count + 1)
-    )
 
 
 def _ordering_sweep(

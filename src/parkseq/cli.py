@@ -151,18 +151,14 @@ def _document(command: str, params: dict, result: dict, records=None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def render_street(instance: ParkingInstance, prefs: Sequence[int]) -> list[str]:
+def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> list[str]:
     """Fixed-width text diagram of the street after the process stops.
 
     One cell per spot: the trailer as T, parked cars as C1, C2, ... and empty
     spots as dots, with the spot numbers beneath.  A failed run gets a marker
-    under the blocking spot plus a one-line explanation.
+    under the blocking spot plus a one-line explanation.  ``outcome`` is
+    :func:`parkseq.core.simulate` of ``instance`` and ``prefs``.
     """
-    return _street_lines(instance, prefs, simulate(instance, prefs))
-
-
-def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> list[str]:
-    """The ``render_street`` diagram of an outcome already simulated."""
     spots = instance.street_length
     labels = [""] * (spots + 1)
     for spot in range(1, instance.trailer_z):

@@ -19,6 +19,7 @@ hold to :func:`simulate`.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -28,8 +29,8 @@ __all__ = [
     "FailureReason",
     "ParkOutcome",
     "ParkingInstance",
+    "check_boundary",
     "check_preferences",
-    "order_statistics",
     "simulate",
     "standard_order_bounds",
 ]
@@ -96,31 +97,14 @@ class FailureReason(str, enum.Enum):
     COLLISION = "collision"  # target interval blocked, or past the street end
 
 
-class _stored:
-    """A computed attribute kept in the instance's ``__dict__`` from its first read on.
-
-    :func:`functools.cached_property` without its lock, which on Python 3.11
-    costs more than these small values do; two racing first reads just
-    compute the same value twice.  Not a field, so ``==``, ``hash``, ``repr``
-    and :func:`dataclasses.fields` never see it.
-    """
-
-    def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 @dataclass(frozen=True)
 class ParkingInstance:
     """Car lengths plus the trailer parameter ``z`` (spots ``1 .. z-1`` taken).
 
-    The street geometry (its length and the standard-order bounds) is
-    computed on first use and kept, as the fields never change.
+    The street geometry (its length and the standard-order bounds) is a
+    :func:`functools.cached_property`: computed on first use and kept, as
+    the fields never change.  It is not a field, so ``==``, ``hash``,
+    ``repr`` and :func:`dataclasses.fields` never see it.
     """
 
     lengths: tuple[int, ...]
@@ -136,12 +120,12 @@ class ParkingInstance:
     def car_count(self) -> int:
         return len(self.lengths)
 
-    @_stored
+    @functools.cached_property
     def street_length(self) -> int:
         """Number of spots: z - 1 trailer spots plus the total car length."""
         return self.trailer_z - 1 + sum(self.lengths)
 
-    @_stored
+    @functools.cached_property
     def _bounds(self) -> tuple[int, ...]:
         """z, z + y_1, ..., z + y_1 + ... + y_(n-1); see :func:`standard_order_bounds`."""
         return tuple(itertools.accumulate(self.lengths[:-1], initial=self.trailer_z))
@@ -167,11 +151,6 @@ class ParkOutcome:
     blocked_spot: int | None = None
 
 
-def order_statistics(prefs: Sequence[int]) -> tuple[int, ...]:
-    """The nondecreasing rearrangement of a sequence; the input is untouched."""
-    return tuple(sorted(_as_int_tuple(prefs, "preferences")))
-
-
 def check_preferences(instance: ParkingInstance, prefs: Sequence[int]) -> tuple[int, ...]:
     """Validate a preference sequence against an instance, returning a tuple.
 
@@ -184,7 +163,7 @@ def check_preferences(instance: ParkingInstance, prefs: Sequence[int]) -> tuple[
 
 
 def check_boundary(bounds: Iterable[int]) -> tuple[int, ...]:
-    """Validate a nondecreasing vector of positive integers (exported by ``classify``)."""
+    """Validate a nondecreasing vector of positive integers."""
     out = _as_int_tuple(bounds, "boundary")
     if not out:
         raise ValueError("boundary must not be empty")

@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 from .core import (
-    ParkingInstance, _block_split, _positive, _weight_and_count, standard_order_bounds,
+    ParkingInstance, _block_split, _integer, _positive, _weight_and_count, standard_order_bounds,
 )
 
 __all__ = [
@@ -37,6 +37,7 @@ def binomial(a: int, b: int) -> int:
     The zero convention lets a caller index past either end of a row of
     Pascal's triangle.  ``a`` must be nonnegative.
     """
+    a, b = _integer(a, "upper index"), _integer(b, "lower index")
     if a < 0:
         raise ValueError(f"upper index must be nonnegative, got {a}")
     if b < 0 or b > a:
@@ -161,6 +162,7 @@ def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
 
 def rising_factorial(base: int, steps: int) -> int:
     """z(z+1)...(z+k-1); equals 1 when steps == 0."""
+    base, steps = _integer(base, "base"), _integer(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     return math.prod(range(base, base + steps))

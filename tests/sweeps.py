@@ -10,7 +10,9 @@ closed invariance rule written out case by case, without the contraction.
 ``bounded_nondecreasing_count`` is a DP, not a sweep; it shares no code with
 the boundary determinant it checks, and runs to n in the hundreds.
 ``park_on_spots`` is the oracle for ``simulate`` itself: the parking rule on
-a list of spots, with no masks and no parkseq code.
+a list of spots, with no masks and no parkseq code.  ``parks_in_standard_order``
+defines the standard order through ``simulate``, which pins
+``standard_order_bounds``.
 """
 
 import itertools
@@ -57,6 +59,14 @@ def park_on_spots(lengths, trailer_z, prefs):
         placements.append((start, wanted[-1]))
     by_start = sorted(range(len(lengths)), key=lambda i: placements[i][0])
     return True, tuple(placements), tuple(i + 1 for i in by_start), None, None, None, None
+
+
+def parks_in_standard_order(instance, prefs):
+    """Does the sequence park the cars in index order right behind the trailer?"""
+    outcome = simulate(instance, prefs)
+    return outcome.success and outcome.configuration == tuple(
+        range(1, instance.car_count + 1)
+    )
 
 
 def orbit_parks(instance, prefs):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sweeps import (
     arrangements_park, characterized_set, invariance_rule, k_strong_sweep, orbit_parks,
+    parks_in_standard_order,
 )
 
 from parkseq import (
@@ -22,7 +23,6 @@ from parkseq import (
     is_strong_ps,
     is_u_parking_function,
     necessary_condition,
-    parks_in_standard_order,
     perm_invariant_characterized,
     simulate,
     standard_order_bounds,

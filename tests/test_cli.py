@@ -11,8 +11,8 @@ import pytest
 from sweeps import bounded_nondecreasing_count
 
 import parkseq
-from parkseq import ParkingInstance
-from parkseq.cli import _FAMILIES, _FORMULAS, build_parser, render_street, run
+from parkseq import ParkingInstance, simulate
+from parkseq.cli import _FAMILIES, _FORMULAS, _street_lines, build_parser, run
 
 
 def _cells(line):
@@ -21,13 +21,15 @@ def _cells(line):
 
 class TestRender:
     def test_fig1_layout(self):
-        lines = render_street(ParkingInstance((1, 2, 2, 3), 4), (3, 7, 5, 3))
+        instance, prefs = ParkingInstance((1, 2, 2, 3), 4), (3, 7, 5, 3)
+        lines = _street_lines(instance, prefs, simulate(instance, prefs))
         cells = _cells(lines[0])
         assert cells == ["T", "T", "T", "C1", "C3", "C3", "C2", "C2", "C4", "C4", "C4"]
         assert _cells(lines[1]) == [str(s) for s in range(1, 12)]
 
     def test_collision_marker(self):
-        lines = render_street(ParkingInstance((2, 2), 1), (2, 1))
+        instance, prefs = ParkingInstance((2, 2), 1), (2, 1)
+        lines = _street_lines(instance, prefs, simulate(instance, prefs))
         assert _cells(lines[0]) == [".", "C1", "C1", "."]
         marker_column = lines[2].index("^")
         spot_two_column = 1 + (2 - 1) * (len(lines[1].strip("|").split("|")[0]) + 1)
@@ -35,7 +37,8 @@ class TestRender:
         assert "car 2 cannot park: collision at spot 2" in lines[3]
 
     def test_no_trailer_single_car(self):
-        lines = render_street(ParkingInstance((1,), 1), (1,))
+        instance, prefs = ParkingInstance((1,), 1), (1,)
+        lines = _street_lines(instance, prefs, simulate(instance, prefs))
         assert _cells(lines[0]) == ["C1"]
         assert "T" not in lines[0]
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import functools
 import itertools
 import pickle
 
@@ -15,7 +16,6 @@ from parkseq import (
     LatticePath,
     ParkingInstance,
     check_boundary,
-    order_statistics,
     simulate,
     standard_order_bounds,
 )
@@ -71,14 +71,6 @@ def test_collision_past_street_end_reports_no_blocked_spot():
     assert outcome.reason is FailureReason.COLLISION
     assert outcome.blocked_spot is None
     assert outcome.attempted_start == 3
-
-
-def test_order_statistics_sorts_without_mutating():
-    prefs = [3, 7, 5, 3]
-    assert order_statistics(prefs) == (3, 3, 5, 7)
-    assert prefs == [3, 7, 5, 3]
-    assert order_statistics((1, 1)) == (1, 1)
-    assert order_statistics((5, 6, 1)) == (1, 5, 6)
 
 
 def test_preference_length_must_match():
@@ -252,7 +244,6 @@ def test_index_types_come_back_as_exact_ints():
         instance.lengths,
         (instance.trailer_z,),
         check_preferences(instance, (enum_one, two)),
-        order_statistics((two, enum_one)),
         check_boundary((one, enum_two)),
         LatticePath((0, enum_one), (one, enum_two), two).xs,
         LatticePath((0, 1), (enum_one, two), 2).boundary,
@@ -288,6 +279,15 @@ def test_stored_geometry_matches_a_recomputation():
             assert standard_order_bounds(instance) == sums[:-1]
             assert instance.street_length == sums[-1] - 1
             assert _empty_street(instance) == sum(1 << j for j in range(z, sums[-1]))
+
+
+def test_geometry_is_computed_on_first_read_only():
+    instance = ParkingInstance((2, 1, 3), 2)
+    assert "street_length" not in vars(instance) and "_bounds" not in vars(instance)
+    assert standard_order_bounds(instance) == (2, 4, 5)
+    assert vars(instance)["_bounds"] == (2, 4, 5) and "street_length" not in vars(instance)
+    for name in ("street_length", "_bounds"):
+        assert isinstance(vars(ParkingInstance)[name], functools.cached_property)
 
 
 def test_reading_the_geometry_leaves_the_value_alone():

@@ -72,6 +72,11 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial(-1, 0)
 
+    @pytest.mark.parametrize("a, b", [(True, 1), (1.5, 1)])
+    def test_non_integers_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^upper index must be an integer$"):
+            binomial(a, b)
+
 
 class TestProductCount:
     def test_fig1_instance(self):
@@ -257,6 +262,9 @@ class TestKStrongCounts:
         assert rising_factorial(5, 0) == 1
         with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
             rising_factorial(2, -1)
+        for base, steps, what in ((2, True, "steps"), (1.5, 2, "base")):
+            with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
+                rising_factorial(base, steps)
 
     def test_k_range_checked(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,19 @@ def test_package_exports_the_union_of_module_exports():
             assert getattr(parkseq, name) is getattr(module, name)
 
 
+def test_check_boundary_is_exported_once_from_core():
+    assert parkseq.check_boundary is core.check_boundary
+    assert "check_boundary" in core.__all__
+    assert "check_boundary" not in classify.__all__
+    assert len(parkseq.__all__) == 49
+
+
+def test_deleted_names_are_not_exported():
+    for name in ("order_statistics", "parks_in_standard_order"):
+        assert name not in parkseq.__all__
+        assert not hasattr(parkseq, name)
+
+
 # each module may import only from modules before it
 LAYERS = ("core", "biject", "classify", "count", "enumeration", "verify", "cli")
 
