@@ -12,9 +12,7 @@ Two maps, both tested by round trip and by exact image equality:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 from .core import (
@@ -85,7 +83,7 @@ def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> Latt
     bounds = standard_order_bounds(instance)
     if not _nondecreasing_under(prefs, bounds):
         raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
-    xs = tuple(map(operator.sub, prefs, repeat(1)))
+    xs = tuple([c - 1 for c in prefs])
     return LatticePath._unchecked(xs, bounds, instance.street_length)
 
 
@@ -100,7 +98,7 @@ def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[i
         raise ValueError(
             f"path width {path.width} does not match street length {instance.street_length}"
         )
-    return tuple(map(operator.add, path.xs, repeat(1)))
+    return tuple([x + 1 for x in path.xs])
 
 
 def to_vector_parking_function(

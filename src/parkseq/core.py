@@ -35,18 +35,20 @@ __all__ = [
     "standard_order_bounds",
 ]
 
+_INT_ONLY = frozenset((int,))
+
 
 def _as_int_tuple(values: Iterable[int], what: str, minimum: int = 1) -> tuple[int, ...]:
     """Coerce to a tuple of true integers, rejecting floats, bools and small values.
 
-    One scan of the element types; only a tuple holding some type other than
-    ``int`` pays for ``operator.index``, which makes ``__index__`` types exact.
+    One scan of the element types, in C; only a tuple holding some type other
+    than ``int`` builds their set and pays for ``operator.index``, which makes
+    ``__index__`` types exact.
     """
     try:
         out = tuple(values)
-        kinds = set(map(type, out))
-        if kinds - {int}:
-            if bool in kinds:
+        if not _INT_ONLY.issuperset(map(type, out)):
+            if bool in set(map(type, out)):
                 raise TypeError("booleans are not integers")
             out = tuple(map(operator.index, out))
     except TypeError as exc:

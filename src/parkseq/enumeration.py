@@ -132,7 +132,9 @@ def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict)
     cut at every spot empty in some mask, up to the first cut past some mask's
     last empty spot, and each interval parks the cars of all vectors at once.
     A step is (interval, child steps) for an interval whose child completes;
-    the last car's steps are its preferences alone.
+    the last car's steps are its preferences alone.  ``sizes`` is split into
+    this car and the rest once per state, not once per cut; the vectors are
+    parked lazily, so the first vector that fails stops the cut.
     """
     known = memo.get(frees)
     if known is not None:
@@ -141,19 +143,20 @@ def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict)
     cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
     found: list = []
     lo = 1
+    first, rest = sizes[0], sizes[1:]
     while cuts:
         spot = (cuts & -cuts).bit_length() - 1
         children = []
-        for free, size in zip(frees, sizes[0]):
+        for free, size in zip(frees, first):
             child = _park(free, spot, size)
             if child is None:
                 break
             children.append(child)
         else:
-            if len(sizes) == 1:
+            if not rest:
                 found.extend(range(lo, spot + 1))
             else:
-                after = _steps(tuple(children), sizes[1:], memo)
+                after = _steps(tuple(children), rest, memo)
                 if after:
                     found.append((range(lo, spot + 1), after))
         lo = spot + 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .biject import (
     _invariant_contraction,
@@ -110,12 +111,9 @@ def _invariant_grid(max_n):
             yield kind, ParkingInstance(lengths, z), count(len(lengths), *extra, z)
 
 
-def _contracts_onto(instance, members, budget):
-    """Does the instance's contraction map these members onto its vector parking functions?"""
-    step, boundary = _invariant_contraction(instance)
-    z = instance.trailer_z
-    image = sorted(to_vector_parking_function(z, step, prefs) for prefs in members)
-    return tuple(image) == enum_u_pf(boundary, budget).members
+def _contracts_onto(instance, images, budget):
+    """Do these contraction images sort to the instance's vector parking functions?"""
+    return tuple(sorted(images)) == enum_u_pf(_invariant_contraction(instance)[1], budget).members
 
 
 def _characterized_set(instance):
@@ -123,13 +121,18 @@ def _characterized_set(instance):
 
     The closed rules read only the multiset, so each sorted representative is
     tested once and, if admitted, expanded to its distinct rearrangements.
-    The instance must have a characterized length shape.
+    The representatives are drawn from the admissible values only: 1..z, then
+    z + s*step for s = 1..boundary[-1] - z.  Any other value is off the step
+    grid or contracts past the boundary's last entry, so the rule rejects
+    every multiset holding it; the rule still tests every representative
+    drawn.  The instance must have a characterized length shape.
     """
     step, boundary = _invariant_contraction(instance)
-    z, spots = instance.trailer_z, range(1, instance.street_length + 1)
+    z = instance.trailer_z
+    values = (*range(1, z + 1), *range(z + step, z + step * (boundary[-1] - z) + 1, step))
     return _rearrangements(
         rep
-        for rep in itertools.combinations_with_replacement(spots, instance.car_count)
+        for rep in itertools.combinations_with_replacement(values, instance.car_count)
         if _admits(z, step, boundary, rep)
     )
 
@@ -199,8 +202,9 @@ def _suite_inv_characterizations(max_n, seed, budget):
                "sweep equals the characterized set")
         yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
         if kind == "two-block":
-            yield ("inv-two-block-image", params, True,
-                   _contracts_onto(instance, inv.members, budget),
+            step, z = _invariant_contraction(instance)[0], instance.trailer_z
+            images = [to_vector_parking_function(z, step, prefs) for prefs in inv.members]
+            yield ("inv-two-block-image", params, True, _contracts_onto(instance, images, budget),
                    "contraction maps the sweep onto the boundary family")
 
 
@@ -251,7 +255,7 @@ def _suite_bijections(max_n, seed, budget):
             standard_order_bounds(instance), instance.street_length, budget
         )
         yield ("ips-path-image", params, True,
-               tuple(path.xs for path in paths) == tuple(path.xs for path in bounded),
+               list(map(attrgetter("xs"), paths)) == list(map(attrgetter("xs"), bounded)),
                "image is exactly the bounded-path family")
 
     for kind, instance, _ in _invariant_grid(max_n):
@@ -259,12 +263,12 @@ def _suite_bijections(max_n, seed, budget):
             continue
         step, z = _invariant_contraction(instance)[0], instance.trailer_z
         params, domain = _params(instance), _characterized_set(instance)
+        images = [to_vector_parking_function(z, step, prefs) for prefs in domain]
         yield (f"contraction-{kind}-roundtrip", params, True,
-               all(from_vector_parking_function(z, step, to_vector_parking_function(z, step, prefs))
-                   == prefs for prefs in domain),
+               all(from_vector_parking_function(z, step, image) == prefs
+                   for prefs, image in zip(domain, images)),
                "contraction then expansion is the identity")
-        yield (f"contraction-{kind}-image", params, True,
-               _contracts_onto(instance, domain, budget),
+        yield (f"contraction-{kind}-image", params, True, _contracts_onto(instance, images, budget),
                "characterized set maps onto the boundary family")
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -19,7 +20,9 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
-from parkseq.core import _empty_street, _park, check_preferences
+from parkseq.core import (
+    _as_int_tuple, _empty_street, _nondecreasing_under, _park, check_preferences,
+)
 
 
 def test_street_length_fig1_instance():
@@ -262,6 +265,46 @@ def test_non_integers_keep_their_messages(bad):
         check_boundary((1, bad))
     with pytest.raises(ValueError, match="^north steps must be integers$"):
         LatticePath((0, bad), (1, 2), 2)
+
+
+def _as_int_tuple_by_definition(values, what, minimum):
+    """Exact ints by ``operator.index``, no booleans, every value >= minimum; else the message."""
+    if any(type(x) is bool for x in values):
+        return f"{what} must be integers"
+    try:
+        out = tuple(operator.index(x) for x in values)
+    except TypeError:
+        return f"{what} must be integers"
+    if out and min(out) < minimum:
+        return f"{what} must all be >= {minimum}, got {out}"
+    return out
+
+
+@pytest.mark.parametrize("what", ["car lengths", "preferences", "boundary", "north steps"])
+def test_as_int_tuple_matches_its_definition_on_mixed_tuples(what):
+    one, enum_one, two, enum_two = _index_types()
+    pool = (0, 1, 2, True, False, 1.0, "1", None, one, enum_one, two, enum_two)
+    for n in range(4):
+        for values in itertools.product(pool, repeat=n):
+            for minimum in (0, 1):
+                expected = _as_int_tuple_by_definition(values, what, minimum)
+                if isinstance(expected, str):
+                    with pytest.raises(ValueError) as caught:
+                        _as_int_tuple(values, what, minimum)
+                    assert str(caught.value) == expected, values
+                else:
+                    out = _as_int_tuple(iter(values), what, minimum)
+                    assert out == expected and type(out) is tuple, values
+                    assert all(type(x) is int for x in out), values
+
+
+def test_nondecreasing_under_matches_its_definition():
+    for n in range(1, 4):
+        for prefs in itertools.product(range(1, 5), repeat=n):
+            definition_sorted = all(a <= b for a, b in zip(prefs, prefs[1:]))
+            for bounds in itertools.product(range(1, 5), repeat=n):
+                expected = definition_sorted and all(c <= u for c, u in zip(prefs, bounds))
+                assert _nondecreasing_under(prefs, bounds) is expected, (prefs, bounds)
 
 
 def _geometry_grid():

@@ -46,3 +46,28 @@ def test_modules_import_only_earlier_layers():
             for alias in node.names
         }
         assert imported <= set(LAYERS[:rank]), (name, sorted(imported))
+
+
+def _bound_names(node):
+    """The names an import statement binds, outside ``__future__`` and star imports."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+def test_src_has_no_unused_imports():
+    # the project depends on no linter; this ast walk stands in for one
+    for path in sorted(Path(parkseq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _bound_names(node)
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
