@@ -171,27 +171,22 @@ def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> lis
     numbers = "|" + "|".join(str(s).rjust(width) for s in range(1, spots + 1)) + "|"
     lines = [cells, numbers]
     if not outcome.success:
-        car = outcome.failed_car
-        pref = prefs[car - 1]
-        if outcome.reason is FailureReason.OFF_STREET:
-            marker = min(pref, spots)
-            message = f"car {car} cannot park: no empty spot at or past {pref}"
-        elif outcome.blocked_spot is not None:
-            marker = outcome.blocked_spot
-            message = f"car {car} cannot park: collision at spot {marker}"
-        else:
-            marker = outcome.attempted_start
-            message = f"car {car} cannot park: {_street_end(instance, outcome)}"
+        marker, reason = _failure(instance, prefs, outcome)
         lines.append(" " * (1 + (marker - 1) * (width + 1)) + "^" * width)
-        lines.append(message)
+        lines.append(f"car {outcome.failed_car} cannot park: {reason}")
     return lines
 
 
-def _street_end(instance: ParkingInstance, outcome: ParkOutcome) -> str:
-    """Why the failed car's block, started at an empty spot, runs off the street."""
+def _failure(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> tuple[int, str]:
+    """The spot a failed run marks under the street, and why its car cannot park."""
+    pref = prefs[outcome.failed_car - 1]
+    if outcome.reason is FailureReason.OFF_STREET:
+        return min(pref, instance.street_length), f"no empty spot at or past {pref}"
+    if outcome.blocked_spot is not None:
+        return outcome.blocked_spot, f"collision at spot {outcome.blocked_spot}"
     start = outcome.attempted_start
     end = start + instance.lengths[outcome.failed_car - 1] - 1
-    return f"needs spots {start}-{end} but the street ends at {instance.street_length}"
+    return start, f"needs spots {start}-{end} but the street ends at {instance.street_length}"
 
 
 def _outcome_result(instance: ParkingInstance, outcome: ParkOutcome) -> dict:
@@ -221,12 +216,8 @@ def _describe_outcome(instance: ParkingInstance, prefs, outcome: ParkOutcome) ->
         lines.append("configuration: " + " ".join(order))
     else:
         car = outcome.failed_car
-        if outcome.reason is FailureReason.OFF_STREET:
-            reason = "off street"
-        elif outcome.blocked_spot is not None:
-            reason = f"collision at spot {outcome.blocked_spot}"
-        else:
-            reason = _street_end(instance, outcome)
+        off_street = outcome.reason is FailureReason.OFF_STREET
+        reason = "off street" if off_street else _failure(instance, prefs, outcome)[1]
         lines.append(f"car {car} cannot park: {reason} (preference {prefs[car - 1]})")
     return lines
 

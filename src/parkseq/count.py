@@ -13,11 +13,10 @@ import math
 from typing import Sequence
 
 from .core import (
-    ParkingInstance, _block_split, _integer, _positive, _weight_and_count, standard_order_bounds,
+    ParkingInstance, _block_split, _positive, _weight_and_count, standard_order_bounds,
 )
 
 __all__ = [
-    "binomial",
     "count_inv_constant",
     "count_inv_strictly_increasing",
     "count_inv_two_block",
@@ -27,22 +26,7 @@ __all__ = [
     "count_sps",
     "count_sps_k",
     "fuss_catalan",
-    "rising_factorial",
 ]
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b), with the convention C(a, b) = 0 for b < 0 or b > a.
-
-    The zero convention lets a caller index past either end of a row of
-    Pascal's triangle.  ``a`` must be nonnegative.
-    """
-    a, b = _integer(a, "upper index"), _integer(b, "lower index")
-    if a < 0:
-        raise ValueError(f"upper index must be nonnegative, got {a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def count_ps_product(lengths: Sequence[int], trailer_z: int) -> int:
@@ -93,7 +77,7 @@ def count_ips_constant(size: int, n: int, trailer_z: int) -> int:
     n = _positive(n, "car count")
     z = _positive(trailer_z, "trailer parameter")
     m = z + n * (size + 1)
-    num = z * binomial(m, n)
+    num = z * math.comb(m, n)
     if num % m:
         raise ArithmeticError(f"{num} is not divisible by {m}; this is a bug")
     return num // m
@@ -104,7 +88,7 @@ def fuss_catalan(size: int, n: int) -> int:
     size = _positive(size, "order")
     n = _positive(n, "index")
     den = size * n + 1
-    num = binomial((size + 1) * n, n)
+    num = math.comb((size + 1) * n, n)
     if num % den:
         raise ArithmeticError(f"{num} is not divisible by {den}; this is a bug")
     return num // den
@@ -137,7 +121,7 @@ def count_inv_two_block(n: int, r: int, trailer_z: int) -> int:
     z = _positive(trailer_z, "trailer parameter")
     total = z**n
     for j in range(1, r):
-        total += binomial(n, j) * (r - j) * r ** (j - 1) * z ** (n - j)
+        total += math.comb(n, j) * (r - j) * r ** (j - 1) * z ** (n - j)
     return total
 
 
@@ -160,14 +144,6 @@ def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
     return total
 
 
-def rising_factorial(base: int, steps: int) -> int:
-    """z(z+1)...(z+k-1); equals 1 when steps == 0."""
-    base, steps = _integer(base, "base"), _integer(steps, "steps")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    return math.prod(range(base, base + steps))
-
-
 def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     """Count of length-k sequences parking every composition of ``total``.
 
@@ -178,4 +154,4 @@ def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     z = _positive(trailer_z, "trailer parameter")
     if k == total:
         return count_inv_constant(total, z)
-    return rising_factorial(z, k)
+    return math.prod(range(z, z + k))

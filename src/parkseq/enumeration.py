@@ -6,8 +6,9 @@ characterizations are verified against.  Every car parked takes one
 lists preferences, so it walks ordered prefixes over one mask per length
 vector: every preference after the previous cut up to a spot j empty in some
 mask lands alike, so a state has one successor per such spot, reached by that
-whole interval.  :func:`enum_ps` runs it on one vector, the definitional
-strong and k-strong listings on every arrangement or composition at once.
+whole interval; the state before the last car keeps both cars' preference
+pairs.  :func:`enum_ps` runs it on one vector, the definitional strong and
+k-strong listings on every arrangement or composition at once.
 The invariant family is closed under reordering, so :func:`enum_ps_inv`
 reads multisets from the last layer of
 :func:`parkseq.classify._ordering_sweep`, which the search would walk once
@@ -132,9 +133,10 @@ def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict)
     cut at every spot empty in some mask, up to the first cut past some mask's
     last empty spot, and each interval parks the cars of all vectors at once.
     A step is (interval, child steps) for an interval whose child completes;
-    the last car's steps are its preferences alone.  ``sizes`` is split into
-    this car and the rest once per state, not once per cut; the vectors are
-    parked lazily, so the first vector that fails stops the cut.
+    the last car's steps are its preferences alone, and the car before it
+    keeps (pref, last) pairs.  ``sizes`` is split into this car and the rest
+    once per state, not once per cut; the vectors are parked lazily, so the
+    first vector that fails stops the cut.
     """
     known = memo.get(frees)
     if known is not None:
@@ -161,31 +163,25 @@ def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict)
                     found.append((range(lo, spot + 1), after))
         lo = spot + 1
         cuts &= cuts - 1
+    if len(rest) == 1:
+        found = [(pref, last) for prefs, after in found for pref in prefs for last in after]
     memo[frees] = found
     return found
 
 
-def _emit(found: list, left: int, prefix: tuple[int, ...], members: list, tails: dict) -> None:
+def _emit(found: list, left: int, prefix: tuple[int, ...], members: list) -> None:
     """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow.
 
-    The last two cars' steps spell the same pairs after every prefix, so
-    ``tails`` keeps them per step list, keyed on its identity; every step list
-    stays reachable from the walk's root, so no identity is reused in a call.
+    With one car left the steps are already the last two cars' pairs.
     """
     if not left:
         members.extend(zip(found))
-        return
-    if left == 1:
-        pairs = tails.get(id(found))
-        if pairs is None:
-            pairs = tails[id(found)] = [
-                (pref, last) for prefs, after in found for pref in prefs for last in after
-            ]
-        members.extend(map(prefix.__add__, pairs))
-        return
-    for prefs, after in found:
-        for pref in prefs:
-            _emit(after, left - 1, prefix + (pref,), members, tails)
+    elif left == 1:
+        members.extend(map(prefix.__add__, found))
+    else:
+        for prefs, after in found:
+            for pref in prefs:
+                _emit(after, left - 1, prefix + (pref,), members)
 
 
 def _parking_for_all(
@@ -203,7 +199,7 @@ def _parking_for_all(
     vectors = list(vectors())
     found = _steps((_empty_street(instance),) * len(vectors), tuple(zip(*vectors)), {})
     members: list[tuple[int, ...]] = []
-    _emit(found, n - 1, (), members, {})
+    _emit(found, n - 1, (), members)
     return tuple(members)
 
 

@@ -22,7 +22,7 @@ from .biject import (
     to_vector_parking_function,
 )
 from .classify import _admits
-from .core import ParkingInstance, standard_order_bounds
+from .core import ParkingInstance, _positive, standard_order_bounds
 from .count import (
     count_inv_constant,
     count_inv_strictly_increasing,
@@ -296,11 +296,12 @@ def run_suite(
 ) -> list[ReportRecord]:
     """Run one named suite (or every suite for ``all``) and return its records.
 
-    ``max_n`` caps the sweep of every suite that has one; None runs each
-    suite at its default size.
+    ``max_n`` (at least 1) caps the sweep of every suite that has one; None
+    runs each suite at its default size.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choices are {', '.join(SUITE_NAMES)}")
+    max_n = None if max_n is None else _positive(max_n, "max_n")
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
     return [
         ReportRecord(*row)

@@ -140,6 +140,23 @@ def test_unknown_suite_is_refused():
 
 
 @pytest.mark.parametrize(
+    "max_n, message",
+    [
+        (0, "max_n must be >= 1, got 0"),
+        (-5, "max_n must be >= 1, got -5"),
+        (True, "max_n must be an integer"),
+        (2.5, "max_n must be an integer"),
+        ("3", "max_n must be an integer"),
+    ],
+)
+def test_max_n_below_one_is_refused(max_n, message):
+    # a size that runs no sweep would let the gate pass on nothing
+    for name in ("eq3", "all"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(name, max_n=max_n)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         pytest.param(lambda: enum_ps(ParkingInstance((1,) * 7)), id="enum_ps"),

@@ -183,6 +183,25 @@ class TestExitCodes:
     def test_verify_pass_is_zero(self):
         assert run(["verify", "--suite", "table1"]) == 0
 
+    def test_verify_mismatch_is_three(self, monkeypatch, capsys):
+        # a one-row suite whose formula disagrees with its sweep
+        def suite(max_n, seed, budget):
+            yield "made-up", {"n": max_n, "trailer": 2}, 5, 6, "a deliberate mismatch"
+
+        monkeypatch.setattr(parkseq.verify, "_SUITES", {"eq3": (suite, 1)})
+        assert run(["verify", "--suite", "eq3"]) == 3
+        assert capsys.readouterr().out == (
+            "FAIL  made-up  n=1 trailer=2  expected=5 computed=6\n"
+            "suite eq3: 1 checks, 0 passed, 1 failed\n"
+        )
+        assert run(["verify", "--suite", "eq3", "--json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == {"total": 1, "passed": 0, "failed": 1}
+        assert doc["records"] == [
+            {"check": "made-up", "params": {"n": 1, "trailer": 2}, "expected": 5,
+             "computed": 6, "pass": False, "note": "a deliberate mismatch"}
+        ]
+
 
 class TestOutputs:
     def test_count_prints_value(self, capsys):

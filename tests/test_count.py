@@ -1,6 +1,7 @@
 """Closed-form counts against independent oracles and pinned small values."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -10,7 +11,6 @@ from sweeps import bounded_nondecreasing_count
 
 from parkseq import (
     ParkingInstance,
-    binomial,
     count_inv_constant,
     count_inv_strictly_increasing,
     count_inv_two_block,
@@ -24,7 +24,6 @@ from parkseq import (
     enum_sps_k,
     enum_u_pf,
     fuss_catalan,
-    rising_factorial,
     two_block_boundary,
 )
 
@@ -55,27 +54,6 @@ def _catalan_by_recurrence(limit):
     for m in range(limit):
         values.append(sum(values[i] * values[m - i] for i in range(m + 1)))
     return values
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(6, 2) == 15
-
-    def test_zero_conventions(self):
-        assert binomial(3, -1) == 0
-        assert binomial(3, 5) == 0
-        assert binomial(0, 0) == 1  # the upper index may be 0
-        assert binomial(0, 1) == 0
-
-    def test_negative_upper_index_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @pytest.mark.parametrize("a, b", [(True, 1), (1.5, 1)])
-    def test_non_integers_rejected(self, a, b):
-        with pytest.raises(ValueError, match="^upper index must be an integer$"):
-            binomial(a, b)
 
 
 class TestProductCount:
@@ -135,8 +113,10 @@ class TestDeterminant:
             lengths = tuple(rng.randint(1, 4) for _ in range(n))
             z = rng.randint(1, 4)
             bounds = list(itertools.accumulate(lengths[:-1], initial=z))
+            # C(b, m), 0 past either end of the row: the library computes no entry
             matrix = [
-                [binomial(bounds[i], j - i + 1) for j in range(n)] for i in range(n)
+                [math.comb(bounds[i], j - i + 1) if j >= i - 1 else 0 for j in range(n)]
+                for i in range(n)
             ]
             assert count_ips_determinant(lengths, z) == _fraction_determinant(matrix), (
                 lengths,
@@ -257,14 +237,12 @@ class TestKStrongCounts:
         assert count_sps_k(3, 3, 1) == 16
         assert count_sps_k(5, 1, 1) == 1
 
-    def test_rising_factorial(self):
-        assert rising_factorial(2, 3) == 24
-        assert rising_factorial(5, 0) == 1
-        with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
-            rising_factorial(2, -1)
-        for base, steps, what in ((2, True, "steps"), (1.5, 2, "base")):
-            with pytest.raises(ValueError, match=f"^{what} must be an integer$"):
-                rising_factorial(base, steps)
+    def test_rising_factorial_for_k_below_total(self):
+        # z(z+1)...(z+k-1) for every k < total
+        for total in range(2, 9):
+            for k in range(1, total):
+                for z in range(1, 6):
+                    assert count_sps_k(total, k, z) == math.prod(range(z, z + k))
 
     def test_k_range_checked(self):
         with pytest.raises(ValueError):

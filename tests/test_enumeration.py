@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from argparse import Namespace
 
 import pytest
@@ -243,6 +244,12 @@ def test_enum_sps_methods_agree():
                     enum_sps(lengths, z).members
                     == enum_sps(lengths, z, method="bounds").members
                 )
+
+
+def test_enum_sps_unknown_method_is_refused():
+    message = "unknown method 'nope'; use 'definition' or 'bounds'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enum_sps((1, 2), 1, method="nope")
 
 
 def test_enum_sps_matches_the_product_sweep():
