@@ -2,13 +2,17 @@
 
 These listings are the ground truth that the closed forms and the
 characterizations are verified against.  Every car parked takes one
-:func:`parkseq.core._park` step on a free-spot mask.  :func:`_parking_for_all`
-lists preferences, so it walks ordered prefixes over one mask per length
-vector: every preference after the previous cut up to a spot j empty in some
-mask lands alike, so a state has one successor per such spot, reached by that
-whole interval; the state before the last car keeps both cars' preference
-pairs.  :func:`enum_ps` runs it on one vector, the definitional strong and
-k-strong listings on every arrangement or composition at once.
+:func:`parkseq.core._park` step on a free-spot mask.  :func:`_walk` walks
+ordered prefixes of preferences over the distinct (free-spot mask, lengths
+still to park) pairs the length vectors reach, so vectors that meet there
+are parked once: every preference after the previous cut up to a spot j
+empty in some mask lands alike, so a state has one successor per such spot,
+reached by that whole interval; the state before the last car keeps both
+cars' preference pairs.  Each state keeps its member count next to its
+steps, so a count builds no member; :func:`_parking_for_all` spells the
+members out.  :func:`enum_ps` runs the walk on one vector, the definitional
+strong and k-strong listings on every arrangement or composition at once,
+and ``enumerate --count-only`` reads those three listings' counts off it.
 The invariant family is closed under reordering, so :func:`enum_ps_inv`
 reads multisets from the last layer of
 :func:`parkseq.classify._ordering_sweep`, which the search would walk once
@@ -30,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .biject import LatticePath
 from .classify import _ordering_sweep, compositions, distinct_permutations
@@ -126,50 +130,85 @@ def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...]
     return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
 
 
-def _steps(frees: tuple[int, ...], sizes: Sequence[tuple[int, ...]], memo: dict) -> list:
-    """The live steps of the all-vectors walk from the free-spot masks ``frees``.
+def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple[tuple, int]:
+    """The live steps of the all-vectors walk from ``state``, and the members they spell.
 
-    ``sizes[0]`` holds the next car's length in each vector.  Preferences are
-    cut at every spot empty in some mask, up to the first cut past some mask's
-    last empty spot, and each interval parks the cars of all vectors at once.
-    A step is (interval, child steps) for an interval whose child completes;
-    the last car's steps are its preferences alone, and the car before it
-    keeps (pref, last) pairs.  ``sizes`` is split into this car and the rest
-    once per state, not once per cut; the vectors are parked lazily, so the
-    first vector that fails stops the cut.
+    A state is the set of distinct (free-spot mask, lengths still to park)
+    pairs the vectors have reached, each packed in one int: the mask below bit
+    ``shift``, then the lengths, ``width`` bits each, the next car's lowest.
+    Vectors that reach one mask with the same lengths left behave alike from
+    then on, so they are one pair.  A set of one pair is that int, else a
+    frozenset; either keys the memo.  No length is 0, so a code's bit length
+    tells how many cars are left, which fixes the depth.
+    Preferences are cut at every spot empty in some mask, up to the first cut
+    past some mask's last empty spot, and each interval parks every pair.  The
+    pairs run longest next car first, so a cut most often fails at once, and
+    pairs sharing a mask and a next car park it once.  A step is (interval,
+    child steps) for an interval whose child completes; the last car's steps
+    are its preferences alone, and the car before it keeps (pref, last)
+    pairs.  The count is the sum of interval width times child count.
     """
-    known = memo.get(frees)
+    known = memo.get(state)
     if known is not None:
         return known
-    # past some mask's last empty spot no preference parks that vector
+    head = shift + width
+    street, car = (1 << shift) - 1, (1 << head) - 1
+    # per pair: its mask and next car, the mask, the car, and the lengths after
+    # it shifted down to the child's place; one pair (every state of a
+    # one-vector walk) is decoded directly, the maps would cost it more
+    if type(state) is int:
+        frees = (state & street,)
+        pairs = ((state & car, frees[0], (state & car) >> shift, state >> head << shift),)
+        left = (state.bit_length() - 1 - shift) // width
+    else:
+        codes = sorted(state, key=car.__and__, reverse=True)
+        cars = list(map(car.__and__, codes))
+        frees = list(map(street.__and__, cars))
+        pairs = list(zip(cars, frees, map(shift.__rrshift__, cars),
+                         map(shift.__rlshift__, map(head.__rrshift__, codes))))
+        left = (codes[0].bit_length() - 1 - shift) // width
+    # past some mask's last empty spot no preference parks that pair
     cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
     found: list = []
+    count = 0
     lo = 1
-    first, rest = sizes[0], sizes[1:]
     while cuts:
         spot = (cuts & -cuts).bit_length() - 1
         children = []
-        for free, size in zip(frees, first):
-            child = _park(free, spot, size)
-            if child is None:
-                break
-            children.append(child)
+        parked = None
+        for mask_car, free, size, rest in pairs:
+            if mask_car != parked:
+                parked = mask_car
+                child = _park(free, spot, size)
+                if child is None:
+                    break
+            children.append(child | rest)
         else:
-            if not rest:
+            if not left:
                 found.extend(range(lo, spot + 1))
             else:
-                after = _steps(tuple(children), rest, memo)
+                child_state = children[0]
+                if len(children) > 1:
+                    merged = frozenset(children)
+                    if len(merged) > 1:
+                        child_state = merged
+                after, child_count = _steps(child_state, shift, width, memo)
                 if after:
                     found.append((range(lo, spot + 1), after))
+                    count += (spot + 1 - lo) * child_count
         lo = spot + 1
         cuts &= cuts - 1
-    if len(rest) == 1:
+    if not left:
+        count = len(found)
+    elif left == 1:
         found = [(pref, last) for prefs, after in found for pref in prefs for last in after]
-    memo[frees] = found
-    return found
+    # the collector untracks tuples of ints, ranges and such tuples, so the
+    # memo does not fill its older generations the way lists would
+    known = memo[state] = tuple(found), count
+    return known
 
 
-def _emit(found: list, left: int, prefix: tuple[int, ...], members: list) -> None:
+def _emit(found: tuple, left: int, prefix: tuple[int, ...], members: list) -> None:
     """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow.
 
     With one car left the steps are already the last two cars' pairs.
@@ -184,28 +223,85 @@ def _emit(found: list, left: int, prefix: tuple[int, ...], members: list) -> Non
                 _emit(after, left - 1, prefix + (pref,), members)
 
 
-def _parking_for_all(
+def _walk(
     instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
-) -> tuple[tuple[int, ...], ...]:
-    """The sequences under which every length vector parks, in lex order.
+) -> tuple[tuple, int]:
+    """The all-vectors walk from the empty street: its steps and the member count they spell.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  The memo keeps each state's steps keyed on its
-    masks (they fix the depth), so no state is walked twice.
+    budget allows the walk.  The memo keeps each state's steps and count, so
+    no state is walked twice.
     """
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
-    vectors = list(vectors())
-    found = _steps((_empty_street(instance),) * len(vectors), tuple(zip(*vectors)), {})
+    shift = spots + 1
+    columns = list(zip(*vectors()))
+    width = max(map(max, columns)).bit_length()
+    packed = columns.pop()
+    for column in reversed(columns):
+        packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
+    start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
+    if len(start) == 1:
+        (start,) = start
+    return _steps(start, shift, width, {})
+
+
+def _parking_for_all(
+    instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
+) -> tuple[tuple[int, ...], ...]:
+    """The sequences under which every length vector parks, in lex order (see :func:`_walk`)."""
     members: list[tuple[int, ...]] = []
-    _emit(found, n - 1, (), members)
+    _emit(_walk(instance, vectors, budget)[0], instance.car_count - 1, (), members)
     return tuple(members)
 
 
 def _params(instance: ParkingInstance) -> dict[str, object]:
     """The params of a listing or record about one instance."""
     return {"lengths": instance.lengths, "trailer": instance.trailer_z}
+
+
+class _Walk(NamedTuple):
+    """A listing the all-vectors walk makes: its family and params, the instance and its vectors."""
+
+    family: str
+    params: dict[str, object]
+    instance: ParkingInstance
+    vectors: Callable[[], Iterable[tuple[int, ...]]]
+
+    def cardinality(self, budget: int) -> int:
+        """The listing's cardinality, read off the walk's steps; no member is built."""
+        return _walk(self.instance, self.vectors, budget)[1]
+
+    def listing(self, budget: int) -> FamilyListing:
+        """The listing, its members spelled out of the walk's steps."""
+        members = _parking_for_all(self.instance, self.vectors, budget)
+        return FamilyListing._trusted(self.family, self.params, members)
+
+
+def _ps_walk(instance: ParkingInstance) -> _Walk:
+    """The plain family: the walk on the instance's one length vector."""
+    return _Walk("ps", _params(instance), instance, lambda: (instance.lengths,))
+
+
+def _strong_walk(lengths: Sequence[int], trailer_z: int) -> _Walk:
+    """The strong family by its definition: the walk over every arrangement of the sorted lengths."""
+    ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
+    instance = ParkingInstance(ordered, trailer_z)
+    return _Walk("strong", _params(instance), instance, partial(distinct_permutations, ordered))
+
+
+def _kstrong_walk(total: int, k: int, trailer_z: int) -> _Walk:
+    """The k-strong family by its definition: the walk over every composition of ``total``.
+
+    The compositions are closed under reordering; the instance is the binding
+    one, (1, ..., 1, total - k + 1).
+    """
+    total, k = _weight_and_count(total, k)
+    trailer_z = _positive(trailer_z, "trailer parameter")
+    instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
+    params = {"n": total, "k": k, "trailer": trailer_z}
+    return _Walk("kstrong", params, instance, partial(compositions, total, k))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -215,8 +311,7 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
     whose block fits, reached by the whole interval of preferences landing
     on it.  The sweep stays exhaustive over [1..M]^n.
     """
-    members = _parking_for_all(instance, lambda: (instance.lengths,), budget)
-    return FamilyListing._trusted("ps", _params(instance), members)
+    return _ps_walk(instance).listing(budget)
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -259,19 +354,19 @@ def enum_sps(
     standard-order box on the sorted lengths.  The set depends only on the
     multiset of lengths, so the listing records them sorted.
     """
-    ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
-    instance = ParkingInstance(ordered, trailer_z)
+    walk = _strong_walk(lengths, trailer_z)
     if method == "definition":
-        members = _parking_for_all(instance, partial(distinct_permutations, ordered), budget)
-    elif method != "bounds":
+        return walk.listing(budget)
+    if method != "bounds":
         raise ValueError(f"unknown method {method!r}; use 'definition' or 'bounds'")
-    elif len(set(ordered)) == 1:
+    instance = walk.instance
+    if len(set(instance.lengths)) == 1:
         members = enum_ps(instance, budget).members
     else:
         bounds = standard_order_bounds(instance)
         _guard(math.prod(bounds), budget)
         members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
-    return FamilyListing._trusted("strong", _params(instance), members)
+    return FamilyListing._trusted(walk.family, walk.params, members)
 
 
 def enum_sps_k(
@@ -289,15 +384,12 @@ def enum_sps_k(
     all-vectors search over every composition of ``total`` into k parts (the
     compositions are closed under reordering, so this is the definition).
     """
-    total, k = _weight_and_count(total, k)
-    trailer_z = _positive(trailer_z, "trailer parameter")
-    witness = (1,) * (k - 1) + (total - k + 1,)
+    walk = _kstrong_walk(total, k, trailer_z)
     if definitional:
-        instance = ParkingInstance(witness, trailer_z)
-        members = _parking_for_all(instance, partial(compositions, total, k), budget)
-    else:
-        members = enum_sps(witness, trailer_z, budget, method="bounds").members
-    return FamilyListing._trusted("kstrong", {"n": total, "k": k, "trailer": trailer_z}, members)
+        return walk.listing(budget)
+    witness = walk.instance
+    members = enum_sps(witness.lengths, witness.trailer_z, budget, method="bounds").members
+    return FamilyListing._trusted(walk.family, walk.params, members)
 
 
 def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyListing:

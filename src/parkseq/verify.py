@@ -37,6 +37,7 @@ from .count import (
 from .enumeration import (
     DEFAULT_BUDGET,
     _params,
+    _ps_walk,
     _rearrangements,
     enum_ips,
     enum_lattice_paths,
@@ -141,7 +142,7 @@ def _suite_eq3(max_n, seed, budget):
     for instance in _instance_grid(max_n):
         yield ("ps-product-vs-enum", _params(instance),
                count_ps_product(instance.lengths, instance.trailer_z),
-               enum_ps(instance, budget).cardinality,
+               _ps_walk(instance).cardinality(budget),
                "product count formula against the exhaustive sweep")
 
 

@@ -19,6 +19,7 @@ from parkseq import (
     ParkingInstance,
     compositions,
     count_ps_product,
+    count_sps,
     count_sps_k,
     distinct_permutations,
     enum_ips,
@@ -31,8 +32,12 @@ from parkseq import (
     is_parking_sequence,
     simulate,
 )
+from parkseq import enumeration
 from parkseq.cli import _paths_listing
-from parkseq.enumeration import _nondecreasing, _parking_for_all
+from parkseq.core import _park
+from parkseq.enumeration import (
+    _kstrong_walk, _nondecreasing, _parking_for_all, _ps_walk, _strong_walk, _walk,
+)
 
 
 def test_enum_ps_small_family():
@@ -294,14 +299,24 @@ def test_enum_sps_k_definitional_agrees():
 
 def test_all_vectors_walk_on_sets_not_closed_under_reordering():
     # sets no reordering closes, whose states have differing completions, so
-    # a memo keyed on too little shows
+    # a memo keyed on too little shows; the fixed sets share suffixes, so
+    # vectors that reach one mask with the same lengths left merge
     rng = random.Random(12)
+    shared = [
+        [(1, 2, 3), (2, 1, 3)],
+        [(1, 2, 3), (2, 1, 3), (3, 1, 2)],
+        [(1, 1, 2, 2), (2, 1, 1, 2), (1, 2, 1, 2)],
+        [(3, 1, 1, 1), (1, 3, 1, 1), (2, 2, 1, 1), (1, 1, 2, 2)],
+        [(1, 1, 3), (2, 1, 2), (1, 2, 2)],
+    ]
+    cases = [(vectors, z) for vectors in shared for z in (1, 2)]
     for _ in range(60):
         n = rng.randint(2, 4)
         pool = list(compositions(rng.randint(n, 6), n))
         vectors = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
-        z = rng.randint(1, 2)
-        spots = z - 1 + sum(vectors[0])
+        cases.append((vectors, rng.randint(1, 2)))
+    for vectors, z in cases:
+        n, spots = len(vectors[0]), z - 1 + sum(vectors[0])
         swept = tuple(
             prefs
             for prefs in itertools.product(range(1, spots + 1), repeat=n)
@@ -310,6 +325,50 @@ def test_all_vectors_walk_on_sets_not_closed_under_reordering():
         instance = ParkingInstance(vectors[0], z)
         walked = _parking_for_all(instance, lambda: vectors, DEFAULT_BUDGET)
         assert walked == swept, (vectors, z)
+        assert _walk(instance, lambda: vectors, DEFAULT_BUDGET)[1] == len(swept), (vectors, z)
+
+
+def test_walk_count_matches_the_listing_and_the_closed_forms():
+    # the count is read off the steps, so it must agree with the members they
+    # spell and with a formula that shares no code with the walk; the listings
+    # are built where that is cheap: n <= 4 for the plain family, at most
+    # 10**5 members for the k-strong one
+    for n in range(1, 6):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2, 3):
+                instance = ParkingInstance(lengths, z)
+                count = _ps_walk(instance).cardinality(DEFAULT_BUDGET)
+                assert count == count_ps_product(lengths, z), (lengths, z)
+                if n <= 4:
+                    assert count == enum_ps(instance).cardinality, (lengths, z)
+    for n in range(1, 6):
+        for multiset in itertools.combinations_with_replacement((1, 2, 3), n):
+            for z in (1, 2, 3):
+                count = _strong_walk(multiset, z).cardinality(DEFAULT_BUDGET)
+                assert count == count_sps(multiset, z) == enum_sps(multiset, z).cardinality
+    for total in range(1, 9):
+        for k in range(1, total + 1):
+            for z in (1, 2, 3):
+                count = _kstrong_walk(total, k, z).cardinality(DEFAULT_BUDGET)
+                assert count == count_sps_k(total, k, z), (total, k, z)
+                if count <= 10**5:
+                    listing = enum_sps_k(total, k, z, definitional=True)
+                    assert count == listing.cardinality, (total, k, z)
+
+
+def test_walk_parks_each_merged_state_once(monkeypatch):
+    # five arrangements of (3, 3, 3, 2, 3): 13,880 _park calls when the walk
+    # kept one mask per vector, fewer once equal (mask, lengths left) pairs
+    # merge and pairs sharing a mask and a next car park it once
+    calls = []
+
+    def counted(free, pref, size):
+        calls.append(pref)
+        return _park(free, pref, size)
+
+    monkeypatch.setattr(enumeration, "_park", counted)
+    assert enum_sps((3, 3, 3, 2, 3), 1).cardinality == 1944 == count_sps((3, 3, 3, 2, 3), 1)
+    assert len(calls) == 3337
 
 
 def test_enum_sps_k_definitional_on_seven_cars():
