@@ -16,18 +16,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    ParkingInstance, _as_int_tuple, _block_split, _nondecreasing_under, _positive, check_boundary,
+    ParkingInstance, _as_int_tuple, _nondecreasing_under, _positive, check_boundary,
     check_preferences, standard_order_bounds,
 )
 
 __all__ = [
     "LatticePath",
-    "arithmetic_boundary",
     "from_vector_parking_function",
     "ips_to_lattice_path",
     "lattice_path_to_ips",
     "to_vector_parking_function",
-    "two_block_boundary",
 ]
 
 
@@ -143,24 +141,6 @@ def from_vector_parking_function(
     )
 
 
-def arithmetic_boundary(trailer_z: int, n: int) -> tuple[int, ...]:
-    """(z, z+1, ..., z+n-1): the boundary matched to constant lengths."""
-    trailer_z, n = _positive(trailer_z, "trailer parameter"), _positive(n, "car count")
-    return _block_boundary(trailer_z, n, n)
-
-
-def two_block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
-    """(z, ..., z, z+1, ..., z+r-1) with n-r+1 copies of z, for two-block lengths."""
-    trailer_z = _positive(trailer_z, "trailer parameter")
-    n, r = _block_split(n, r)
-    return _block_boundary(trailer_z, n, r)
-
-
-def _block_boundary(trailer_z: int, n: int, r: int) -> tuple[int, ...]:
-    """n - r + 1 copies of z, then z + 1, ..., z + r - 1; unchecked."""
-    return (trailer_z,) * (n - r + 1) + tuple(range(trailer_z + 1, trailer_z + r))
-
-
 def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, ...]] | None:
     """(step, boundary) for the characterized length shapes, else None.
 
@@ -169,14 +149,15 @@ def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, .
     boundary.  The dispatch reads the literal arrangement of the lengths:
 
     * strictly increasing: step 1, boundary (z, ..., z);
-    * (a^r, b^(n-r)) with a < b, or constant (r = n): step a,
-      :func:`two_block_boundary` (for r = n, :func:`arithmetic_boundary`);
-    * (a, 1, ..., 1) with a > 1: step 1, :func:`arithmetic_boundary`.
+    * (a^r, b^(n-r)) with a < b, or constant (r = n): step a, the block
+      boundary (z, ..., z, z + 1, ..., z + r - 1) with n - r + 1 copies of z
+      (for r = n, (z, z + 1, ..., z + n - 1));
+    * (a, 1, ..., 1) with a > 1: step 1, (z, z + 1, ..., z + n - 1).
 
     Sorting the lengths first would be wrong: (1, 2) is strictly increasing
     with invariant set [z]^2, while (2, 1) has one big car and a larger set.
     """
-    lengths, n = instance.lengths, instance.car_count
+    lengths, n, z = instance.lengths, instance.car_count, instance.trailer_z
     run = 1
     while run < n and lengths[run] == lengths[0]:
         run += 1
@@ -188,4 +169,4 @@ def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, .
         step, r = 1, n
     else:
         return None
-    return step, _block_boundary(instance.trailer_z, n, r)
+    return step, (z,) * (n - r + 1) + tuple(range(z + 1, z + r))

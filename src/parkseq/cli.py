@@ -21,7 +21,7 @@ import functools
 import json
 import os
 import sys
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .classify import (
     is_increasing_ps,
@@ -47,15 +47,12 @@ from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     FamilyListing,
-    _kstrong_walk,
+    _kstrong,
     _ps_walk,
-    _strong_walk,
-    _Walk,
+    _strong,
     enum_ips,
     enum_lattice_paths,
     enum_ps_inv,
-    enum_sps,
-    enum_sps_k,
     enum_u_pf,
 )
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
@@ -84,23 +81,21 @@ def _paths_listing(args) -> FamilyListing:
 
 # family: (required flags, check predicate or None, enumerator); each callable
 # takes the parsed arguments.  ``check`` offers the families with a predicate.
-# The enumerator gives a listing, or the all-vectors walk that makes it, whose
-# cardinality ``--count-only`` reads off the walk's steps.
+# The enumerator gives the listing: family, params, cardinality and members;
+# a walk's listing spells its members only when they are read.
 _FAMILIES = {
     "ps": (("lengths",), lambda a: is_parking_sequence(_instance(a), a.prefs),
-           lambda a: _ps_walk(_instance(a))),
+           lambda a: _ps_walk(_instance(a), a.budget)),
     "ips": (("lengths",), lambda a: is_increasing_ps(_instance(a), a.prefs),
             lambda a: enum_ips(_instance(a), a.budget)),
     "inv": (("lengths",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
             lambda a: enum_ps_inv(_instance(a), a.budget)),
     "strong": (("lengths",),
                lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
-               lambda a: _strong_walk(a.lengths, a.trailer) if a.definitional
-               else enum_sps(a.lengths, a.trailer, a.budget, method="bounds")),
+               lambda a: _strong(a.lengths, a.trailer, a.budget, a.definitional)),
     "kstrong": (("n", "k"),
                 lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
-                lambda a: _kstrong_walk(a.n, a.k, a.trailer) if a.definitional
-                else enum_sps_k(a.n, a.k, a.trailer, a.budget)),
+                lambda a: _kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
     "upf": (("boundary",), lambda a: is_u_parking_function(a.boundary, a.prefs),
             lambda a: enum_u_pf(a.boundary, a.budget)),
     "paths": (("boundary",), None, _paths_listing),
@@ -263,11 +258,7 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     flags, _, enumerator = _FAMILIES[args.family]
     _need(args, f"--family {args.family}", flags)
-    listing = enumerator(args)
-    if isinstance(listing, _Walk) and args.count_only:
-        listing = _Count(listing.family, listing.params, listing.cardinality(args.budget))
-    elif isinstance(listing, _Walk):
-        listing = listing.listing(args.budget)
+    listing = enumerator(args)  # refused here, before --out opens its file
     if not args.out:
         _print_listing(listing, args.json, args.count_only)
         return EXIT_OK
@@ -281,21 +272,11 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-class _Count(NamedTuple):
-    """A listing's family, params and cardinality, for ``--count-only`` with no members."""
-
-    family: str
-    params: dict[str, object]
-    cardinality: int
-
-
-def _print_listing(
-    listing: FamilyListing | _Count, document: bool, count_only: bool, file=None
-) -> None:
-    """Print the enumerate output to ``file`` (stdout when None).
+def _print_listing(listing, document: bool, count_only: bool, file=None) -> None:
+    """Print the enumerate output of ``listing`` to ``file`` (stdout when None).
 
     The ``--json`` document, else the cardinality alone with ``--count-only``,
-    else one CSV row per member.
+    else one CSV row per member; the members are read only when printed.
     """
     if document:
         result = {"cardinality": listing.cardinality}

@@ -1,30 +1,35 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against.  Every car parked takes one
-:func:`parkseq.core._park` step on a free-spot mask.  :func:`_walk` walks
-ordered prefixes of preferences over the distinct (free-spot mask, lengths
-still to park) pairs the length vectors reach, so vectors that meet there
-are parked once: every preference after the previous cut up to a spot j
-empty in some mask lands alike, so a state has one successor per such spot,
-reached by that whole interval; the state before the last car keeps both
-cars' preference pairs.  Each state keeps its member count next to its
-steps, so a count builds no member; :func:`_parking_for_all` spells the
-members out.  :func:`enum_ps` runs the walk on one vector, the definitional
-strong and k-strong listings on every arrangement or composition at once,
-and ``enumerate --count-only`` reads those three listings' counts off it.
-The invariant family is closed under reordering, so :func:`enum_ps_inv`
-reads multisets from the last layer of
-:func:`parkseq.classify._ordering_sweep`, which the search would walk once
-per ordering.  One capped pass over nondecreasing tuples, parking no car,
-lists the closed boxes: nondecreasing members, vector parking functions,
-lattice paths.  Families closed under reordering come back as the sorted
-rearrangements of their multisets.  A preference above the street length M
-can never park, which bounds a length-n instance at M^n candidates; a budget
-guard refuses sweeps whose candidate space exceeds it, never truncating.  All
-listings come back lexicographically sorted so output is reproducible; every
-producer gives that order by construction, so the listings skip the order
-scan of the public :class:`FamilyListing` constructor.
+characterizations are verified against.  Three producers build them:
+
+* the all-vectors walk (:func:`_steps`), one :func:`parkseq.core._park`
+  step per car on a free-spot mask, which lists the preferences under which
+  every vector of a set of length vectors parks.  It counts before it
+  builds, so its :class:`_WalkListing` spells the members only when they
+  are read, and ``enumerate --count-only`` builds none;
+* the standard-order box, the product of the prefix-sum ranges, which is
+  the characterized strong set on sorted lengths that are not constant;
+* one capped pass over nondecreasing tuples, parking no car, for the
+  nondecreasing members, the vector parking functions and the lattice
+  paths.  Families closed under reordering come back as the sorted
+  rearrangements of their multisets; :func:`enum_ps_inv` reads its
+  multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
+
+``ps`` is the walk on the instance's one vector.  :func:`_strong` and
+:func:`_kstrong` choose the route of the strong and k-strong families, once
+for the library and the CLI: the definition walks every arrangement of the
+lengths or every composition of the total, the characterization is the
+box.  When there is only one arrangement (constant lengths, or k = 1 or
+k = total) the characterized set is the plain family of that one vector,
+which the definition walks too, so both routes take the walk.
+
+A preference above the street length M can never park, which bounds a
+length-n instance at M^n candidates; a budget guard refuses sweeps whose
+candidate space exceeds it, never truncating.  All listings come back
+lexicographically sorted so output is reproducible; every producer gives
+that order by construction, so the listings skip the order scan of the
+public :class:`FamilyListing` constructor.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cached_property, partial, reduce
+from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
 from .classify import _ordering_sweep, compositions, distinct_permutations
@@ -223,37 +228,49 @@ def _emit(found: tuple, left: int, prefix: tuple[int, ...], members: list) -> No
                 _emit(after, left - 1, prefix + (pref,), members)
 
 
-def _walk(
-    instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
-) -> tuple[tuple, int]:
-    """The all-vectors walk from the empty street: its steps and the member count they spell.
+class _WalkListing:
+    """The listing of the all-vectors walk, with the read-only fields of a :class:`FamilyListing`.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  The memo keeps each state's steps and count, so
-    no state is walked twice.
+    budget allows the walk.  The walk runs when the listing is made, its
+    memo keeping each state's steps and count, so no state is walked twice;
+    the cardinality is read off the steps, and the members are spelled out
+    of them on first read.
     """
-    spots, n = instance.street_length, instance.car_count
-    _guard(spots**n, budget)
-    shift = spots + 1
-    columns = list(zip(*vectors()))
-    width = max(map(max, columns)).bit_length()
-    packed = columns.pop()
-    for column in reversed(columns):
-        packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
-    start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
-    if len(start) == 1:
-        (start,) = start
-    return _steps(start, shift, width, {})
+
+    def __init__(
+        self,
+        family: str,
+        params: dict[str, object],
+        instance: ParkingInstance,
+        vectors: Callable[[], Iterable[tuple[int, ...]]],
+        budget: int,
+    ):
+        spots, n = instance.street_length, instance.car_count
+        _guard(spots**n, budget)
+        shift = spots + 1
+        columns = list(zip(*vectors()))
+        width = max(map(max, columns)).bit_length()
+        packed = columns.pop()
+        for column in reversed(columns):
+            packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
+        start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
+        if len(start) == 1:
+            (start,) = start
+        self.family, self.params, self._left = family, params, n - 1
+        self._found, self.cardinality = _steps(start, shift, width, {})
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        members: list[tuple[int, ...]] = []
+        _emit(self._found, self._left, (), members)
+        return tuple(members)
 
 
-def _parking_for_all(
-    instance: ParkingInstance, vectors: Callable[[], Iterable[tuple[int, ...]]], budget: int
-) -> tuple[tuple[int, ...], ...]:
-    """The sequences under which every length vector parks, in lex order (see :func:`_walk`)."""
-    members: list[tuple[int, ...]] = []
-    _emit(_walk(instance, vectors, budget)[0], instance.car_count - 1, (), members)
-    return tuple(members)
+def _listed(listing: FamilyListing | _WalkListing) -> FamilyListing:
+    """``listing`` as a :class:`FamilyListing`, its members spelled out."""
+    return FamilyListing._trusted(listing.family, listing.params, listing.members)
 
 
 def _params(instance: ParkingInstance) -> dict[str, object]:
@@ -261,57 +278,58 @@ def _params(instance: ParkingInstance) -> dict[str, object]:
     return {"lengths": instance.lengths, "trailer": instance.trailer_z}
 
 
-class _Walk(NamedTuple):
-    """A listing the all-vectors walk makes: its family and params, the instance and its vectors."""
-
-    family: str
-    params: dict[str, object]
-    instance: ParkingInstance
-    vectors: Callable[[], Iterable[tuple[int, ...]]]
-
-    def cardinality(self, budget: int) -> int:
-        """The listing's cardinality, read off the walk's steps; no member is built."""
-        return _walk(self.instance, self.vectors, budget)[1]
-
-    def listing(self, budget: int) -> FamilyListing:
-        """The listing, its members spelled out of the walk's steps."""
-        members = _parking_for_all(self.instance, self.vectors, budget)
-        return FamilyListing._trusted(self.family, self.params, members)
-
-
-def _ps_walk(instance: ParkingInstance) -> _Walk:
+def _ps_walk(instance: ParkingInstance, budget: int) -> _WalkListing:
     """The plain family: the walk on the instance's one length vector."""
-    return _Walk("ps", _params(instance), instance, lambda: (instance.lengths,))
+    return _WalkListing("ps", _params(instance), instance, lambda: (instance.lengths,), budget)
 
 
-def _strong_walk(lengths: Sequence[int], trailer_z: int) -> _Walk:
-    """The strong family by its definition: the walk over every arrangement of the sorted lengths."""
+def _box(
+    family: str, params: dict[str, object], instance: ParkingInstance, budget: int
+) -> FamilyListing:
+    """The standard-order box of the sorted ``instance``, the characterized strong set."""
+    bounds = standard_order_bounds(instance)
+    _guard(math.prod(bounds), budget)
+    members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
+    return FamilyListing._trusted(family, params, members)
+
+
+def _strong(
+    lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool
+) -> FamilyListing | _WalkListing:
+    """The strong family: the walk over every arrangement of the sorted lengths, or the box.
+
+    Constant lengths have one arrangement, whose plain family is the
+    characterized set, so both routes walk it.
+    """
     ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
     instance = ParkingInstance(ordered, trailer_z)
-    return _Walk("strong", _params(instance), instance, partial(distinct_permutations, ordered))
+    if definitional or ordered[0] == ordered[-1]:
+        vectors = partial(distinct_permutations, ordered)
+        return _WalkListing("strong", _params(instance), instance, vectors, budget)
+    return _box("strong", _params(instance), instance, budget)
 
 
-def _kstrong_walk(total: int, k: int, trailer_z: int) -> _Walk:
-    """The k-strong family by its definition: the walk over every composition of ``total``.
+def _kstrong(
+    total: int, k: int, trailer_z: int, budget: int, definitional: bool
+) -> FamilyListing | _WalkListing:
+    """The k-strong family: the walk over every composition of ``total``, or the box.
 
-    The compositions are closed under reordering; the instance is the binding
-    one, (1, ..., 1, total - k + 1).
+    The compositions are closed under reordering; the box is that of the
+    binding one, (1, ..., 1, total - k + 1).  For k = 1 or k = ``total`` it
+    is the only one, so both routes walk it.
     """
     total, k = _weight_and_count(total, k)
     trailer_z = _positive(trailer_z, "trailer parameter")
     instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
     params = {"n": total, "k": k, "trailer": trailer_z}
-    return _Walk("kstrong", params, instance, partial(compositions, total, k))
+    if definitional or k in (1, total):
+        return _WalkListing("kstrong", params, instance, partial(compositions, total, k), budget)
+    return _box("kstrong", params, instance, budget)
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
-    """Every preference sequence in [1..M]^n under which all cars park.
-
-    The all-vectors walk on the one length vector: one step per empty spot
-    whose block fits, reached by the whole interval of preferences landing
-    on it.  The sweep stays exhaustive over [1..M]^n.
-    """
-    return _ps_walk(instance).listing(budget)
+    """Every preference sequence in [1..M]^n under which all cars park, by the walk."""
+    return _listed(_ps_walk(instance, budget))
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -348,25 +366,16 @@ def enum_sps(
 ) -> FamilyListing:
     """Sequences that park under every rearrangement of the length vector.
 
-    ``method="definition"`` runs the all-vectors search over every distinct
-    arrangement at once.  ``method="bounds"`` emits the characterized set
-    directly: the plain family for constant lengths, otherwise the
-    standard-order box on the sorted lengths.  The set depends only on the
+    ``method="definition"`` runs the all-vectors walk over every distinct
+    arrangement at once.  ``method="bounds"`` lists the characterized set:
+    the standard-order box on the sorted lengths, or for constant lengths,
+    which have one arrangement, the same walk.  The set depends only on the
     multiset of lengths, so the listing records them sorted.
     """
-    walk = _strong_walk(lengths, trailer_z)
-    if method == "definition":
-        return walk.listing(budget)
-    if method != "bounds":
+    if method not in ("definition", "bounds"):
+        ParkingInstance(lengths, trailer_z)  # bad lengths are reported before the method
         raise ValueError(f"unknown method {method!r}; use 'definition' or 'bounds'")
-    instance = walk.instance
-    if len(set(instance.lengths)) == 1:
-        members = enum_ps(instance, budget).members
-    else:
-        bounds = standard_order_bounds(instance)
-        _guard(math.prod(bounds), budget)
-        members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
-    return FamilyListing._trusted(walk.family, walk.params, members)
+    return _listed(_strong(lengths, trailer_z, budget, method == "definition"))
 
 
 def enum_sps_k(
@@ -379,17 +388,13 @@ def enum_sps_k(
     """Length-k sequences parking every multiset of k car lengths totalling ``total``.
 
     The street has z + total - 1 spots, which also caps useful preferences.
-    The default route lists the strong family on the binding composition
-    (1, ..., 1, total - k + 1); ``definitional=True`` instead runs the
-    all-vectors search over every composition of ``total`` into k parts (the
-    compositions are closed under reordering, so this is the definition).
+    The default route lists the standard-order box of the binding
+    composition (1, ..., 1, total - k + 1); ``definitional=True`` runs the
+    all-vectors walk over every composition of ``total`` into k parts (they
+    are closed under reordering, so this is the definition).  For k = 1 or
+    k = ``total`` there is one composition, and both routes walk it.
     """
-    walk = _kstrong_walk(total, k, trailer_z)
-    if definitional:
-        return walk.listing(budget)
-    witness = walk.instance
-    members = enum_sps(witness.lengths, witness.trailer_z, budget, method="bounds").members
-    return FamilyListing._trusted(walk.family, walk.params, members)
+    return _listed(_kstrong(total, k, trailer_z, budget, definitional))
 
 
 def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyListing:

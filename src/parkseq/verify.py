@@ -142,7 +142,7 @@ def _suite_eq3(max_n, seed, budget):
     for instance in _instance_grid(max_n):
         yield ("ps-product-vs-enum", _params(instance),
                count_ps_product(instance.lengths, instance.trailer_z),
-               _ps_walk(instance).cardinality(budget),
+               _ps_walk(instance, budget).cardinality,
                "product count formula against the exhaustive sweep")
 
 

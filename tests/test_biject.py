@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from parkseq import (
     LatticePath,
     ParkingInstance,
-    arithmetic_boundary,
     enum_lattice_paths,
     enum_ps_inv,
     enum_u_pf,
@@ -16,9 +15,9 @@ from parkseq import (
     lattice_path_to_ips,
     standard_order_bounds,
     to_vector_parking_function,
-    two_block_boundary,
 )
 from parkseq import biject
+from parkseq.biject import _invariant_contraction
 
 
 class TestLatticePathMap:
@@ -164,18 +163,21 @@ class TestOffsetContraction:
 
 
 def test_boundary_builders():
-    assert arithmetic_boundary(2, 4) == (2, 3, 4, 5)
-    assert two_block_boundary(1, 4, 3) == (1, 1, 2, 3)
-    assert two_block_boundary(2, 3, 1) == (2, 2, 2)
-    with pytest.raises(ValueError):
-        two_block_boundary(1, 3, 3)
-    for build, args, message in (
-        (two_block_boundary, (0, 3, 1), "trailer parameter must be >= 1, got 0"),
-        (arithmetic_boundary, (0, 3), "trailer parameter must be >= 1, got 0"),
-        (arithmetic_boundary, (1, 0), "car count must be >= 1, got 0"),
-        (arithmetic_boundary, (1, True), "car count must be an integer"),
-        (two_block_boundary, (1, 3.5, 1), "car count must be an integer"),
-        (two_block_boundary, (1, 0, 1), "car count must be >= 1, got 0"),
+    # constant lengths and one big car ahead of unit cars: (z, z+1, ..., z+n-1)
+    assert _invariant_contraction(ParkingInstance((1, 1, 1, 1), 2)) == (1, (2, 3, 4, 5))
+    assert _invariant_contraction(ParkingInstance((2, 2, 2), 1)) == (2, (1, 2, 3))
+    assert _invariant_contraction(ParkingInstance((3, 1, 1, 1), 2)) == (1, (2, 3, 4, 5))
+    # two blocks (a^r, b^(n-r)): n - r + 1 copies of z, then z+1, ..., z+r-1
+    assert _invariant_contraction(ParkingInstance((1, 1, 1, 2), 1)) == (1, (1, 1, 2, 3))
+    assert _invariant_contraction(ParkingInstance((2, 3, 3), 2)) == (2, (2, 2, 2))
+    # strictly increasing: (z, ..., z); any other shape has no boundary
+    assert _invariant_contraction(ParkingInstance((1, 2, 4), 3)) == (1, (3, 3, 3))
+    assert _invariant_contraction(ParkingInstance((2, 1, 2), 1)) is None
+    for lengths, z, message in (
+        ((1, 1, 2), 0, "trailer parameter must be >= 1, got 0"),
+        ((), 1, "an instance needs at least one car"),
+        ((1, True), 1, "car lengths must be integers"),
+        ((1, 0, 1), 1, "car lengths must all be >= 1"),
     ):
         with pytest.raises(ValueError, match=message):
-            build(*args)
+            _invariant_contraction(ParkingInstance(lengths, z))

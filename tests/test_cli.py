@@ -294,8 +294,12 @@ class TestFileDumps:
             ["--family", "ps", "--lengths", "1,2,2"],
             ["--family", "strong", "--lengths", "2,1,2", "--definitional"],
             ["--family", "kstrong", "--n", "5", "--k", "3", "--definitional"],
+            # one arrangement, so the characterized routes are the walk too
+            ["--family", "strong", "--lengths", "2,2,2"],
+            ["--family", "kstrong", "--n", "4", "--k", "4"],
+            ["--family", "kstrong", "--n", "4", "--k", "1"],
         ],
-        ids=["ps", "strong", "kstrong"],
+        ids=["ps", "strong", "kstrong", "strong-constant", "kstrong-k-total", "kstrong-k-one"],
     )
     def test_count_only_reads_the_walk_and_builds_no_member(
         self, monkeypatch, tmp_path, capsys, route
@@ -321,6 +325,16 @@ class TestFileDumps:
         # 4,782,969 members, which the listing takes seconds and 600 MB to build
         assert run(["enumerate", "--family", "ps", "--lengths", "1,1,1,1,1,1,1,1", "--count-only"]) == 0
         assert capsys.readouterr().out == f"{parkseq.count_ps_product((1,) * 8, 1)}\n"
+
+    def test_refused_listing_leaves_no_file(self, tmp_path, capsys):
+        # the walk is refused before --out opens its file
+        target = tmp_path / "family.csv"
+        argv = ["enumerate", "--family", "ps", "--lengths", "1,1,1", "--budget", "5"]
+        assert run([*argv, "--out", str(target)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: enumeration would sweep 27 candidates, budget is 5\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "name, reason",

@@ -24,7 +24,6 @@ from parkseq import (
     enum_sps_k,
     enum_u_pf,
     fuss_catalan,
-    two_block_boundary,
 )
 
 
@@ -195,8 +194,6 @@ class TestInvariantCounts:
         for r in (True, 1.5, "2"):
             with pytest.raises(ValueError, match="leading block length must be an integer"):
                 count_inv_two_block(4, r, 1)
-            with pytest.raises(ValueError, match="leading block length must be an integer"):
-                two_block_boundary(1, 4, r)
 
     def test_two_block_pair_gets_one_message(self):
         for n, r, message in (
@@ -205,9 +202,8 @@ class TestInvariantCounts:
             (3, 3, "need 1 <= r < 3, got 3"),
             (1, 1, "need 1 <= r < 1, got 1"),
         ):
-            for call in (count_inv_two_block, lambda n, r, z: two_block_boundary(z, n, r)):
-                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    call(n, r, 1)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                count_inv_two_block(n, r, 1)
 
 
 class TestStrongCounts:

@@ -35,9 +35,7 @@ from parkseq import (
 from parkseq import enumeration
 from parkseq.cli import _paths_listing
 from parkseq.core import _park
-from parkseq.enumeration import (
-    _kstrong_walk, _nondecreasing, _parking_for_all, _ps_walk, _strong_walk, _walk,
-)
+from parkseq.enumeration import _kstrong, _nondecreasing, _ps_walk, _strong, _WalkListing
 
 
 def test_enum_ps_small_family():
@@ -323,9 +321,9 @@ def test_all_vectors_walk_on_sets_not_closed_under_reordering():
             if all(simulate(ParkingInstance(v, z), prefs).success for v in vectors)
         )
         instance = ParkingInstance(vectors[0], z)
-        walked = _parking_for_all(instance, lambda: vectors, DEFAULT_BUDGET)
-        assert walked == swept, (vectors, z)
-        assert _walk(instance, lambda: vectors, DEFAULT_BUDGET)[1] == len(swept), (vectors, z)
+        walked = _WalkListing("ps", {}, instance, lambda: vectors, DEFAULT_BUDGET)
+        assert walked.cardinality == len(swept), (vectors, z)
+        assert walked.members == swept, (vectors, z)
 
 
 def test_walk_count_matches_the_listing_and_the_closed_forms():
@@ -337,19 +335,19 @@ def test_walk_count_matches_the_listing_and_the_closed_forms():
         for lengths in itertools.product((1, 2, 3), repeat=n):
             for z in (1, 2, 3):
                 instance = ParkingInstance(lengths, z)
-                count = _ps_walk(instance).cardinality(DEFAULT_BUDGET)
+                count = _ps_walk(instance, DEFAULT_BUDGET).cardinality
                 assert count == count_ps_product(lengths, z), (lengths, z)
                 if n <= 4:
                     assert count == enum_ps(instance).cardinality, (lengths, z)
     for n in range(1, 6):
         for multiset in itertools.combinations_with_replacement((1, 2, 3), n):
             for z in (1, 2, 3):
-                count = _strong_walk(multiset, z).cardinality(DEFAULT_BUDGET)
+                count = _strong(multiset, z, DEFAULT_BUDGET, True).cardinality
                 assert count == count_sps(multiset, z) == enum_sps(multiset, z).cardinality
     for total in range(1, 9):
         for k in range(1, total + 1):
             for z in (1, 2, 3):
-                count = _kstrong_walk(total, k, z).cardinality(DEFAULT_BUDGET)
+                count = _kstrong(total, k, z, DEFAULT_BUDGET, True).cardinality
                 assert count == count_sps_k(total, k, z), (total, k, z)
                 if count <= 10**5:
                     listing = enum_sps_k(total, k, z, definitional=True)

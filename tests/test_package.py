@@ -22,11 +22,14 @@ def test_check_boundary_is_exported_once_from_core():
     assert parkseq.check_boundary is core.check_boundary
     assert "check_boundary" in core.__all__
     assert "check_boundary" not in classify.__all__
-    assert len(parkseq.__all__) == 47
+    assert len(parkseq.__all__) == 45
 
 
 def test_deleted_names_are_not_exported():
-    for name in ("order_statistics", "parks_in_standard_order", "binomial", "rising_factorial"):
+    for name in (
+        "order_statistics", "parks_in_standard_order", "binomial", "rising_factorial",
+        "arithmetic_boundary", "two_block_boundary",
+    ):
         assert name not in parkseq.__all__
         assert not hasattr(parkseq, name)
 
