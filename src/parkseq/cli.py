@@ -47,13 +47,13 @@ from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     FamilyListing,
+    _inv,
     _kstrong,
     _ps_walk,
     _strong,
+    _upf,
     enum_ips,
     enum_lattice_paths,
-    enum_ps_inv,
-    enum_u_pf,
 )
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -82,14 +82,14 @@ def _paths_listing(args) -> FamilyListing:
 # family: (required flags, check predicate or None, enumerator); each callable
 # takes the parsed arguments.  ``check`` offers the families with a predicate.
 # The enumerator gives the listing: family, params, cardinality and members;
-# a walk's listing spells its members only when they are read.
+# all but ips and paths spell their members only when they are read.
 _FAMILIES = {
     "ps": (("lengths",), lambda a: is_parking_sequence(_instance(a), a.prefs),
            lambda a: _ps_walk(_instance(a), a.budget)),
     "ips": (("lengths",), lambda a: is_increasing_ps(_instance(a), a.prefs),
             lambda a: enum_ips(_instance(a), a.budget)),
     "inv": (("lengths",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
-            lambda a: enum_ps_inv(_instance(a), a.budget)),
+            lambda a: _inv(_instance(a), a.budget)),
     "strong": (("lengths",),
                lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
                lambda a: _strong(a.lengths, a.trailer, a.budget, a.definitional)),
@@ -97,7 +97,7 @@ _FAMILIES = {
                 lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
                 lambda a: _kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
     "upf": (("boundary",), lambda a: is_u_parking_function(a.boundary, a.prefs),
-            lambda a: enum_u_pf(a.boundary, a.budget)),
+            lambda a: _upf(a.boundary, a.budget)),
     "paths": (("boundary",), None, _paths_listing),
 }
 

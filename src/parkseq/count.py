@@ -50,17 +50,21 @@ def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
     minors satisfy D_0 = 1 and D_k = sum_{i<=k} (-1)^(k-i) C(b_i, k-i+1) D_(i-1),
     and the count is D_n.  Row i adds its terms to the later minors once
     D_(i-1) is known, and stops where C(b_i, m) or the matrix runs out.
+    The running term carries the sign, term_m = (-1)^m C(b_i, m) D_(i-1), so
+    each step is one multiply by m - 1 - b_i, one floor division by m (exact,
+    negative or not) and one subtraction from D_(i+m-1).
     """
     instance = ParkingInstance(lengths, trailer_z)
     bounds = standard_order_bounds(instance)
     n = instance.car_count
     minors = [1] + [0] * n
     for i, bound in enumerate(bounds, start=1):
-        term, sign = minors[i - 1], 1
-        for m in range(1, min(bound, n - i + 1) + 1):
-            term = term * (bound - m + 1) // m
-            minors[i + m - 1] += sign * term
-            sign = -sign
+        term, factor, m = minors[i - 1], -bound, 1
+        for target in range(i, i + min(bound, n - i + 1)):
+            term = term * factor // m
+            minors[target] -= term
+            factor += 1
+            m += 1
     det = minors[n]
     if det < 0:
         raise ArithmeticError(f"path count came out negative ({det}); this is a bug")

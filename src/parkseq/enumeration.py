@@ -6,8 +6,7 @@ characterizations are verified against.  Three producers build them:
 * the all-vectors walk (:func:`_steps`), one :func:`parkseq.core._park`
   step per car on a free-spot mask, which lists the preferences under which
   every vector of a set of length vectors parks.  It counts before it
-  builds, so its :class:`_WalkListing` spells the members only when they
-  are read, and ``enumerate --count-only`` builds none;
+  builds;
 * the standard-order box, the product of the prefix-sum ranges, which is
   the characterized strong set on sorted lengths that are not constant;
 * one capped pass over nondecreasing tuples, parking no car, for the
@@ -15,6 +14,10 @@ characterizations are verified against.  Three producers build them:
   paths.  Families closed under reordering come back as the sorted
   rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
+
+The walk, the box and the two reordering-closed families give a
+:class:`_Listing`, which knows its count without its members and spells
+them only when they are read, so ``enumerate --count-only`` builds none.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
@@ -37,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Sequence
@@ -105,6 +109,32 @@ class FamilyListing:
         return len(self.members)
 
 
+class _Listing:
+    """A producer's listing, with the read-only fields of a :class:`FamilyListing`.
+
+    ``count()`` gives the cardinality and ``spell()`` the members in lex
+    order; each is called on first read, so a count builds no member and a
+    spelled listing computes no count.
+    """
+
+    def __init__(
+        self,
+        family: str,
+        params: dict[str, object],
+        count: Callable[[], int],
+        spell: Callable[[], Iterable[tuple[int, ...]]],
+    ):
+        self.family, self.params, self._count, self._spell = family, params, count, spell
+
+    @cached_property
+    def cardinality(self) -> int:
+        return self._count()
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._spell())
+
+
 def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]]:
     """Nondecreasing tuples with lowest <= x_1 and x_i <= caps[i], in lex order; caps not empty.
 
@@ -133,6 +163,15 @@ def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]
 def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Every ordering of every multiset, sorted."""
     return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
+
+
+def _orderings(multisets: Iterable[Sequence[int]], n: int) -> int:
+    """How many orderings the n-multisets have in all: the sum of n! / prod m_v!."""
+    whole = math.factorial(n)
+    return sum(
+        whole // math.prod(map(math.factorial, Counter(multiset).values()))
+        for multiset in multisets
+    )
 
 
 def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple[tuple, int]:
@@ -228,47 +267,44 @@ def _emit(found: tuple, left: int, prefix: tuple[int, ...], members: list) -> No
                 _emit(after, left - 1, prefix + (pref,), members)
 
 
-class _WalkListing:
-    """The listing of the all-vectors walk, with the read-only fields of a :class:`FamilyListing`.
+def _walk(
+    family: str,
+    params: dict[str, object],
+    instance: ParkingInstance,
+    vectors: Callable[[], Iterable[tuple[int, ...]]],
+    budget: int,
+) -> _Listing:
+    """The listing of the all-vectors walk.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  The walk runs when the listing is made, its
-    memo keeping each state's steps and count, so no state is walked twice;
-    the cardinality is read off the steps, and the members are spelled out
-    of them on first read.
+    budget allows the walk.  The walk runs here, its memo keeping each
+    state's steps and count, so no state is walked twice; the cardinality is
+    read off the steps, and the members are spelled out of them on first read.
     """
-
-    def __init__(
-        self,
-        family: str,
-        params: dict[str, object],
-        instance: ParkingInstance,
-        vectors: Callable[[], Iterable[tuple[int, ...]]],
-        budget: int,
-    ):
-        spots, n = instance.street_length, instance.car_count
-        _guard(spots**n, budget)
-        shift = spots + 1
-        columns = list(zip(*vectors()))
-        width = max(map(max, columns)).bit_length()
-        packed = columns.pop()
-        for column in reversed(columns):
-            packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
-        start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
-        if len(start) == 1:
-            (start,) = start
-        self.family, self.params, self._left = family, params, n - 1
-        self._found, self.cardinality = _steps(start, shift, width, {})
-
-    @cached_property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        members: list[tuple[int, ...]] = []
-        _emit(self._found, self._left, (), members)
-        return tuple(members)
+    spots, n = instance.street_length, instance.car_count
+    _guard(spots**n, budget)
+    shift = spots + 1
+    columns = list(zip(*vectors()))
+    width = max(map(max, columns)).bit_length()
+    packed = columns.pop()
+    for column in reversed(columns):
+        packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
+    start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
+    if len(start) == 1:
+        (start,) = start
+    found, count = _steps(start, shift, width, {})
+    return _Listing(family, params, lambda: count, partial(_spelled, found, n - 1))
 
 
-def _listed(listing: FamilyListing | _WalkListing) -> FamilyListing:
+def _spelled(found: tuple, left: int) -> list[tuple[int, ...]]:
+    """The members the walk's steps ``found`` spell, ``left`` + 1 cars each."""
+    members: list[tuple[int, ...]] = []
+    _emit(found, left, (), members)
+    return members
+
+
+def _listed(listing: _Listing) -> FamilyListing:
     """``listing`` as a :class:`FamilyListing`, its members spelled out."""
     return FamilyListing._trusted(listing.family, listing.params, listing.members)
 
@@ -278,24 +314,25 @@ def _params(instance: ParkingInstance) -> dict[str, object]:
     return {"lengths": instance.lengths, "trailer": instance.trailer_z}
 
 
-def _ps_walk(instance: ParkingInstance, budget: int) -> _WalkListing:
+def _ps_walk(instance: ParkingInstance, budget: int) -> _Listing:
     """The plain family: the walk on the instance's one length vector."""
-    return _WalkListing("ps", _params(instance), instance, lambda: (instance.lengths,), budget)
+    return _walk("ps", _params(instance), instance, lambda: (instance.lengths,), budget)
 
 
-def _box(
-    family: str, params: dict[str, object], instance: ParkingInstance, budget: int
-) -> FamilyListing:
+def _box_members(bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """The tuples x with 1 <= x_i <= bounds[i], in lex order."""
+    return itertools.product(*(range(1, b + 1) for b in bounds))
+
+
+def _box(family: str, params: dict[str, object], instance: ParkingInstance, budget: int) -> _Listing:
     """The standard-order box of the sorted ``instance``, the characterized strong set."""
     bounds = standard_order_bounds(instance)
-    _guard(math.prod(bounds), budget)
-    members = tuple(itertools.product(*(range(1, b + 1) for b in bounds)))
-    return FamilyListing._trusted(family, params, members)
+    size = math.prod(bounds)
+    _guard(size, budget)
+    return _Listing(family, params, lambda: size, partial(_box_members, bounds))
 
 
-def _strong(
-    lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool
-) -> FamilyListing | _WalkListing:
+def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool) -> _Listing:
     """The strong family: the walk over every arrangement of the sorted lengths, or the box.
 
     Constant lengths have one arrangement, whose plain family is the
@@ -305,13 +342,11 @@ def _strong(
     instance = ParkingInstance(ordered, trailer_z)
     if definitional or ordered[0] == ordered[-1]:
         vectors = partial(distinct_permutations, ordered)
-        return _WalkListing("strong", _params(instance), instance, vectors, budget)
+        return _walk("strong", _params(instance), instance, vectors, budget)
     return _box("strong", _params(instance), instance, budget)
 
 
-def _kstrong(
-    total: int, k: int, trailer_z: int, budget: int, definitional: bool
-) -> FamilyListing | _WalkListing:
+def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool) -> _Listing:
     """The k-strong family: the walk over every composition of ``total``, or the box.
 
     The compositions are closed under reordering; the box is that of the
@@ -323,8 +358,26 @@ def _kstrong(
     instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
     params = {"n": total, "k": k, "trailer": trailer_z}
     if definitional or k in (1, total):
-        return _WalkListing("kstrong", params, instance, partial(compositions, total, k), budget)
+        return _walk("kstrong", params, instance, partial(compositions, total, k), budget)
     return _box("kstrong", params, instance, budget)
+
+
+def _inv(instance: ParkingInstance, budget: int) -> _Listing:
+    """The invariant members: the orderings of the sweep's last layer, counted unbuilt."""
+    spots, n = instance.street_length, instance.car_count
+    _guard(spots**n, budget)
+    multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
+    return _Listing("inv", _params(instance), partial(_orderings, multisets, n),
+                    partial(_rearrangements, multisets))
+
+
+def _upf(bounds: Sequence[int], budget: int) -> _Listing:
+    """The vector parking functions: the orderings of the sorted ones, counted unbuilt."""
+    bounds = check_boundary(bounds)
+    _guard(bounds[-1] ** len(bounds), budget)
+    sorted_members = _nondecreasing(bounds)
+    return _Listing("upf", {"boundary": bounds}, partial(_orderings, sorted_members, len(bounds)),
+                    partial(_rearrangements, sorted_members))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -352,10 +405,7 @@ def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> Fami
     with a failing ordering never grows.  The budget guard is that of
     :func:`enum_ps`.
     """
-    spots, n = instance.street_length, instance.car_count
-    _guard(spots**n, budget)
-    multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
-    return FamilyListing._trusted("inv", _params(instance), _rearrangements(multisets))
+    return _listed(_inv(instance, budget))
 
 
 def enum_sps(
@@ -403,11 +453,7 @@ def enum_u_pf(bounds: Sequence[int], budget: int = DEFAULT_BUDGET) -> FamilyList
     A member's order statistics are nondecreasing with x_(i) <= u_i, so the
     family is the sorted rearrangements of those nondecreasing tuples.
     """
-    bounds = check_boundary(bounds)
-    _guard(bounds[-1] ** len(bounds), budget)
-    return FamilyListing._trusted(
-        "upf", {"boundary": bounds}, _rearrangements(_nondecreasing(bounds))
-    )
+    return _listed(_upf(bounds, budget))
 
 
 def enum_lattice_paths(

@@ -298,8 +298,14 @@ class TestFileDumps:
             ["--family", "strong", "--lengths", "2,2,2"],
             ["--family", "kstrong", "--n", "4", "--k", "4"],
             ["--family", "kstrong", "--n", "4", "--k", "1"],
+            # the box, and the orderings of the multisets or sorted members
+            ["--family", "strong", "--lengths", "2,1,2"],
+            ["--family", "kstrong", "--n", "5", "--k", "3"],
+            ["--family", "inv", "--lengths", "2,1,2", "--trailer", "2"],
+            ["--family", "upf", "--boundary", "1,3,4"],
         ],
-        ids=["ps", "strong", "kstrong", "strong-constant", "kstrong-k-total", "kstrong-k-one"],
+        ids=["ps", "strong", "kstrong", "strong-constant", "kstrong-k-total", "kstrong-k-one",
+             "strong-box", "kstrong-box", "inv", "upf"],
     )
     def test_count_only_reads_the_walk_and_builds_no_member(
         self, monkeypatch, tmp_path, capsys, route
@@ -313,7 +319,9 @@ class TestFileDumps:
         def refuse(*args):
             raise AssertionError("--count-only built a member")
 
-        monkeypatch.setattr(parkseq.enumeration, "_emit", refuse)
+        # what spells the members of the walk, the box and the reordering-closed families
+        for speller in ("_emit", "_box_members", "_rearrangements"):
+            monkeypatch.setattr(parkseq.enumeration, speller, refuse)
         assert run([*argv, "--count-only"]) == 0
         assert capsys.readouterr().out == f"{doc['result']['cardinality']}\n"
         assert run([*argv, "--count-only", "--json"]) == 0
@@ -325,6 +333,37 @@ class TestFileDumps:
         # 4,782,969 members, which the listing takes seconds and 600 MB to build
         assert run(["enumerate", "--family", "ps", "--lengths", "1,1,1,1,1,1,1,1", "--count-only"]) == 0
         assert capsys.readouterr().out == f"{parkseq.count_ps_product((1,) * 8, 1)}\n"
+        # the same 4,782,969 members as the rearrangements of 1,430 multisets
+        assert run(["enumerate", "--family", "inv", "--lengths", "1,1,1,1,1,1,1,1", "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{parkseq.count_inv_constant(8, 1)}\n"
+        # 2,027,025 members of the box, which took a second and 250 MB to build
+        assert run(["enumerate", "--family", "strong", "--lengths", "2,2,2,2,2,2,2,3", "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{parkseq.count_sps((2,) * 7 + (3,), 1)}\n"
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ["--family", "ps", "--lengths", "2,1,3", "--trailer", "2"],
+            ["--family", "ips", "--lengths", "1,2,2"],
+            ["--family", "inv", "--lengths", "1,1,1,1"],
+            ["--family", "inv", "--lengths", "1,3,3"],
+            ["--family", "strong", "--lengths", "3,1,2"],
+            ["--family", "strong", "--lengths", "3,1,2", "--definitional"],
+            ["--family", "strong", "--lengths", "2,2", "--trailer", "3"],
+            ["--family", "kstrong", "--n", "6", "--k", "4"],
+            ["--family", "kstrong", "--n", "6", "--k", "4", "--definitional"],
+            ["--family", "kstrong", "--n", "5", "--k", "1"],
+            ["--family", "upf", "--boundary", "2,2,5"],
+            ["--family", "paths", "--boundary", "1,3,3,4"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_only_counts_the_csv_rows(self, capsys, route):
+        assert run(["enumerate", *route]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows
+        assert run(["enumerate", *route, "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{len(rows)}\n"
 
     def test_refused_listing_leaves_no_file(self, tmp_path, capsys):
         # the walk is refused before --out opens its file

@@ -35,7 +35,7 @@ from parkseq import (
 from parkseq import enumeration
 from parkseq.cli import _paths_listing
 from parkseq.core import _park
-from parkseq.enumeration import _kstrong, _nondecreasing, _ps_walk, _strong, _WalkListing
+from parkseq.enumeration import _inv, _kstrong, _nondecreasing, _ps_walk, _strong, _upf, _walk
 
 
 def test_enum_ps_small_family():
@@ -321,7 +321,7 @@ def test_all_vectors_walk_on_sets_not_closed_under_reordering():
             if all(simulate(ParkingInstance(v, z), prefs).success for v in vectors)
         )
         instance = ParkingInstance(vectors[0], z)
-        walked = _WalkListing("ps", {}, instance, lambda: vectors, DEFAULT_BUDGET)
+        walked = _walk("ps", {}, instance, lambda: vectors, DEFAULT_BUDGET)
         assert walked.cardinality == len(swept), (vectors, z)
         assert walked.members == swept, (vectors, z)
 
@@ -352,6 +352,26 @@ def test_walk_count_matches_the_listing_and_the_closed_forms():
                 if count <= 10**5:
                     listing = enum_sps_k(total, k, z, definitional=True)
                     assert count == listing.cardinality, (total, k, z)
+
+
+def test_unspelled_counts_match_the_listings():
+    # the box counts the product of its bounds, inv and upf the orderings of
+    # their multisets; each must agree with the members it spells
+    for n in range(1, 5):
+        for lengths in itertools.product((1, 2, 3), repeat=n):
+            for z in (1, 2):
+                listing = _inv(ParkingInstance(lengths, z), DEFAULT_BUDGET)
+                assert listing.cardinality == len(listing.members), (lengths, z)
+                listing = _strong(lengths, z, DEFAULT_BUDGET, False)
+                assert listing.cardinality == len(listing.members), (lengths, z)
+    for total in range(1, 8):
+        for k in range(1, total + 1):
+            listing = _kstrong(total, k, 2, DEFAULT_BUDGET, False)
+            assert listing.cardinality == len(listing.members), (total, k)
+    for n in range(1, 5):
+        for bounds in itertools.combinations_with_replacement(range(1, 6), n):
+            listing = _upf(bounds, DEFAULT_BUDGET)
+            assert listing.cardinality == len(listing.members), bounds
 
 
 def test_walk_parks_each_merged_state_once(monkeypatch):

@@ -63,8 +63,12 @@ def _bound_names(node):
 
 
 def test_src_has_no_unused_imports():
-    # the project depends on no linter; this ast walk stands in for one
-    for path in sorted(Path(parkseq.__file__).parent.glob("*.py")):
+    # the project depends on no linter; this ast walk stands in for one, on
+    # the package, the tools and the tests
+    root = Path(__file__).resolve().parent.parent
+    paths = [*Path(parkseq.__file__).parent.glob("*.py"), *root.glob("tools/*.py"),
+             *root.glob("tests/*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         imported = {
             name
