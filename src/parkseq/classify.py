@@ -3,18 +3,19 @@
 Every family has a defining test that parks the cars, one
 :func:`parkseq.core._park` step per car on a free-spot mask.  "Every ordering
 of the preferences (or of the lengths) parks" knows its sequence up to order,
-so :func:`_ordering_sweep` sweeps sorted sub-multisets, never orderings.  The
-k-strong definition has no one multiset, as every composition of the total
-counts, so its frontier of masks parks only the longest length that fits.
-Families with a closed characterization get that form too; ``verify`` and the
-tests keep both forms in agreement on desk-scale grids.  The closed
-invariance rule is the contraction onto vector parking functions that
-:func:`parkseq.biject._invariant_contraction` names for each length shape.
+so :func:`_ordering_sweep` sweeps sub-multisets, never orderings, each one
+int with a count field per distinct value (the sweep's docstring gives the
+code).  The k-strong definition has no one multiset, as every composition
+of the total counts, so its frontier of masks parks only the longest length
+that fits.  Families with a closed characterization get that form too;
+``verify`` and the tests keep both forms in agreement on desk-scale grids.
+The closed invariance rule is the contraction onto vector parking functions
+that :func:`parkseq.biject._invariant_contraction` names for each length
+shape.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from collections import Counter
@@ -120,53 +121,84 @@ def is_increasing_ps(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
 
 def _ordering_sweep(
     instance: ParkingInstance, room: dict[int, int], prefs: tuple[int, ...] | None = None
-) -> dict[tuple[int, ...], set[int]]:
-    """The "every ordering parks" sweep: its last layer, multiset -> masks left.
+) -> list[tuple[int, ...]]:
+    """The "every ordering parks" sweep: the sorted n-multisets of its last layer.
 
     Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
     value drawn from a pool holding up to ``room[v]`` copies of each value v
-    (a preference, or else a length).  Layer j maps each sorted j-multiset of
-    the pool whose orderings all park cars 1..j to the free-spot masks they
+    (a preference, or else a length).  Layer j maps each j-multiset of the
+    pool whose orderings all park cars 1..j to the free-spot masks they
     leave.  A (j+1)-multiset enters the next layer when, for every distinct
     value v in it, the multiset without v is in layer j and car j+1 parks v
     from every mask that entry left.  That is exact: every sub-multiset of a
     multiset whose orderings all park has the same property, so one missing
     from layer j has a failing ordering.  It visits at most prod(m_i + 1)
     sub-multisets, not n! / prod(m_i!) orderings, and holds two layers.  When
-    the pool is one n-multiset, its first failing part ends the sweep empty.
+    the pool is one n-multiset, its first failing part ends the sweep empty,
+    so the result is that multiset or nothing.
+
+    A multiset is one int, its code: the count of the t-th smallest pool
+    value sits in bits t*w .. t*w + w - 1, w the bit length of the largest
+    room.  Adding a copy of that value adds 1 << t*w and dropping one
+    subtracts it, and the value has no room left when its field equals
+    room[v] << t*w.  Each code keeps the indices of the values in it, in
+    order; a multiset grows by its largest value or a larger one, so a grown
+    code's indices are its parent's, plus t when t is new.  Only the last
+    layer is decoded.
     """
     values = sorted(room)
+    width = max(room.values()).bit_length()
+    ones = (1 << width) - 1
+    steps = []  # per value index t: t, its unit, its count field and that field when full
+    drawn = []  # per value index: its unit, and the value repeated for map
+    for t, v in enumerate(values):
+        unit = 1 << t * width
+        steps.append((t, unit, ones * unit, room[v] * unit))
+        drawn.append((unit, itertools.repeat(v)))
     whole = sum(room.values()) == instance.car_count  # then one failing part fails the pool
-    layer: dict[tuple[int, ...], set[int]] = {(): {_empty_street(instance)}}
+    layer: dict[int, set[int]] = {0: {_empty_street(instance)}}  # code -> masks left
+    present: dict[int, tuple[int, ...]] = {0: ()}  # code -> indices of its values
     for fixed in prefs or instance.lengths:
-        grown: dict[tuple[int, ...], set[int]] = {}
-        for multiset in layer:
-            low = bisect.bisect_left(values, multiset[-1]) if multiset else 0
-            for value in values[low:]:
-                top = multiset + (value,)
-                if top.count(value) > room[value]:
+        kept = itertools.repeat(fixed)
+        grown: dict[int, set[int]] = {}
+        grown_present: dict[int, tuple[int, ...]] = {}
+        for code, held in present.items():
+            for t, unit, field, full in steps[held[-1] if held else 0 :]:
+                if code & field == full:
                     continue
+                top = code + unit
+                indices = held if held and t == held[-1] else held + (t,)
                 masks: set[int] = set()
-                for v in set(top):
-                    i = top.index(v)
-                    before = layer.get(top[:i] + top[i + 1 :])
-                    car = (v, fixed) if prefs is None else (fixed, v)
-                    after = None if before is None else {_park(free, *car) for free in before}
-                    if after is None or None in after:
-                        if whole:
-                            return {}
-                        break
-                    masks |= after
+                for unit_s, value in map(drawn.__getitem__, indices):
+                    before = layer.get(top - unit_s)
+                    if before is not None:
+                        if prefs is None:
+                            after = set(map(_park, before, value, kept))
+                        else:
+                            after = set(map(_park, before, kept, value))
+                        if None not in after:
+                            masks |= after
+                            continue
+                    if whole:
+                        return []
+                    break
                 else:
                     grown[top] = masks
-        layer = grown
-    return layer
+                    grown_present[top] = indices
+        layer, present = grown, grown_present
+    admitted = []
+    for code, held in present.items():
+        multiset: list[int] = []
+        for t in held:
+            multiset += [values[t]] * (code >> t * width & ones)
+        admitted.append(tuple(multiset))
+    return admitted
 
 
 def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     """Every rearrangement of the preferences (the sequence included) parks."""
     prefs = check_preferences(instance, prefs)
-    return tuple(sorted(prefs)) in _ordering_sweep(instance, Counter(prefs))
+    return bool(_ordering_sweep(instance, Counter(prefs)))
 
 
 def perm_invariant_characterized(
@@ -213,7 +245,7 @@ def is_strong_ps(
     if definitional:
         instance = ParkingInstance(lengths, trailer_z)
         prefs = check_preferences(instance, prefs)
-        return tuple(sorted(lengths)) in _ordering_sweep(instance, Counter(lengths), prefs)
+        return bool(_ordering_sweep(instance, Counter(lengths), prefs))
     if len(set(lengths)) == 1:
         return is_parking_sequence(ParkingInstance(lengths, trailer_z), prefs)
     instance = ParkingInstance(tuple(sorted(lengths)), trailer_z)

@@ -46,14 +46,13 @@ from .count import (
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    FamilyListing,
     _inv,
+    _ips,
     _kstrong,
+    _paths,
     _ps_walk,
     _strong,
     _upf,
-    enum_ips,
-    enum_lattice_paths,
 )
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
 
@@ -69,25 +68,15 @@ def _instance(args) -> ParkingInstance:
     return ParkingInstance(args.lengths, args.trailer)
 
 
-def _paths_listing(args) -> FamilyListing:
-    paths = enum_lattice_paths(args.boundary, args.width, args.budget)
-    # the paths come in lex order of their steps, so the listing needs no scan
-    return FamilyListing._trusted(
-        "paths",
-        {"boundary": paths[0].boundary, "width": paths[0].width},
-        tuple(path.xs for path in paths),
-    )
-
-
 # family: (required flags, check predicate or None, enumerator); each callable
 # takes the parsed arguments.  ``check`` offers the families with a predicate.
 # The enumerator gives the listing: family, params, cardinality and members;
-# all but ips and paths spell their members only when they are read.
+# each spells its members only when they are read.
 _FAMILIES = {
     "ps": (("lengths",), lambda a: is_parking_sequence(_instance(a), a.prefs),
            lambda a: _ps_walk(_instance(a), a.budget)),
     "ips": (("lengths",), lambda a: is_increasing_ps(_instance(a), a.prefs),
-            lambda a: enum_ips(_instance(a), a.budget)),
+            lambda a: _ips(_instance(a), a.budget)),
     "inv": (("lengths",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
             lambda a: _inv(_instance(a), a.budget)),
     "strong": (("lengths",),
@@ -98,7 +87,7 @@ _FAMILIES = {
                 lambda a: _kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
     "upf": (("boundary",), lambda a: is_u_parking_function(a.boundary, a.prefs),
             lambda a: _upf(a.boundary, a.budget)),
-    "paths": (("boundary",), None, _paths_listing),
+    "paths": (("boundary",), None, lambda a: _paths(a.boundary, a.width, a.budget)),
 }
 
 # formula: (flags in the order of the JSON params and the positional

@@ -15,9 +15,10 @@ characterizations are verified against.  Three producers build them:
   rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
 
-The walk, the box and the two reordering-closed families give a
-:class:`_Listing`, which knows its count without its members and spells
-them only when they are read, so ``enumerate --count-only`` builds none.
+Every producer gives a :class:`_Listing`, which knows its count without its
+members and spells them only when they are read, so ``enumerate
+--count-only`` builds none; the capped pass is counted by
+:func:`_count_nondecreasing`.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
@@ -158,6 +159,21 @@ def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]
             ]
         members.extend(map(prefix.__add__, pairs))
     return members
+
+
+def _count_nondecreasing(caps: Sequence[int], lowest: int = 1) -> int:
+    """How many tuples :func:`_nondecreasing` lists for these caps, none of them built.
+
+    ``ways[x - lowest]`` counts the valid prefixes ending in x.  The next
+    entry's ways are the prefix sums of these, cut or padded with their
+    total up to its cap.
+    """
+    ways = [1] * (caps[0] - lowest + 1)
+    for cap in caps[1:]:
+        size = cap - lowest + 1
+        ways = list(itertools.accumulate(ways))[:size]
+        ways += ways[-1:] * (size - len(ways))
+    return sum(ways)
 
 
 def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -371,6 +387,24 @@ def _inv(instance: ParkingInstance, budget: int) -> _Listing:
                     partial(_rearrangements, multisets))
 
 
+def _ips(instance: ParkingInstance, budget: int) -> _Listing:
+    """The nondecreasing members: the capped pass under the standard-order caps, counted unbuilt."""
+    bounds = standard_order_bounds(instance)
+    _guard(math.prod(bounds), budget)
+    return _Listing("ips", _params(instance), partial(_count_nondecreasing, bounds),
+                    partial(_nondecreasing, bounds))
+
+
+def _paths(boundary: Sequence[int], width: int | None, budget: int) -> _Listing:
+    """The lattice paths' steps: the capped pass from 0 under min(b - 1, width), counted unbuilt."""
+    boundary = check_boundary(boundary)
+    width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
+    caps = [min(b - 1, width) for b in boundary]
+    _guard(math.prod(c + 1 for c in caps), budget)
+    return _Listing("paths", {"boundary": boundary, "width": width},
+                    partial(_count_nondecreasing, caps, 0), partial(_nondecreasing, caps, 0))
+
+
 def _upf(bounds: Sequence[int], budget: int) -> _Listing:
     """The vector parking functions: the orderings of the sorted ones, counted unbuilt."""
     bounds = check_boundary(bounds)
@@ -392,9 +426,7 @@ def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyL
     c_i <= z + y_1 + ... + y_{i-1}, with no simulation; the tests and
     ``verify`` compare them with the nondecreasing members of :func:`enum_ps`.
     """
-    bounds = standard_order_bounds(instance)
-    _guard(math.prod(bounds), budget)
-    return FamilyListing._trusted("ips", _params(instance), tuple(_nondecreasing(bounds)))
+    return _listed(_ips(instance, budget))
 
 
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -467,9 +499,8 @@ def enum_lattice_paths(
     defaults to the largest possible north-step coordinate, and a narrower
     rectangle also caps every step at ``x_i <= width``.
     """
-    boundary = check_boundary(boundary)
-    width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
-    caps = [min(b - 1, width) for b in boundary]
-    _guard(math.prod(c + 1 for c in caps), budget)
-    # the caps and lowest=0 meet every check LatticePath makes
-    return [LatticePath._unchecked(xs, boundary, width) for xs in _nondecreasing(caps, lowest=0)]
+    listing = _paths(boundary, width, budget)
+    boundary, width = listing.params["boundary"], listing.params["width"]
+    # the caps and lowest=0 meet every check LatticePath makes; the paths wrap
+    # the spelled steps, which the listing does not copy into its members
+    return [LatticePath._unchecked(xs, boundary, width) for xs in listing._spell()]

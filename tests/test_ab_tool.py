@@ -16,10 +16,16 @@ def test_ab_runs_the_checkout_against_itself():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("workload counting  seed 1729  1 pairs x 3 passes: min of 3")
     assert lines[-1] == "failed ops: A 0, B 0"
-    rows = {line.split()[0]: line.split()[1:] for line in lines[4:-1]}
+    assert lines[3].split() == ["span", "A", "ms", "B", "ms", "B/A", "A", "op", "ms", "B", "op", "ms",
+                                "op", "B/A"]
+    rows = {line.split()[0]: list(map(float, line.split()[1:])) for line in lines[4:-1]}
     assert "count.count_ips_determinant" in rows and "pass" in rows
-    for a_ms, b_ms, ratio in rows.values():
-        assert float(a_ms) > 0 and float(b_ms) > 0
-        assert float(ratio) == float(ratio)  # B/A is a number, not nan
+    for a_ms, b_ms, ratio, a_op, b_op, op_ratio in rows.values():
+        assert a_ms > 0 and b_ms > 0
+        assert ratio == ratio and op_ratio == op_ratio  # each B/A is a number, not nan
+        # a span's slowest op takes no longer than the whole span
+        assert 0 < a_op <= a_ms and 0 < b_op <= b_ms
+    # the pass's slowest op is the slowest op of some span
+    assert rows["pass"][3] == max(row[3] for row in rows.values())
     # the two processes alternate, A first
     assert done.stderr.splitlines() == ["pair 1: A", "pair 1: B"]

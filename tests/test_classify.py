@@ -1,6 +1,7 @@
 """Family membership predicates: pinned examples and definition/characterization agreement."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from parkseq import (
     simulate,
     standard_order_bounds,
 )
+from parkseq.core import _park
 from parkseq.verify import _characterized_set, _invariant_grid
 
 
@@ -141,6 +143,48 @@ class TestPermutationInvariant:
         lengths, z, prefs = case
         instance = ParkingInstance(lengths, z)
         assert is_permutation_invariant(instance, prefs) == orbit_parks(instance, prefs)
+
+    @pytest.mark.parametrize("lengths, z", [((1,) * 6, 1), ((2, 1, 1, 1, 1, 2), 2), ((1, 1, 3, 1, 1, 1), 1)])
+    def test_matches_the_orbit_sweep_with_four_or_more_copies(self, lengths, z):
+        # four to six copies of one preference: its count field is 3 bits wide
+        instance = ParkingInstance(lengths, z)
+        spots, n = instance.street_length, instance.car_count
+        verdicts = set()
+        for copies in range(4, n + 1):
+            for value in range(1, spots + 1):
+                for rest in itertools.combinations_with_replacement(range(1, spots + 1), n - copies):
+                    prefs = rest[:1] + (value,) * copies + rest[1:]
+                    verdict = is_permutation_invariant(instance, prefs)
+                    assert verdict == orbit_parks(instance, prefs), prefs
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_seven_and_eight_copies_fill_and_widen_the_field(self):
+        # seven copies fill a 3-bit field; eight need a 4-bit one
+        for lengths, z, prefs in [
+            ((1,) * 8, 1, (1,) * 7 + (8,)),
+            ((1,) * 8, 1, (8,) + (2,) * 7),
+            ((1,) * 8, 1, (1,) * 8),
+            ((1,) * 8, 2, (9,) * 8),
+            ((2,) + (1,) * 7, 1, (1,) * 7 + (3,)),
+            ((2,) + (1,) * 7, 1, (9,) + (1,) * 7),
+        ]:
+            instance = ParkingInstance(lengths, z)
+            assert is_permutation_invariant(instance, prefs) == orbit_parks(instance, prefs), prefs
+
+    def test_parks_each_part_of_the_pool_once(self, monkeypatch):
+        # constant lengths and the eight distinct preferences z + i*k: each of
+        # the 2^8 sub-multisets leaves one mask, so each (sub-multiset, value)
+        # check parks once, 8 * 2^7 = 1,024 times
+        calls = []
+
+        def counted(free, pref, size):
+            calls.append(pref)
+            return _park(free, pref, size)
+
+        monkeypatch.setattr(classify, "_park", counted)
+        assert is_permutation_invariant(ParkingInstance((3,) * 8, 2), tuple(2 + 3 * i for i in range(8)))
+        assert len(calls) == 1024
 
     def test_twelve_unit_cars(self):
         # 479,001,600 orderings; no sweep reaches this size
@@ -267,6 +311,21 @@ class TestStrong:
         assert is_strong_ps(lengths, z, prefs, definitional=True) == (
             arrangements_park(lengths, z, prefs)
         )
+
+    @pytest.mark.parametrize("lengths, z", [((1, 1, 1, 1, 2), 1), ((2, 2, 2, 2, 1, 3), 2), ((1,) * 7 + (3,), 1)])
+    def test_definition_with_four_or_more_copies_of_one_length(self, lengths, z):
+        # four to seven copies of one length: its count field is 3 bits wide,
+        # and seven copies fill it
+        rng = random.Random(4)
+        spots = z + sum(lengths) - 1
+        verdicts = set()
+        for _ in range(120):
+            top = rng.randint(1, spots)
+            prefs = tuple(rng.randint(1, top) for _ in lengths)
+            verdict = is_strong_ps(lengths, z, prefs, definitional=True)
+            assert verdict == arrangements_park(lengths, z, prefs), prefs
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_twelve_distinct_lengths(self):
         # 479,001,600 arrangements; no sweep reaches this size

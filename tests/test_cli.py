@@ -303,9 +303,12 @@ class TestFileDumps:
             ["--family", "kstrong", "--n", "5", "--k", "3"],
             ["--family", "inv", "--lengths", "2,1,2", "--trailer", "2"],
             ["--family", "upf", "--boundary", "1,3,4"],
+            # the capped walk, counted by prefix sums
+            ["--family", "ips", "--lengths", "2,1,2", "--trailer", "2"],
+            ["--family", "paths", "--boundary", "1,3,4", "--width", "2"],
         ],
         ids=["ps", "strong", "kstrong", "strong-constant", "kstrong-k-total", "kstrong-k-one",
-             "strong-box", "kstrong-box", "inv", "upf"],
+             "strong-box", "kstrong-box", "inv", "upf", "ips", "paths"],
     )
     def test_count_only_reads_the_walk_and_builds_no_member(
         self, monkeypatch, tmp_path, capsys, route
@@ -319,8 +322,13 @@ class TestFileDumps:
         def refuse(*args):
             raise AssertionError("--count-only built a member")
 
-        # what spells the members of the walk, the box and the reordering-closed families
-        for speller in ("_emit", "_box_members", "_rearrangements"):
+        # what spells the members of the walk, the box, the reordering-closed
+        # families and the capped walk; upf counts its sorted members, so it
+        # runs the capped walk
+        spellers = ["_emit", "_box_members", "_rearrangements"]
+        if route[1] != "upf":
+            spellers.append("_nondecreasing")
+        for speller in spellers:
             monkeypatch.setattr(parkseq.enumeration, speller, refuse)
         assert run([*argv, "--count-only"]) == 0
         assert capsys.readouterr().out == f"{doc['result']['cardinality']}\n"
@@ -339,6 +347,9 @@ class TestFileDumps:
         # 2,027,025 members of the box, which took a second and 250 MB to build
         assert run(["enumerate", "--family", "strong", "--lengths", "2,2,2,2,2,2,2,3", "--count-only"]) == 0
         assert capsys.readouterr().out == f"{parkseq.count_sps((2,) * 7 + (3,), 1)}\n"
+        # 58,786 nondecreasing members, the Catalan number C_11
+        assert run(["enumerate", "--family", "ips", "--lengths", ",".join("1" * 11), "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{parkseq.count_ips_determinant((1,) * 11, 1)}\n"
 
     @pytest.mark.parametrize(
         "route",

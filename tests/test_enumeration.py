@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import random
 import re
-from argparse import Namespace
 
 import pytest
 from sweeps import (
@@ -33,9 +32,11 @@ from parkseq import (
     simulate,
 )
 from parkseq import enumeration
-from parkseq.cli import _paths_listing
 from parkseq.core import _park
-from parkseq.enumeration import _inv, _kstrong, _nondecreasing, _ps_walk, _strong, _upf, _walk
+from parkseq.enumeration import (
+    _count_nondecreasing, _inv, _kstrong, _listed, _nondecreasing, _paths, _ps_walk, _strong, _upf,
+    _walk,
+)
 
 
 def test_enum_ps_small_family():
@@ -88,7 +89,7 @@ def _trusted_listings():
     for bounds in _nondecreasing_boundaries():
         yield enum_u_pf(bounds)
         for width in (None, 0, 1, 3):
-            yield _paths_listing(Namespace(boundary=bounds, width=width, budget=DEFAULT_BUDGET))
+            yield _listed(_paths(bounds, width, DEFAULT_BUDGET))
 
 
 def test_trusted_listings_are_strictly_increasing():
@@ -111,6 +112,16 @@ def test_nondecreasing_edge_cases_match_the_product_filter():
             if all(a <= b for a, b in zip(xs, xs[1:])) and all(map(int.__le__, xs, caps))
         ]
         assert _nondecreasing(caps, lowest) == expected, (caps, lowest)
+
+
+def test_nondecreasing_count_matches_the_listing():
+    # every caps tuple of up to four entries from 0..4, decreasing ones and
+    # a cap of 0 under lowest 1 included, for both lowest values the callers use
+    for n in range(1, 5):
+        for caps in itertools.product(range(5), repeat=n):
+            for lowest in (0, 1):
+                assert _count_nondecreasing(caps, lowest) == len(_nondecreasing(caps, lowest)), (
+                    caps, lowest)
 
 
 def test_enum_ips_two_pairs():

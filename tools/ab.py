@@ -12,6 +12,10 @@ tree, alternating which tree goes first.  A process imports its tree's
 op over ``--passes`` passes and checks every answer against the workload's
 reference.  The report gives, per span and for the whole pass, the minimum
 over all passes of all processes of each tree, in milliseconds, and B/A.
+A span's time is the sum of its ops, so it also gives the span's slowest
+op: each op's minimum over all passes of all processes of a tree, the
+largest of these in the span (in the whole pass, for the pass row), and B/A.
+That op sets the workload's tail latency when it is the slowest of the pass.
 Times are as measured, uncorrected for the host's speed; alternating the
 trees lets both see the host in the same states.  The exit status is 1 if
 any op of either tree gave a wrong answer or raised.
@@ -31,7 +35,11 @@ WORKLOADS = ("gate", "listing", "counting", "queries")
 
 
 def _child(tree, workload, seed, passes):
-    """Time the workload on ``tree``; print {span: [ms per pass], "failed": n} as JSON."""
+    """Time the workload on ``tree``; print its spans' and ops' times and failures as JSON.
+
+    ``spans`` maps each span to its ms per pass, ``ops`` each span to its ops'
+    minimum ms over the passes, in workload order.
+    """
     src = (Path(tree) / "src").resolve()
     sys.path[:0] = [str(src), str(PERFBENCH)]
     import measure
@@ -46,11 +54,16 @@ def _child(tree, workload, seed, passes):
     phase = measure.run_phase(ops, passes)
     failed, _ = measure.check(ops, phase)
     spans = {}
+    fastest = [float("inf")] * len(ops)
     for index, seconds in enumerate(phase.op_times):
         per_pass = spans.setdefault(ops[index % len(ops)].span, [0.0] * passes)
         per_pass[index // len(ops)] += seconds * 1e3
+        fastest[index % len(ops)] = min(fastest[index % len(ops)], seconds * 1e3)
     spans["pass"] = [seconds * 1e3 for seconds in phase.pass_times]
-    print(json.dumps({"spans": spans, "failed": failed}))
+    op_mins = {"pass": fastest}
+    for op, ms in zip(ops, fastest):
+        op_mins.setdefault(op.span, []).append(ms)
+    print(json.dumps({"spans": spans, "ops": op_mins, "failed": failed}))
 
 
 def _run_tree(tree, args):
@@ -64,20 +77,26 @@ def _run_tree(tree, args):
 
 def _report(trees, runs, args):
     best = [{} for _ in trees]
+    op_best = [{} for _ in trees]  # span -> each op's minimum over the tree's processes
     failed = [0, 0]
     for side, result in runs:
         failed[side] += result["failed"]
         for span, times in result["spans"].items():
             best[side][span] = min(best[side].get(span, float("inf")), *times)
+        for span, times in result["ops"].items():
+            op_best[side][span] = list(map(min, op_best[side].get(span, times), times))
     samples = args.pairs * args.passes
     lines = [f"workload {args.workload}  seed {args.seed}  {args.pairs} pairs x {args.passes}"
-             f" passes: min of {samples} per tree, ms as measured",
+             f" passes: min of {samples} per tree, ms as measured; op = the span's slowest op",
              f"A = {trees[0]}", f"B = {trees[1]}"]
     width = max(map(len, best[0]))
-    lines.append(f"{'span':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}")
+    lines.append(f"{'span':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}"
+                 f"  {'A op ms':>10}  {'B op ms':>10}  {'op B/A':>6}")
     for span in sorted(best[0], key=lambda s: (s == "pass", s)):
         a, b = best[0][span], best[1].get(span, float("nan"))
-        lines.append(f"{span:<{width}}  {a:>10.3f}  {b:>10.3f}  {b / a:>6.3f}")
+        a_op, b_op = max(op_best[0][span]), max(op_best[1].get(span, [float("nan")]))
+        lines.append(f"{span:<{width}}  {a:>10.3f}  {b:>10.3f}  {b / a:>6.3f}"
+                     f"  {a_op:>10.3f}  {b_op:>10.3f}  {b_op / a_op:>6.3f}")
     lines.append(f"failed ops: A {failed[0]}, B {failed[1]}")
     return lines, any(failed)
 
