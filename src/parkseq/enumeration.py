@@ -289,6 +289,7 @@ def _walk(
     instance: ParkingInstance,
     vectors: Callable[[], Iterable[tuple[int, ...]]],
     budget: int,
+    memos: dict[tuple[int, int], dict] | None = None,
 ) -> _Listing:
     """The listing of the all-vectors walk.
 
@@ -297,6 +298,12 @@ def _walk(
     budget allows the walk.  The walk runs here, its memo keeping each
     state's steps and count, so no state is walked twice; the cardinality is
     read off the steps, and the members are spelled out of them on first read.
+
+    By default each walk has a memo of its own.  A caller that walks many
+    instances in one call (verify's ``eq3`` suite) may pass ``memos``, which
+    maps a packing (shift, width) to its memo and lasts as long as the caller
+    keeps it, so instances on one street walk each state they share once.  A
+    code names one state only under one packing, so a memo never serves two.
     """
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
@@ -309,7 +316,8 @@ def _walk(
     start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
     if len(start) == 1:
         (start,) = start
-    found, count = _steps(start, shift, width, {})
+    memo = {} if memos is None else memos.setdefault((shift, width), {})
+    found, count = _steps(start, shift, width, memo)
     return _Listing(family, params, lambda: count, partial(_spelled, found, n - 1))
 
 
@@ -330,9 +338,9 @@ def _params(instance: ParkingInstance) -> dict[str, object]:
     return {"lengths": instance.lengths, "trailer": instance.trailer_z}
 
 
-def _ps_walk(instance: ParkingInstance, budget: int) -> _Listing:
-    """The plain family: the walk on the instance's one length vector."""
-    return _walk("ps", _params(instance), instance, lambda: (instance.lengths,), budget)
+def _ps_walk(instance: ParkingInstance, budget: int, memos: dict | None = None) -> _Listing:
+    """The plain family: the walk on the instance's one length vector, memos as :func:`_walk`."""
+    return _walk("ps", _params(instance), instance, lambda: (instance.lengths,), budget, memos)
 
 
 def _box_members(bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, le
 
 from .biject import (
     _invariant_contraction,
@@ -36,6 +36,7 @@ from .count import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _guard,
     _params,
     _ps_walk,
     _rearrangements,
@@ -139,10 +140,26 @@ def _characterized_set(instance):
 
 
 def _suite_eq3(max_n, seed, budget):
-    for instance in _instance_grid(max_n):
+    """Each instance's walk count against the product formula, in grid order.
+
+    Every budget guard is met in grid order before any walk.  A walk state
+    holds the lengths still to park, the last car's among them, so only
+    instances on one street with one last length meet the same states; each
+    such group walks through shared memos, dropped when the group is done.
+    """
+    instances = list(_instance_grid(max_n))
+    groups = {}
+    for instance in instances:
+        _guard(instance.street_length**instance.car_count, budget)
+        groups.setdefault((instance.street_length, instance.lengths[-1]), []).append(instance)
+    counts = {}
+    for group in groups.values():
+        memos = {}
+        for instance in group:
+            counts[instance] = _ps_walk(instance, budget, memos).cardinality
+    for instance in instances:
         yield ("ps-product-vs-enum", _params(instance),
-               count_ps_product(instance.lengths, instance.trailer_z),
-               _ps_walk(instance, budget).cardinality,
+               count_ps_product(instance.lengths, instance.trailer_z), counts[instance],
                "product count formula against the exhaustive sweep")
 
 
@@ -181,8 +198,7 @@ def _suite_determinant(max_n, seed, budget):
                "boundary determinant against the direct sweep")
         if instance.car_count <= 3:
             filtered = tuple(
-                m for m in enum_ps(instance, budget).members
-                if all(a <= b for a, b in zip(m, m[1:]))
+                m for m in enum_ps(instance, budget).members if all(map(le, m, m[1:]))
             )
             yield ("ips-methods-agree", params, True, listing.members == filtered,
                    "bound generation equals filtering the simulation sweep")

@@ -172,6 +172,15 @@ class TestExitCodes:
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
 
+    @pytest.mark.parametrize("budget, candidates", [(5, 9), (100, 125), (1000, 1331), (10000, 14641)])
+    def test_eq3_refuses_the_first_instance_in_grid_order(self, capsys, budget, candidates):
+        # every eq3 guard is met in grid order before any walk, so the refused
+        # instance is the first in the grid whose M^n exceeds the budget
+        assert run(["verify", "--suite", "eq3", "--budget", str(budget)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: enumeration would sweep {candidates} candidates, budget is {budget}\n"
+        )
+
     def test_enumerate_strong_honors_definitional(self, capsys):
         # the characterized box holds 1 * 2 * 4 members; the definition
         # sweeps 5^3 candidates

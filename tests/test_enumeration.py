@@ -29,6 +29,7 @@ from parkseq import (
     enum_sps_k,
     enum_u_pf,
     is_parking_sequence,
+    run_suite,
     simulate,
 )
 from parkseq import enumeration
@@ -398,6 +399,24 @@ def test_walk_parks_each_merged_state_once(monkeypatch):
     monkeypatch.setattr(enumeration, "_park", counted)
     assert enum_sps((3, 3, 3, 2, 3), 1).cardinality == 1944 == count_sps((3, 3, 3, 2, 3), 1)
     assert len(calls) == 3337
+
+
+def test_eq3_walks_each_shared_state_once_per_call(monkeypatch):
+    # 55,116 _park calls when each of the 360 instances walked with a memo of
+    # its own; instances on one street with one last length share states.
+    # The second call parks as often as the first: no memo outlives a call.
+    calls = []
+
+    def counted(free, pref, size):
+        calls.append(pref)
+        return _park(free, pref, size)
+
+    monkeypatch.setattr(enumeration, "_park", counted)
+    for _ in range(2):
+        calls.clear()
+        records = run_suite("eq3")
+        assert len(records) == 360 and all(record.passed for record in records)
+        assert len(calls) == 26605
 
 
 def test_enum_sps_k_definitional_on_seven_cars():

@@ -19,11 +19,22 @@ That op sets the workload's tail latency when it is the slowest of the pass.
 Times are as measured, uncorrected for the host's speed; alternating the
 trees lets both see the host in the same states.  The exit status is 1 if
 any op of either tree gave a wrong answer or raised.
+
+With ``--in-process`` both trees run in this one process instead, imported
+as two packages, and they alternate op by op: every op runs on both trees
+before the next, which tree goes first switching from op to op and from
+pass to pass, for ``--pairs`` x ``--passes`` passes per tree.  Timing one
+process per tree also times that process's state (where its objects landed
+in memory, when its collector runs), which moved spans that neither tree
+changed by up to 10 %; op by op, both trees share one.  The table is the
+same.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -53,17 +64,59 @@ def _child(tree, workload, seed, passes):
     ops = workloads.BUILDERS[workload](parkseq, seed)
     phase = measure.run_phase(ops, passes)
     failed, _ = measure.check(ops, phase)
+    print(json.dumps(_result(ops, phase.op_times, phase.pass_times, failed)))
+
+
+def _result(ops, op_times, pass_times, failed):
+    """One tree's times, ``op_times`` pass by pass in workload order, as :func:`_report` reads them."""
     spans = {}
     fastest = [float("inf")] * len(ops)
-    for index, seconds in enumerate(phase.op_times):
-        per_pass = spans.setdefault(ops[index % len(ops)].span, [0.0] * passes)
+    for index, seconds in enumerate(op_times):
+        per_pass = spans.setdefault(ops[index % len(ops)].span, [0.0] * len(pass_times))
         per_pass[index // len(ops)] += seconds * 1e3
         fastest[index % len(ops)] = min(fastest[index % len(ops)], seconds * 1e3)
-    spans["pass"] = [seconds * 1e3 for seconds in phase.pass_times]
+    spans["pass"] = [seconds * 1e3 for seconds in pass_times]
     op_mins = {"pass": fastest}
     for op, ms in zip(ops, fastest):
         op_mins.setdefault(op.span, []).append(ms)
-    print(json.dumps({"spans": spans, "ops": op_mins, "failed": failed}))
+    return {"spans": spans, "ops": op_mins, "failed": failed}
+
+
+def _load(name, tree):
+    """Import ``tree``'s ``src/parkseq`` as the package ``name``, beside any other copy."""
+    package = Path(tree) / "src" / "parkseq"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    importlib.import_module(f"{name}.cli")  # the queries workload calls lib.cli
+    return lib
+
+
+def _in_process(trees, args):
+    """Time both trees in this process, op by op; one (side, result) per tree."""
+    sys.path.insert(0, str(PERFBENCH))
+    import measure
+    import workloads
+
+    ops = [workloads.BUILDERS[args.workload](_load(f"parkseq_{side}", tree), args.seed)
+           for side, tree in zip("ab", trees)]
+    # one phase per op, so each op's answers are checked against its own reference
+    phases = [[measure.new_phase([op]) for op in tree_ops] for tree_ops in ops]
+    passes = args.pairs * args.passes
+    for turn in range(passes):
+        for index in range(len(ops[0])):
+            for side in (0, 1) if (turn + index) % 2 == 0 else (1, 0):
+                measure.run_phase([ops[side][index]], 1, phase=phases[side][index])
+    runs = []
+    for side in (0, 1):
+        failed = sum(measure.check([op], phase)[0] for op, phase in zip(ops[side], phases[side]))
+        op_times = [phase.op_times[p] for p in range(passes) for phase in phases[side]]
+        pass_times = [sum(op_times[p * len(ops[side]):(p + 1) * len(ops[side])])
+                      for p in range(passes)]
+        runs.append((side, _result(ops[side], op_times, pass_times, failed)))
+    return runs
 
 
 def _run_tree(tree, args):
@@ -86,8 +139,10 @@ def _report(trees, runs, args):
         for span, times in result["ops"].items():
             op_best[side][span] = list(map(min, op_best[side].get(span, times), times))
     samples = args.pairs * args.passes
+    where = " in one process" if args.in_process else ""
     lines = [f"workload {args.workload}  seed {args.seed}  {args.pairs} pairs x {args.passes}"
-             f" passes: min of {samples} per tree, ms as measured; op = the span's slowest op",
+             f" passes{where}: min of {samples} per tree, ms as measured;"
+             " op = the span's slowest op",
              f"A = {trees[0]}", f"B = {trees[1]}"]
     width = max(map(len, best[0]))
     lines.append(f"{'span':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}"
@@ -109,6 +164,8 @@ def main(argv=None):
     parser.add_argument("--passes", type=int, default=3,
                         help="passes over the ops per process (default 3)")
     parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--in-process", action="store_true",
+                        help="run both trees in this process, alternating op by op")
     parser.add_argument("--child", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -117,6 +174,10 @@ def main(argv=None):
     if len(args.trees) != 2 or args.pairs < 1 or args.passes < 1:
         parser.error("give two trees, and --pairs and --passes of at least 1")
     trees = [Path(tree).resolve() for tree in args.trees]
+    if args.in_process:
+        lines, any_failed = _report(trees, _in_process(trees, args), args)
+        print("\n".join(lines))
+        return 1 if any_failed else 0
     runs = []
     for pair in range(args.pairs):
         for side in (0, 1) if pair % 2 == 0 else (1, 0):
