@@ -257,7 +257,10 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     with handle:
         _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
-    print(f"wrote {listing.cardinality} members to {args.out}")
+    if args.json:
+        _print_listing(listing, True, True)
+    else:
+        print(f"wrote {listing.cardinality} members to {args.out}")
     return EXIT_OK
 
 

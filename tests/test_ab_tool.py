@@ -1,5 +1,7 @@
 """The interleaved A/B script ``tools/ab.py``, run on this checkout against itself."""
 
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +9,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _ab(*mode):
-    done = subprocess.run(
-        [sys.executable, "tools/ab.py", ".", ".", "--workload", "counting", "--pairs", "1", *mode],
-        cwd=ROOT, capture_output=True, text=True, check=False, timeout=300,
+def _ab(*trees, env=None):
+    return subprocess.run(
+        [sys.executable, "tools/ab.py", *trees, "--workload", "counting", "--passes", "3"],
+        cwd=ROOT, capture_output=True, text=True, check=False, timeout=300, env=env,
     )
+
+
+def test_ab_runs_the_checkout_against_itself_in_one_process():
+    done = _ab(".", ".")
     assert done.returncode == 0, done.stderr
-    return done
-
-
-def _check_table(lines):
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("workload counting  seed 1729  3 passes in one process: ")
     assert lines[-1] == "failed ops: A 0, B 0"
     assert lines[3].split() == ["span", "A", "ms", "B", "ms", "B/A", "A", "op", "ms", "B", "op", "ms",
                                 "op", "B/A"]
@@ -31,19 +36,17 @@ def _check_table(lines):
     assert rows["pass"][3] == max(row[3] for row in rows.values())
 
 
-def test_ab_runs_the_checkout_against_itself():
-    done = _ab()
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith("workload counting  seed 1729  1 pairs x 3 passes: min of 3")
-    _check_table(lines)
-    # the two processes alternate, A first
-    assert done.stderr.splitlines() == ["pair 1: A", "pair 1: B"]
-
-
-def test_ab_runs_the_checkout_against_itself_in_one_process():
-    done = _ab("--in-process")
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith(
-        "workload counting  seed 1729  1 pairs x 3 passes in one process: min of 3")
-    _check_table(lines)
-    assert done.stderr == ""
+def test_ab_refuses_a_tree_that_imports_itself_by_name(tmp_path):
+    # with this checkout's src on the path, such a tree would be timed as this checkout
+    tree = tmp_path / "tree"
+    package = tree / "src" / "parkseq"
+    shutil.copytree(ROOT / "src" / "parkseq", package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "__init__.py", "a", encoding="utf-8") as init:
+        init.write("\nimport parkseq\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = _ab(str(tree), str(tree), env=env)
+    assert done.returncode != 0
+    assert done.stdout == ""
+    foreign = (ROOT / "src" / "parkseq" / "__init__.py").resolve()
+    assert done.stderr == (f"error: loading {tree.resolve()} imported parkseq from {foreign},"
+                           f" not from {package.resolve()}\n")

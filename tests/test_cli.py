@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, JSON schema, diagrams, file dumps."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,11 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sweeps import bounded_nondecreasing_count
 
 import parkseq
 from parkseq import ParkingInstance, simulate
 from parkseq.cli import _FAMILIES, _FORMULAS, _street_lines, build_parser, run
+from parkseq.verify import SUITE_NAMES
 
 
 def _cells(line):
@@ -294,8 +299,17 @@ class TestFileDumps:
         argv = ["enumerate", "--family", "ps", "--lengths", "1,2", *count_only]
         assert run([*argv, "--out", str(target)]) == 0
         assert capsys.readouterr().out == f"wrote 3 members to {target}\n"
+        held = target.read_bytes()
         assert run(argv + (["--json"] if suffix == ".json" else [])) == 0
-        assert target.read_bytes() == capsys.readouterr().out.encode()
+        assert held == capsys.readouterr().out.encode()
+        # --json leaves the file to its suffix and prints the count-only document
+        target.unlink()
+        assert run([*argv, "--out", str(target), "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert target.read_bytes() == held
+        assert run(["enumerate", "--family", "ps", "--lengths", "1,2", "--count-only", "--json"]) == 0
+        assert printed == capsys.readouterr().out
+        assert json.loads(printed)["result"] == {"cardinality": 3}
 
     @pytest.mark.parametrize(
         "route",
@@ -427,6 +441,111 @@ def test_closed_pipe_ends_quietly():
 
 def test_unknown_suite_reported_as_usage_error():
     assert run(["verify", "--suite", "everything"]) == 2
+
+
+# values from -1 to 6, positive at least seven times in eight, so that most
+# requests get past validation
+_VALUE = st.one_of(st.integers(1, 6), st.integers(-1, 6))
+_BUDGET = st.one_of(st.just(10**5), st.integers(-1, 10**5))
+_OFTEN = st.sampled_from((True,) * 7 + (False,))
+# each optional flag of a command, with the kind of value it takes (None: a switch)
+_OPTIONAL = {
+    "simulate": {"--trailer": "int", "--render": None},
+    "check": {"--lengths": "csv", "--trailer": "int", "--n": "int", "--k": "int",
+              "--boundary": "bounds", "--definitional": None},
+    "enumerate": {"--lengths": "csv", "--trailer": "int", "--n": "int", "--k": "int",
+                  "--boundary": "bounds", "--width": "int", "--count-only": None,
+                  "--definitional": None, "--out": "out"},
+    "count": {"--lengths": "csv", "--trailer": "int", "--n": "int", "--k": "int", "--r": "int"},
+    "verify": {"--seed": "int", "--budget": "budget"},
+}
+# an unwritable name (a missing directory, the directory itself) is a usage error
+_OUT_NAMES = ("rows.csv", "doc.json", "rows", "missing/rows.csv", "")
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """One CLI request: a command, its required flags, and some of its optional ones.
+
+    Lists hold one to four values, mostly as many as the request's cars, and
+    boundaries are mostly sorted.  ``enumerate``, which has the most to keep,
+    is drawn twice as often as each other command.  The flags a family or
+    formula needs are drawn seven times in eight, the others half the time;
+    "present" comes first, so the simplest requests hypothesis tries carry
+    every flag, ``--json`` and ``--out`` together among them.
+    """
+    cars = draw(st.integers(1, 4))
+    entries = st.one_of(st.lists(_VALUE, min_size=cars, max_size=cars),
+                        st.lists(_VALUE, min_size=1, max_size=4))
+    values = {
+        "int": _VALUE.map(str),
+        "csv": entries.map(lambda drawn: ",".join(map(str, drawn))),
+        "bounds": st.one_of(entries.map(sorted), entries).map(lambda drawn: ",".join(map(str, drawn))),
+        "budget": _BUDGET.map(str),
+        "out": st.sampled_from(_OUT_NAMES).map(lambda name: str(out_dir / name)),
+    }
+    command = draw(st.sampled_from([*_OPTIONAL, "enumerate"]))
+    argv, needed = [command], ()
+    if command == "simulate":
+        argv += ["--lengths", draw(values["csv"]), "--prefs", draw(values["csv"])]
+    elif command == "check":
+        family = draw(st.sampled_from([name for name, (_, check, _) in _FAMILIES.items() if check]))
+        argv += ["--family", family, "--prefs", draw(values["csv"])]
+        needed = _FAMILIES[family][0]
+    elif command == "enumerate":
+        family = draw(st.sampled_from(sorted(_FAMILIES)))
+        argv += ["--family", family, "--budget", draw(values["budget"])]
+        needed = _FAMILIES[family][0]
+    elif command == "count":
+        formula = draw(st.sampled_from(sorted(_FORMULAS)))
+        argv += ["--formula", formula]
+        needed = _FORMULAS[formula][0]
+    else:  # the suites that take milliseconds at --max-n 2
+        small = [suite for suite in SUITE_NAMES if suite not in ("all", "determinant")]
+        max_n = draw(st.one_of(st.integers(1, 2), st.integers(-1, 2)))
+        argv += ["--suite", draw(st.sampled_from(small)), "--max-n", str(max_n)]
+    for flag, kind in {**_OPTIONAL[command], "--json": None}.items():
+        if draw(_OFTEN if flag[2:] in needed else st.sampled_from((True, False))):
+            argv += [flag] if kind is None else [flag, draw(values[kind])]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_generated_argv_keep_the_cli_contract(tmp_path_factory, data):
+    out_dir = tmp_path_factory.getbasetemp() / "cli-contract"
+    out_dir.mkdir(exist_ok=True)
+    argv = data.draw(_argv(out_dir))
+    code, out, err = _run_captured(argv)
+    assert code in range(5), (code, err)
+    if code in (2, 4):
+        assert out == ""
+        assert err.startswith(("error:", "usage:"))
+    elif "--json" in argv:
+        json.loads(out)
+    if argv[0] == "enumerate" and "--count-only" in argv and code == 0:
+        # the listing of the same argv, as CSV rows on stdout
+        plain, skip = [], False
+        for arg in argv:
+            if not skip and arg not in ("--count-only", "--json", "--out"):
+                plain.append(arg)
+            skip = arg == "--out"
+        plain_code, rows, _ = _run_captured(plain)
+        assert plain_code == 0
+        if "--json" in argv:
+            count = json.loads(out)["result"]["cardinality"]
+        elif "--out" in argv:
+            count = int(out.split()[1])  # wrote N members to FILE
+        else:
+            count = int(out)
+        assert count == len(rows.splitlines())
 
 
 # Pinned --json documents, one per family and formula: the flags given, then
