@@ -12,6 +12,7 @@ Two maps, both tested by round trip and by exact image equality:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,11 +162,11 @@ def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, .
     run = 1
     while run < n and lengths[run] == lengths[0]:
         run += 1
-    if all(a < b for a, b in zip(lengths, lengths[1:])):
+    if all(map(operator.lt, lengths, lengths[1:])):
         step, r = 1, 1
     elif run == n or (len(set(lengths[run:])) == 1 and lengths[0] < lengths[run]):
         step, r = lengths[0], run
-    elif lengths[0] > 1 and all(v == 1 for v in lengths[1:]):
+    elif lengths[0] > 1 and lengths.count(1) == n - 1:
         step, r = 1, n
     else:
         return None

@@ -33,7 +33,6 @@ from .core import (
     _weight_and_count,
     check_boundary,
     check_preferences,
-    simulate,
     standard_order_bounds,
 )
 
@@ -84,8 +83,17 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def is_parking_sequence(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
-    """Do all cars park under these preferences?"""
-    return simulate(instance, prefs).success
+    """Do all cars park under these preferences?
+
+    One :func:`parkseq.core._park` step per car, stopping at the first that
+    fails; no :class:`parkseq.core.ParkOutcome` is built.
+    """
+    free = _empty_street(instance)
+    for pref, size in zip(check_preferences(instance, prefs), instance.lengths):
+        free = _park(free, pref, size)
+        if free is None:
+            return False
+    return True
 
 
 def necessary_condition(instance: ParkingInstance, prefs: Sequence[int]) -> bool:

@@ -248,7 +248,7 @@ def _cmd_enumerate(args) -> int:
     flags, _, enumerator = _FAMILIES[args.family]
     _need(args, f"--family {args.family}", flags)
     listing = enumerator(args)  # refused here, before --out opens its file
-    if not args.out:
+    if args.out is None:
         _print_listing(listing, args.json, args.count_only)
         return EXIT_OK
     try:

@@ -12,8 +12,9 @@ with the smallest counterexample (lengths (2, 2), preferences (2, 1)).
 
 Occupancy is one free-spot mask (bit ``j`` set when spot ``j`` is on the
 street and empty).  The rule is written twice on it: by :func:`simulate`,
-and by :func:`_park`, the success-only step of every walk, which the tests
-hold to :func:`simulate`.
+and by :func:`_park`, the success-only step of every walk and of
+:func:`parkseq.classify.is_parking_sequence`, which the tests hold to
+:func:`simulate`.
 """
 
 from __future__ import annotations

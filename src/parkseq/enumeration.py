@@ -81,7 +81,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def _guard(candidates: int, budget: int) -> None:
-    if candidates > budget:
+    """Refuse a sweep of more candidates than the budget, a true integer >= 1."""
+    if candidates > _positive(budget, "budget"):
         raise BudgetExceededError(candidates, budget)
 
 

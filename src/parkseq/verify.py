@@ -319,6 +319,7 @@ def run_suite(
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choices are {', '.join(SUITE_NAMES)}")
     max_n = None if max_n is None else _positive(max_n, "max_n")
+    budget = _positive(budget, "budget")  # a suite with no rows at this max_n meets no guard
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
     return [
         ReportRecord(*row)

@@ -6,7 +6,8 @@ searches that step from empty spot to empty spot of one occupancy mask per
 length vector; these oracles share no code with any of them beyond
 ``simulate`` and the public predicates, and build every ordering or every
 point of the product, so keep them to n <= 6.  ``invariance_rule`` is the
-closed invariance rule written out case by case, without the contraction.
+closed invariance rule written out case by case, without the contraction,
+and ``contraction_shape`` the contraction's (step, boundary) for each shape.
 ``bounded_nondecreasing_count`` is a DP, not a sweep; it shares no code with
 the boundary determinant it checks, and runs to n in the hundreds.
 ``park_on_spots`` is the oracle for ``simulate`` itself: the parking rule on
@@ -128,6 +129,28 @@ def characterized_set(instance):
         if perm_invariant_characterized(instance, rep)
         for prefs in permutation_set(rep)
     ))
+
+
+def contraction_shape(lengths, trailer_z):
+    """The (step, boundary) of each characterized length shape, else None.
+
+    Each shape is built outright and compared with the lengths, in the
+    library's order: strictly increasing, (1, (z, ..., z)); then constant or
+    two blocks (a^r, b^(n-r)) with a < b, (a, n - r + 1 copies of z, then
+    z + 1, ..., z + r - 1); then (a, 1, ..., 1) with a > 1,
+    (1, (z, z + 1, ..., z + n - 1)).
+    """
+    lengths, z = tuple(lengths), trailer_z
+    n, a = len(lengths), lengths[0]
+    if lengths == tuple(sorted(set(lengths))):
+        return 1, (z,) * n
+    for r in range(1, n + 1):
+        for b in range(a + 1, max(lengths) + 1) if r < n else (a,):
+            if lengths == (a,) * r + (b,) * (n - r):
+                return a, (z,) * (n - r + 1) + tuple(z + i for i in range(1, r))
+    if a > 1 and lengths == (a,) + (1,) * (n - 1):
+        return 1, tuple(range(z, z + n))
+    return None
 
 
 def invariance_rule(lengths, trailer_z, prefs):

@@ -1,8 +1,11 @@
 """Round trips and image equalities for the two invertible maps."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sweeps import contraction_shape
 
 from parkseq import (
     LatticePath,
@@ -181,3 +184,13 @@ def test_boundary_builders():
     ):
         with pytest.raises(ValueError, match=message):
             _invariant_contraction(ParkingInstance(lengths, z))
+
+
+def test_contraction_matches_its_restatement_on_every_small_shape():
+    # every length vector in {1,2,3,4}^n, n <= 5, so a leading 1 before unit
+    # cars, or a unit car among bigger ones, meets every scan of the dispatch
+    for n in range(1, 6):
+        for lengths in itertools.product((1, 2, 3, 4), repeat=n):
+            for z in (1, 2):
+                expected = contraction_shape(lengths, z)
+                assert _invariant_contraction(ParkingInstance(lengths, z)) == expected, (lengths, z)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,28 @@ class TestIsParkingSequence:
 
     def test_small_family_member(self):
         assert is_parking_sequence(ParkingInstance((1, 2), 1), (3, 1))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_simulate(self, data):
+        lengths = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+        instance = ParkingInstance(lengths, data.draw(st.integers(1, 3)))
+        # caps up to M + 2, so cars find no empty spot or run past the street
+        # end, while a small cap keeps true verdicts common
+        top = data.draw(st.integers(1, instance.street_length + 2))
+        prefs = data.draw(st.lists(st.integers(1, top), min_size=len(lengths), max_size=len(lengths)))
+        assert is_parking_sequence(instance, prefs) is simulate(instance, prefs).success
+
+    @pytest.mark.parametrize(
+        "prefs", [(1,), (1, 2, 3), (0, 1), (True, 1), (1.0, 1)],
+        ids=["short", "long", "zero", "bool", "float"],
+    )
+    def test_refuses_what_simulate_refuses(self, prefs):
+        instance = ParkingInstance((1, 2), 1)
+        with pytest.raises(ValueError) as refused:
+            simulate(instance, prefs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            is_parking_sequence(instance, prefs)
 
 
 class TestNecessaryCondition:
@@ -335,8 +358,8 @@ class TestStrong:
         assert is_strong_ps((1,) * 600, 1, (1,) * 600, definitional=True)
 
     def test_characterization_runs_no_simulation(self, monkeypatch):
-        # the caps of standard_order_bounds decide it, not the simulator
-        monkeypatch.setattr(classify, "simulate", None)
+        # the caps of standard_order_bounds decide it; no car is parked
+        monkeypatch.setattr(classify, "_park", None)
         assert is_strong_ps((2, 1, 2), 1, (1, 2, 4))
         assert not is_strong_ps((2, 1, 2), 1, (1, 3, 1))
 

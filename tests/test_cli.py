@@ -411,11 +411,13 @@ class TestFileDumps:
 
     @pytest.mark.parametrize(
         "name, reason",
-        [("missing/family.csv", "No such file or directory"), ("", "Is a directory")],
-        ids=["missing-directory", "directory"],
+        [("missing/family.csv", "No such file or directory"), ("", "Is a directory"),
+         (None, "No such file or directory")],
+        ids=["missing-directory", "directory", "empty"],
     )
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, name, reason):
-        target = tmp_path / name
+        # None: the empty path, which names no file rather than asking for stdout
+        target = "" if name is None else tmp_path / name
         assert run(["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -17,6 +17,7 @@ from parkseq import (
     LatticePath,
     ParkingInstance,
     check_boundary,
+    is_parking_sequence,
     simulate,
     standard_order_bounds,
 )
@@ -202,7 +203,8 @@ def _fields(outcome):
 
 def test_simulate_matches_the_spot_list_oracle_exhaustively():
     # every field, on every case with lengths in {1,2,3}^n, n <= 3, z <= 3
-    # and preferences in [1..M+1]^n, so off-street failures are covered too
+    # and preferences in [1..M+1]^n, so off-street failures are covered too;
+    # is_parking_sequence, which parks without simulate, gives the success field
     for n in (1, 2, 3):
         for lengths in itertools.product((1, 2, 3), repeat=n):
             for z in (1, 2, 3):
@@ -211,6 +213,7 @@ def test_simulate_matches_the_spot_list_oracle_exhaustively():
                 for prefs in itertools.product(range(1, top + 1), repeat=n):
                     expected = park_on_spots(lengths, z, prefs)
                     assert _fields(simulate(instance, prefs)) == expected, (lengths, z, prefs)
+                    assert is_parking_sequence(instance, prefs) is expected[0], (lengths, z, prefs)
 
 
 @st.composite

@@ -32,12 +32,13 @@ from parkseq import (
     run_suite,
     simulate,
 )
-from parkseq import enumeration
+from parkseq import classify, enumeration
 from parkseq.core import _park
 from parkseq.enumeration import (
     _count_nondecreasing, _inv, _kstrong, _listed, _nondecreasing, _paths, _ps_walk, _strong, _upf,
     _walk,
 )
+from parkseq.verify import SUITE_NAMES
 
 
 def test_enum_ps_small_family():
@@ -476,6 +477,41 @@ def test_budget_guard_raises_instead_of_truncating():
     assert enum_ps(ParkingInstance((1, 1), 1), budget=4).cardinality == 3
     with pytest.raises(BudgetExceededError, match="would sweep 4 candidates, budget is 3$"):
         enum_ps(ParkingInstance((1, 1), 1), budget=3)
+
+
+# every public entry that takes a budget, on each of its routes
+_BUDGETED = {
+    "enum_ps": lambda budget: enum_ps(ParkingInstance((1, 2), 1), budget),
+    "enum_ips": lambda budget: enum_ips(ParkingInstance((1, 2), 1), budget),
+    "enum_ps_inv": lambda budget: enum_ps_inv(ParkingInstance((1, 2), 1), budget),
+    "enum_sps": lambda budget: enum_sps((2, 1), 1, budget),
+    "enum_sps-bounds": lambda budget: enum_sps((2, 1), 1, budget, method="bounds"),
+    "enum_sps_k": lambda budget: enum_sps_k(4, 2, 1, budget),
+    "enum_sps_k-definitional": lambda budget: enum_sps_k(4, 2, 1, budget, definitional=True),
+    "enum_u_pf": lambda budget: enum_u_pf((1, 2), budget),
+    "enum_lattice_paths": lambda budget: enum_lattice_paths((1, 2), budget=budget),
+    **{f"run_suite-{name}": lambda budget, name=name: run_suite(name, 1, budget=budget)
+       for name in SUITE_NAMES},
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BUDGETED))
+@pytest.mark.parametrize(
+    "budget, message",
+    [(True, "budget must be an integer$"), (2.0, "budget must be an integer$"),
+     (0, "budget must be >= 1, got 0$"), (-1, "budget must be >= 1, got -1$")],
+    ids=["bool", "float", "zero", "negative"],
+)
+def test_a_budget_that_is_no_positive_integer_is_refused_before_any_walk(
+    monkeypatch, entry, budget, message
+):
+    def no_step(*args):
+        raise AssertionError("parked a car before the budget was checked")
+
+    monkeypatch.setattr(enumeration, "_park", no_step)
+    monkeypatch.setattr(classify, "_park", no_step)
+    with pytest.raises(ValueError, match=message):
+        _BUDGETED[entry](budget)
 
 
 def test_family_listing_rejects_unsorted_members():
