@@ -77,9 +77,8 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     total, parts = _integer(total, "total"), _integer(parts, "part count")
     if parts < 1 or parts > total:
         raise ValueError(f"need 1 <= parts <= {total}, got {parts}")
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        edges = (0,) + cuts + (total,)
-        yield tuple(b - a for a, b in zip(edges, edges[1:]))
+    edges = ((0, *cuts, total) for cuts in itertools.combinations(range(1, total), parts - 1))
+    return (tuple(map(operator.sub, e[1:], e)) for e in edges)
 
 
 def is_parking_sequence(instance: ParkingInstance, prefs: Sequence[int]) -> bool:

@@ -15,10 +15,10 @@ characterizations are verified against.  Three producers build them:
   rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
 
-Every producer gives a :class:`_Listing`, which knows its count without its
-members and spells them only when they are read, so ``enumerate
---count-only`` builds none; the capped pass is counted by
-:func:`_count_nondecreasing`.
+Every producer gives a :class:`FamilyListing` built from a count and a
+speller, each called on first read, so ``enumerate --count-only`` builds no
+member; the capped pass is counted by :func:`_count_nondecreasing`.  The
+public ``enum_*`` return their listings spelled.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
@@ -32,8 +32,8 @@ A preference above the street length M can never park, which bounds a
 length-n instance at M^n candidates; a budget guard refuses sweeps whose
 candidate space exceeds it, never truncating.  All listings come back
 lexicographically sorted so output is reproducible; every producer gives
-that order by construction, so the listings skip the order scan of the
-public :class:`FamilyListing` constructor.
+that order by construction, and only members passed to the public
+:class:`FamilyListing` constructor are scanned for it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Sequence
 
@@ -86,47 +85,27 @@ def _guard(candidates: int, budget: int) -> None:
         raise BudgetExceededError(candidates, budget)
 
 
-@dataclass(frozen=True)
 class FamilyListing:
-    """A fully enumerated family, members strictly increasing lexicographically."""
+    """A fully enumerated family, members strictly increasing lexicographically.
 
-    family: str
-    params: dict[str, object] = field(compare=False)
-    members: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        members = self.members
-        if not all(map(operator.lt, members, itertools.islice(members, 1, None))):
-            raise ValueError("members must be strictly increasing lexicographically")
-
-    @classmethod
-    def _trusted(cls, family: str, params: dict[str, object], members: tuple) -> FamilyListing:
-        """A listing whose producer builds its members strictly increasing, unscanned."""
-        listing = object.__new__(cls)
-        listing.__dict__.update(family=family, params=params, members=members)  # past frozen
-        return listing
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.members)
-
-
-class _Listing:
-    """A producer's listing, with the read-only fields of a :class:`FamilyListing`.
-
-    ``count()`` gives the cardinality and ``spell()`` the members in lex
-    order; each is called on first read, so a count builds no member and a
-    spelled listing computes no count.
+    Built from given members, kept as tuples and refused out of that order,
+    or by a producer from a count and a speller, each called on first read.
+    Equality and the hash read the family and the members; fields are read-only.
     """
 
-    def __init__(
-        self,
-        family: str,
-        params: dict[str, object],
-        count: Callable[[], int],
-        spell: Callable[[], Iterable[tuple[int, ...]]],
-    ):
-        self.family, self.params, self._count, self._spell = family, params, count, spell
+    def __init__(self, family: str, params: dict[str, object], members: Iterable = ()):
+        members = tuple(map(tuple, members))
+        if not all(map(operator.lt, members, itertools.islice(members, 1, None))):
+            raise ValueError("members must be strictly increasing lexicographically")
+        self.__dict__.update(family=family, params=params, members=members, cardinality=len(members))
+
+    @classmethod
+    def _lazy(cls, family: str, params: dict[str, object], count: Callable[[], int],
+              spell: Callable[[], Iterable[tuple[int, ...]]]) -> FamilyListing:
+        """A producer's listing, counted by ``count()`` and spelled by ``spell()`` in lex order."""
+        listing = object.__new__(cls)
+        listing.__dict__.update(family=family, params=params, _count=count, _spell=spell)
+        return listing
 
     @cached_property
     def cardinality(self) -> int:
@@ -134,7 +113,21 @@ class _Listing:
 
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._spell())
+        members = tuple(self._spell())
+        # drop what the count and the speller hold, the walk's steps or the sweep's multisets
+        self.__dict__.update(cardinality=len(members), _count=None, _spell=None)
+        return members
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.family, self.members) == (other.family, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.members))
 
 
 def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]]:
@@ -269,11 +262,14 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
     return known
 
 
-def _emit(found: tuple, left: int, prefix: tuple[int, ...], members: list) -> None:
-    """Append ``prefix`` plus each sequence the steps ``found`` spell; ``left`` more cars follow.
+def _emit(found: tuple, left: int, prefix: tuple = (), members: list | None = None) -> list:
+    """``members``, new by default, with ``prefix`` plus each sequence the steps ``found`` spell.
 
-    With one car left the steps are already the last two cars' pairs.
+    ``left`` more cars follow the prefix; with one car left the steps are
+    already the last two cars' pairs.
     """
+    if members is None:
+        members = []
     if not left:
         members.extend(zip(found))
     elif left == 1:
@@ -282,6 +278,7 @@ def _emit(found: tuple, left: int, prefix: tuple[int, ...], members: list) -> No
         for prefs, after in found:
             for pref in prefs:
                 _emit(after, left - 1, prefix + (pref,), members)
+    return members
 
 
 def _walk(
@@ -291,7 +288,7 @@ def _walk(
     vectors: Callable[[], Iterable[tuple[int, ...]]],
     budget: int,
     memos: dict[tuple[int, int], dict] | None = None,
-) -> _Listing:
+) -> FamilyListing:
     """The listing of the all-vectors walk.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
@@ -319,19 +316,13 @@ def _walk(
         (start,) = start
     memo = {} if memos is None else memos.setdefault((shift, width), {})
     found, count = _steps(start, shift, width, memo)
-    return _Listing(family, params, lambda: count, partial(_spelled, found, n - 1))
+    return FamilyListing._lazy(family, params, lambda: count, partial(_emit, found, n - 1))
 
 
-def _spelled(found: tuple, left: int) -> list[tuple[int, ...]]:
-    """The members the walk's steps ``found`` spell, ``left`` + 1 cars each."""
-    members: list[tuple[int, ...]] = []
-    _emit(found, left, (), members)
-    return members
-
-
-def _listed(listing: _Listing) -> FamilyListing:
-    """``listing`` as a :class:`FamilyListing`, its members spelled out."""
-    return FamilyListing._trusted(listing.family, listing.params, listing.members)
+def _listed(listing: FamilyListing) -> FamilyListing:
+    """``listing`` with its members spelled out, as every public ``enum_*`` returns it."""
+    listing.members  # spelled on first read
+    return listing
 
 
 def _params(instance: ParkingInstance) -> dict[str, object]:
@@ -339,7 +330,7 @@ def _params(instance: ParkingInstance) -> dict[str, object]:
     return {"lengths": instance.lengths, "trailer": instance.trailer_z}
 
 
-def _ps_walk(instance: ParkingInstance, budget: int, memos: dict | None = None) -> _Listing:
+def _ps_walk(instance: ParkingInstance, budget: int, memos: dict | None = None) -> FamilyListing:
     """The plain family: the walk on the instance's one length vector, memos as :func:`_walk`."""
     return _walk("ps", _params(instance), instance, lambda: (instance.lengths,), budget, memos)
 
@@ -349,15 +340,15 @@ def _box_members(bounds: Sequence[int]) -> Iterable[tuple[int, ...]]:
     return itertools.product(*(range(1, b + 1) for b in bounds))
 
 
-def _box(family: str, params: dict[str, object], instance: ParkingInstance, budget: int) -> _Listing:
+def _box(family: str, params: dict, instance: ParkingInstance, budget: int) -> FamilyListing:
     """The standard-order box of the sorted ``instance``, the characterized strong set."""
     bounds = standard_order_bounds(instance)
     size = math.prod(bounds)
     _guard(size, budget)
-    return _Listing(family, params, lambda: size, partial(_box_members, bounds))
+    return FamilyListing._lazy(family, params, lambda: size, partial(_box_members, bounds))
 
 
-def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool) -> _Listing:
+def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool) -> FamilyListing:
     """The strong family: the walk over every arrangement of the sorted lengths, or the box.
 
     Constant lengths have one arrangement, whose plain family is the
@@ -371,7 +362,7 @@ def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: b
     return _box("strong", _params(instance), instance, budget)
 
 
-def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool) -> _Listing:
+def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool) -> FamilyListing:
     """The k-strong family: the walk over every composition of ``total``, or the box.
 
     The compositions are closed under reordering; the box is that of the
@@ -387,40 +378,42 @@ def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool
     return _box("kstrong", params, instance, budget)
 
 
-def _inv(instance: ParkingInstance, budget: int) -> _Listing:
+def _inv(instance: ParkingInstance, budget: int) -> FamilyListing:
     """The invariant members: the orderings of the sweep's last layer, counted unbuilt."""
     spots, n = instance.street_length, instance.car_count
     _guard(spots**n, budget)
     multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
-    return _Listing("inv", _params(instance), partial(_orderings, multisets, n),
-                    partial(_rearrangements, multisets))
+    return FamilyListing._lazy("inv", _params(instance), partial(_orderings, multisets, n),
+                               partial(_rearrangements, multisets))
 
 
-def _ips(instance: ParkingInstance, budget: int) -> _Listing:
+def _ips(instance: ParkingInstance, budget: int) -> FamilyListing:
     """The nondecreasing members: the capped pass under the standard-order caps, counted unbuilt."""
     bounds = standard_order_bounds(instance)
     _guard(math.prod(bounds), budget)
-    return _Listing("ips", _params(instance), partial(_count_nondecreasing, bounds),
-                    partial(_nondecreasing, bounds))
+    return FamilyListing._lazy("ips", _params(instance), partial(_count_nondecreasing, bounds),
+                               partial(_nondecreasing, bounds))
 
 
-def _paths(boundary: Sequence[int], width: int | None, budget: int) -> _Listing:
+def _paths(boundary: Sequence[int], width: int | None, budget: int) -> FamilyListing:
     """The lattice paths' steps: the capped pass from 0 under min(b - 1, width), counted unbuilt."""
     boundary = check_boundary(boundary)
     width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
     caps = [min(b - 1, width) for b in boundary]
     _guard(math.prod(c + 1 for c in caps), budget)
-    return _Listing("paths", {"boundary": boundary, "width": width},
-                    partial(_count_nondecreasing, caps, 0), partial(_nondecreasing, caps, 0))
+    return FamilyListing._lazy("paths", {"boundary": boundary, "width": width},
+                               partial(_count_nondecreasing, caps, 0),
+                               partial(_nondecreasing, caps, 0))
 
 
-def _upf(bounds: Sequence[int], budget: int) -> _Listing:
+def _upf(bounds: Sequence[int], budget: int) -> FamilyListing:
     """The vector parking functions: the orderings of the sorted ones, counted unbuilt."""
     bounds = check_boundary(bounds)
     _guard(bounds[-1] ** len(bounds), budget)
     sorted_members = _nondecreasing(bounds)
-    return _Listing("upf", {"boundary": bounds}, partial(_orderings, sorted_members, len(bounds)),
-                    partial(_rearrangements, sorted_members))
+    return FamilyListing._lazy("upf", {"boundary": bounds},
+                               partial(_orderings, sorted_members, len(bounds)),
+                               partial(_rearrangements, sorted_members))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:

@@ -16,3 +16,32 @@ def test_uncommitted_keeps_every_first_letter():
 
 def test_uncommitted_on_a_clean_tree():
     assert bench._uncommitted("") == []
+
+
+SOURCE = '''"""Module docstring.
+
+Its second paragraph.
+"""
+
+# a comment line
+import os  # code with a trailing comment
+
+TEXT = """a string that opens no body
+
+# is no comment
+"""
+
+
+def f(x):
+    """One line."""
+    # another comment line
+    return x + 1
+'''
+
+
+def test_split_counts_code_docstring_comment_and_blank_lines():
+    # code: import, the three lines of TEXT that are not blank, def, return;
+    # the blank line inside TEXT counts as blank
+    split = bench._split(SOURCE)
+    assert split == {"code": 6, "docstring": 5, "comment": 2, "blank": 5}
+    assert sum(split.values()) == SOURCE.count("\n")

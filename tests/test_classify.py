@@ -447,11 +447,12 @@ def test_compositions_cover_and_sum():
     parts = list(compositions(4, 2))
     assert parts == [(1, 3), (2, 2), (3, 1)]
     assert all(sum(p) == 6 for p in compositions(6, 3))
+    # refused at the call, before any composition is asked for
     with pytest.raises(ValueError):
-        list(compositions(3, 4))
+        compositions(3, 4)
     for total, parts, message in (("3", 2, "total"), (3, "2", "part count")):
         with pytest.raises(ValueError, match=f"{message} must be an integer"):
-            list(compositions(total, parts))
+            compositions(total, parts)
 
 
 def test_nondecreasing_members_park_standard():

@@ -35,7 +35,7 @@ from parkseq import (
 from parkseq import classify, enumeration
 from parkseq.core import _park
 from parkseq.enumeration import (
-    _count_nondecreasing, _inv, _kstrong, _listed, _nondecreasing, _paths, _ps_walk, _strong, _upf,
+    _count_nondecreasing, _inv, _ips, _kstrong, _nondecreasing, _paths, _ps_walk, _strong, _upf,
     _walk,
 )
 from parkseq.verify import SUITE_NAMES
@@ -74,32 +74,37 @@ def test_enum_ps_is_exhaustive_over_the_cube():
                 assert enum_ps(instance).members == by_filter, (lengths, z)
 
 
-def _trusted_listings():
-    """Every listing route that skips FamilyListing's order scan, on a grid."""
+def _producer_listings():
+    """A fresh, unspelled listing of every producer route, on a grid."""
     for instance in _length_grid():
         lengths, z = instance.lengths, instance.trailer_z
-        yield enum_ps(instance)
-        yield enum_ips(instance)
-        yield enum_ps_inv(instance)
-        yield enum_sps(lengths, z)
-        yield enum_sps(lengths, z, method="bounds")
+        yield _ps_walk(instance, DEFAULT_BUDGET)
+        yield _ips(instance, DEFAULT_BUDGET)
+        yield _inv(instance, DEFAULT_BUDGET)
+        yield _strong(lengths, z, DEFAULT_BUDGET, True)
+        yield _strong(lengths, z, DEFAULT_BUDGET, False)
     for total in range(1, 7):
         for k in range(1, total + 1):
             for z in (1, 2):
-                yield enum_sps_k(total, k, z)
-                yield enum_sps_k(total, k, z, definitional=True)
+                yield _kstrong(total, k, z, DEFAULT_BUDGET, False)
+                yield _kstrong(total, k, z, DEFAULT_BUDGET, True)
     for bounds in _nondecreasing_boundaries():
-        yield enum_u_pf(bounds)
+        yield _upf(bounds, DEFAULT_BUDGET)
         for width in (None, 0, 1, 3):
-            yield _listed(_paths(bounds, width, DEFAULT_BUDGET))
+            yield _paths(bounds, width, DEFAULT_BUDGET)
 
 
-def test_trusted_listings_are_strictly_increasing():
-    # the order the producers give by construction, which no listing rescans
-    for listing in _trusted_listings():
+def test_producer_listings_count_their_members_in_strictly_increasing_order():
+    # the order the producers give by construction, which no listing rescans,
+    # and the count each reads before it spells a member
+    for listing in _producer_listings():
+        where = (listing.family, listing.params)
+        count = listing.cardinality
         m = listing.members
-        assert all(a < b for a, b in zip(m, m[1:])), (listing.family, listing.params)
-        assert FamilyListing(listing.family, listing.params, m) == listing
+        assert count == len(m), where
+        assert all(a < b for a, b in zip(m, m[1:])), where
+        given = FamilyListing(listing.family, {}, m)
+        assert given == listing and hash(given) == hash(listing), where
 
 
 def test_nondecreasing_edge_cases_match_the_product_filter():
@@ -519,6 +524,29 @@ def test_family_listing_rejects_unsorted_members():
         FamilyListing("ps", {}, ((2,), (1,)))
     with pytest.raises(ValueError):
         FamilyListing("ps", {}, ((1,), (1,)))
+    # the scan reads a tuple of the members, so a generator is not spent before it is kept
+    with pytest.raises(ValueError):
+        FamilyListing("ps", {}, (m for m in [(2,), (1,)]))
+    generated = FamilyListing("ps", {}, (m for m in [(1,), (2,)]))
+    assert generated.members == ((1,), (2,)) and generated.cardinality == 2
+    # lists are kept as tuples: hashable, and equal to the same members given as tuples
+    given = FamilyListing("ps", {"n": 1}, ((1,), (2,)))
+    for members in ([(1,), (2,)], [[1], [2]]):
+        listed = FamilyListing("ps", {}, members)
+        assert listed.members == ((1,), (2,))
+        assert listed == given and hash(listed) == hash(given)
+    with pytest.raises(AttributeError, match="cannot assign to field 'members'"):
+        listed.members = ()
+
+
+def test_public_listings_come_spelled_without_their_speller():
+    # a call to a public enum_* builds its members before it returns, and the
+    # listing keeps neither the count nor the speller, which may hold a walk
+    for entry, call in _BUDGETED.items():
+        if entry.startswith("enum_") and entry != "enum_lattice_paths":
+            state = vars(call(DEFAULT_BUDGET))
+            assert state["cardinality"] == len(state["members"]) > 0, entry
+            assert state["_count"] is state["_spell"] is None, entry
 
 
 def test_distinct_permutations_match_the_permutation_set():

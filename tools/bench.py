@@ -9,7 +9,8 @@ workloads, then once with ``--workload all --trace 1`` for the per-layer
 figures, all on seed 1729 with ``--seconds 15``, so that every record is
 taken with the same settings.  It also times the Tier-1 tests, hashes the
 gate document (``parkseq verify --suite all --json``), counts the lines of
-``src/parkseq/*.py`` and reads the commit and the uncommitted paths, so that
+``src/parkseq/*.py``, in all and as code, docstring, comment and blank
+lines, and reads the commit and the uncommitted paths, so that
 two records can be told apart.  Every step runs in a fresh process; the
 record is written only if all of them finish.
 """
@@ -17,7 +18,9 @@ record is written only if all of them finish.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -25,6 +28,7 @@ import re
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +38,8 @@ SECONDS = 15.0
 GATE_COMMAND = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())",
                 "verify", "--suite", "all", "--json"]
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SPLIT = ("code", "docstring", "comment", "blank")
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _run(args, env=None):
@@ -79,6 +85,32 @@ def _src_lines():
     return sum(path.read_bytes().count(b"\n") for path in ROOT.glob("src/parkseq/*.py"))
 
 
+def _split(source):
+    """How many of ``source``'s lines are code, docstring, comment and blank.
+
+    A docstring line is one of the string that opens a module, class or
+    function body, blank lines inside it included.  A comment line holds a
+    comment and no code, and a blank line holds nothing else; every other
+    line is code, a line of code with a trailing comment too.
+    """
+    kinds = ["code" if line.strip() else "blank" for line in source.splitlines()]
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT and not token.line[:token.start[1]].strip():
+            kinds[token.start[0] - 1] = "comment"
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            for row in range(first.lineno - 1, first.end_lineno):
+                kinds[row] = "docstring"
+    return {kind: kinds.count(kind) for kind in SPLIT}
+
+
+def _src_split():
+    """:func:`_split` summed over the library modules; its counts add up to ``src_lines``."""
+    splits = [_split(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/parkseq/*.py")]
+    return {kind: sum(split[kind] for split in splits) for kind in SPLIT}
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout
@@ -117,6 +149,7 @@ def main(argv=None):
     print("gate digest", file=sys.stderr)
     record["gate"] = _gate_digest()
     record["src_lines"] = _src_lines()
+    record["src_split"] = _src_split()
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
