@@ -7,6 +7,12 @@ on stderr when the reader closes stdout early (``parkseq enumerate ... | head``)
 ``--json`` swaps the text output for one stable document with top-level fields
 ``command``, ``params``, ``result`` and, for verify, ``records``.
 
+Each flag is declared once, in ``_FLAGS``: its type, default, help and any
+second spelling.  ``_COMMANDS`` gives each command its flags: ``simulate`` and
+``verify`` name their own, ``check`` and ``enumerate`` add the flags their
+``--family`` choices need in ``_FAMILIES``, ``count`` has only the flags its
+``--formula`` choices need in ``_FORMULAS``, and every command takes ``--json``.
+
 The argparse tree is built once per process, on the first ``run`` call (so
 importing this module builds nothing), and every later call parses with the
 same parser.  ``parse_args`` returns a fresh namespace each time and every
@@ -251,12 +257,13 @@ def _cmd_enumerate(args) -> int:
     if args.out is None:
         _print_listing(listing, args.json, args.count_only)
         return EXIT_OK
-    try:
-        handle = open(args.out, "w", encoding="utf-8", newline="")
+    try:  # a failed open, write or close is the same usage error
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
+    except BrokenPipeError:  # FILE is a pipe whose reader left: the quiet 141
+        raise
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-    with handle:
-        _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
     if args.json:
         _print_listing(listing, True, True)
     else:
@@ -331,6 +338,52 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
+# flag: its add_argument keywords, and "aliases", its spellings past
+# --flag-name.  A command takes its flags in this order.
+_FLAGS = {
+    "family": {"help": "the family to test or list"},
+    "formula": {"help": "the closed form to evaluate"},
+    "suite": {"help": "the cross-checks to run; all is the repository gate"},
+    "lengths": {"type": _ints_csv, "help": "comma-separated car lengths, e.g. 1,2,2,3"},
+    "trailer": {"aliases": ("--z",), "type": int, "default": 1,
+                "help": "trailer parameter z; spots 1..z-1 start occupied (default 1)"},
+    "prefs": {"type": _ints_csv, "help": "comma-separated preferred spots, one per car"},
+    "n": {"type": int, "help": "total car length (kstrong, sps-k), else car count"},
+    "k": {"type": int, "help": "car count (kstrong, sps-k; check defaults it to the number of"
+                               " preferences), car length (ips-const) or order (fuss)"},
+    "r": {"type": int, "help": "leading block length (inv-two-block)"},
+    "boundary": {"type": _ints_csv, "help": "nondecreasing bounds (upf) or path boundary (paths)"},
+    "width": {"type": int, "help": "east steps of the path rectangle (paths)"},
+    "count_only": {"action": "store_true", "help": "print only the cardinality"},
+    "max_n": {"type": _positive_int, "help": "cap the sweep size where applicable"},
+    "seed": {"type": int, "default": DEFAULT_SEED, "help": "seed for sampled checks"},
+    "budget": {"type": _positive_int, "default": DEFAULT_BUDGET, "help": "candidate-space cap"},
+    "definitional": {"action": "store_true", "help": "strong, kstrong: sweep every rearrangement"
+                                                     " or composition instead of the characterization"},
+    "out": {"help": "write the listing to FILE (.json, else CSV rows)"},
+    "render": {"action": "store_true", "help": "include the text diagram"},
+    "json": {"action": "store_true", "help": "machine-readable output"},
+}
+
+# command: (help, handler, selector flag, {choice: the flags it needs}, own
+# flags, the own flags argparse requires); the selector is required and
+# takes the choices.
+_COMMANDS = {
+    "simulate": ("run the parking process once", _cmd_simulate, None, {},
+                 ("lengths", "trailer", "prefs", "render"), ("lengths", "prefs")),
+    "check": ("test one sequence against a family", _cmd_check, "family",
+              {name: flags for name, (flags, check, _) in _FAMILIES.items() if check},
+              ("trailer", "prefs", "definitional"), ("prefs",)),
+    "enumerate": ("list a family exhaustively", _cmd_enumerate, "family",
+                  {name: flags for name, (flags, _, _) in _FAMILIES.items()},
+                  ("trailer", "width", "count_only", "budget", "definitional", "out"), ()),
+    "count": ("evaluate a closed-form count", _cmd_count, "formula",
+              {name: flags for name, (flags, _) in _FORMULAS.items()}, (), ()),
+    "verify": ("run formula-versus-sweep cross-checks", _cmd_verify, "suite",
+               dict.fromkeys(SUITE_NAMES, ()), ("max_n", "seed", "budget"), ()),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``parkseq`` parser, built on the first call and shared after it."""
@@ -339,79 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for parking sequences of cars with lengths behind a trailer.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def instance_args(sub, with_prefs: bool, lengths_required: bool = True):
-        sub.add_argument(
-            "--lengths",
-            type=_ints_csv,
-            required=lengths_required,
-            help="comma-separated car lengths, e.g. 1,2,2,3",
-        )
-        sub.add_argument(
-            "--trailer",
-            "--z",
-            type=int,
-            default=1,
-            help="trailer parameter z; spots 1..z-1 start occupied (default 1)",
-        )
-        if with_prefs:
-            sub.add_argument(
-                "--prefs",
-                type=_ints_csv,
-                required=True,
-                help="comma-separated preferred spots, one per car",
-            )
-
-    sub = commands.add_parser("simulate", help="run the parking process once")
-    instance_args(sub, with_prefs=True)
-    sub.add_argument("--render", action="store_true", help="include the text diagram")
-    sub.set_defaults(func=_cmd_simulate)
-
-    sub = commands.add_parser("check", help="test one sequence against a family")
-    checkable = [name for name, (_, check, _) in _FAMILIES.items() if check]
-    sub.add_argument("--family", choices=checkable, required=True)
-    instance_args(sub, with_prefs=True, lengths_required=False)
-    sub.add_argument("--n", type=int, help="total car length (kstrong)")
-    sub.add_argument("--k", type=int, help="car count (kstrong; defaults to len(prefs))")
-    sub.add_argument("--boundary", type=_ints_csv, help="nondecreasing bounds (upf)")
-    sub.add_argument(
-        "--definitional",
-        action="store_true",
-        help="sweep every rearrangement or composition instead of the characterization",
-    )
-    sub.set_defaults(func=_cmd_check)
-
-    sub = commands.add_parser("enumerate", help="list a family exhaustively")
-    sub.add_argument("--family", choices=_FAMILIES, required=True)
-    instance_args(sub, with_prefs=False, lengths_required=False)
-    sub.add_argument("--n", type=int, help="total car length (kstrong)")
-    sub.add_argument("--k", type=int, help="car count (kstrong)")
-    sub.add_argument("--boundary", type=_ints_csv, help="bounds (upf) or path boundary (paths)")
-    sub.add_argument("--width", type=int, help="east steps of the path rectangle (paths)")
-    sub.add_argument("--count-only", action="store_true", help="print only the cardinality")
-    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
-    sub.add_argument("--definitional", action="store_true",
-                     help="strong, kstrong: sweep every arrangement or composition")
-    sub.add_argument("--out", help="write the listing to FILE (.json, else CSV rows)")
-    sub.set_defaults(func=_cmd_enumerate)
-
-    sub = commands.add_parser("count", help="evaluate a closed-form count")
-    sub.add_argument("--formula", choices=_FORMULAS, required=True)
-    instance_args(sub, with_prefs=False, lengths_required=False)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--r", type=int, help="leading block length (inv-two-block)")
-    sub.set_defaults(func=_cmd_count)
-
-    sub = commands.add_parser("verify", help="run formula-versus-sweep cross-checks")
-    sub.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    sub.add_argument("--max-n", type=_positive_int, help="cap the sweep size where applicable")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
-    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="candidate-space cap")
-    sub.set_defaults(func=_cmd_verify)
-
-    for sub in commands.choices.values():
-        sub.add_argument("--json", action="store_true", help="machine-readable output")
+    for command, (text, handler, selector, needs, own, required) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=text)
+        takes = {selector, *own, *(flag for flags in needs.values() for flag in flags), "json"}
+        for flag in filter(takes.__contains__, _FLAGS):
+            keywords = dict(_FLAGS[flag], required=flag in (selector, *required))
+            if flag == selector:
+                keywords["choices"] = needs
+            names = (f"--{flag.replace('_', '-')}", *keywords.pop("aliases", ()))
+            sub.add_argument(*names, **keywords)
+        sub.set_defaults(func=handler)
     return parser
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schema, diagrams, file dumps."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,15 @@ from sweeps import bounded_nondecreasing_count
 
 import parkseq
 from parkseq import ParkingInstance, simulate
-from parkseq.cli import _FAMILIES, _FORMULAS, _street_lines, build_parser, run
+from parkseq.cli import (
+    _FAMILIES,
+    _FORMULAS,
+    _ints_csv,
+    _positive_int,
+    _street_lines,
+    build_parser,
+    run,
+)
 from parkseq.verify import SUITE_NAMES
 
 
@@ -412,22 +421,27 @@ class TestFileDumps:
     @pytest.mark.parametrize(
         "name, reason",
         [("missing/family.csv", "No such file or directory"), ("", "Is a directory"),
-         (None, "No such file or directory")],
-        ids=["missing-directory", "directory", "empty"],
+         (None, "No such file or directory"),
+         pytest.param("/dev/full", "No space left on device", marks=pytest.mark.skipif(
+             not os.path.exists("/dev/full"), reason="no /dev/full on this system"))],
+        ids=["missing-directory", "directory", "empty", "full-device"],
     )
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, name, reason):
-        # None: the empty path, which names no file rather than asking for stdout
+        # None: the empty path, which names no file rather than asking for stdout;
+        # /dev/full, an absolute name, opens, and the write or the close then fails
         target = "" if name is None else tmp_path / name
-        assert run(["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: cannot write {target}: {reason}\n"
+        argv = ["enumerate", "--family", "ps", "--lengths", "1,2", "--out", str(target)]
+        for json_flag in ([], ["--json"]):
+            assert run([*argv, *json_flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write {target}: {reason}\n"
 
 
-def test_closed_pipe_ends_quietly():
+def _closed_pipe_ends_quietly(*out):
     # 16,807 rows, more than a pipe holds, so the command is still writing
     # when the reader goes away
-    argv = ["enumerate", "--family", "ps", "--lengths", "1,1,1,1,1,1"]
+    argv = ["enumerate", "--family", "ps", "--lengths", "1,1,1,1,1,1", *out]
     env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).parents[1]))
     with subprocess.Popen(
         [sys.executable, "-m", "parkseq.cli", *argv],
@@ -439,6 +453,16 @@ def test_closed_pipe_ends_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
+
+
+def test_closed_pipe_ends_quietly():
+    _closed_pipe_ends_quietly()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this system")
+def test_closed_pipe_ends_quietly_when_out_is_the_pipe():
+    # a failed write to --out is a usage error, but not when FILE is the reader's pipe
+    _closed_pipe_ends_quietly("--out", "/dev/stdout")
 
 
 def test_unknown_suite_reported_as_usage_error():
@@ -726,3 +750,104 @@ class TestSharedParser:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("usage: parkseq " + (command or ""))
+
+
+# Each command's options as argparse holds them: option strings, then (type,
+# default, required, choices, action class).  Written from the parser of the
+# per-command blocks, before the flags moved into one table, so parsing and
+# argparse's prefix matching cannot drift.
+STORE, SWITCH = "_StoreAction", "_StoreTrueAction"
+CHECKABLE = ("ps", "ips", "inv", "strong", "kstrong", "upf")
+PARSE_CONTRACT = {
+    "simulate": {
+        ("--lengths",): (_ints_csv, None, True, None, STORE),
+        ("--trailer", "--z"): (int, 1, False, None, STORE),
+        ("--prefs",): (_ints_csv, None, True, None, STORE),
+        ("--render",): (None, False, False, None, SWITCH),
+        ("--json",): (None, False, False, None, SWITCH),
+    },
+    "check": {
+        ("--family",): (None, None, True, CHECKABLE, STORE),
+        ("--lengths",): (_ints_csv, None, False, None, STORE),
+        ("--trailer", "--z"): (int, 1, False, None, STORE),
+        ("--prefs",): (_ints_csv, None, True, None, STORE),
+        ("--n",): (int, None, False, None, STORE),
+        ("--k",): (int, None, False, None, STORE),
+        ("--boundary",): (_ints_csv, None, False, None, STORE),
+        ("--definitional",): (None, False, False, None, SWITCH),
+        ("--json",): (None, False, False, None, SWITCH),
+    },
+    "enumerate": {
+        ("--family",): (None, None, True, (*CHECKABLE, "paths"), STORE),
+        ("--lengths",): (_ints_csv, None, False, None, STORE),
+        ("--trailer", "--z"): (int, 1, False, None, STORE),
+        ("--n",): (int, None, False, None, STORE),
+        ("--k",): (int, None, False, None, STORE),
+        ("--boundary",): (_ints_csv, None, False, None, STORE),
+        ("--width",): (int, None, False, None, STORE),
+        ("--count-only",): (None, False, False, None, SWITCH),
+        ("--budget",): (_positive_int, 10**8, False, None, STORE),
+        ("--definitional",): (None, False, False, None, SWITCH),
+        ("--out",): (None, None, False, None, STORE),
+        ("--json",): (None, False, False, None, SWITCH),
+    },
+    "count": {
+        ("--formula",): (None, None, True, ("ps", "ips-det", "ips-const", "fuss", "inv-inc", "inv-const",
+                                            "inv-two-block", "sps", "sps-k"), STORE),
+        ("--lengths",): (_ints_csv, None, False, None, STORE),
+        ("--trailer", "--z"): (int, 1, False, None, STORE),
+        ("--n",): (int, None, False, None, STORE),
+        ("--k",): (int, None, False, None, STORE),
+        ("--r",): (int, None, False, None, STORE),
+        ("--json",): (None, False, False, None, SWITCH),
+    },
+    "verify": {
+        ("--suite",): (None, None, True, ("all", "eq3", "table1", "catalan", "fuss", "determinant",
+                                          "inv-characterizations", "strong", "sps-k", "bijections"),
+                       STORE),
+        ("--max-n",): (_positive_int, None, False, None, STORE),
+        ("--seed",): (int, 1729, False, None, STORE),
+        ("--budget",): (_positive_int, 10**8, False, None, STORE),
+        ("--json",): (None, False, False, None, SWITCH),
+    },
+}
+
+
+def _options(command):
+    """The options of one command's parser, ``--help`` left out."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [action for action in commands.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+class TestParseContract:
+    """Every command keeps its options, and the tables name only options their command has."""
+
+    @pytest.mark.parametrize("command", list(PARSE_CONTRACT))
+    def test_options_keep_their_contract(self, command):
+        held = {
+            tuple(action.option_strings): (
+                action.type, action.default, action.required,
+                None if action.choices is None else tuple(action.choices), type(action).__name__,
+            )
+            for action in _options(command)
+        }
+        assert held == PARSE_CONTRACT[command]
+
+    def test_tables_name_options_of_their_commands(self):
+        options = {command: {name for action in _options(command) for name in action.option_strings}
+                   for command in PARSE_CONTRACT}
+        for family, (flags, check, _) in _FAMILIES.items():
+            for flag in flags:
+                assert f"--{flag}" in options["enumerate"], (family, flag)
+                if check is not None:
+                    assert f"--{flag}" in options["check"], (family, flag)
+        for formula, (flags, _) in _FORMULAS.items():
+            for flag in flags:
+                assert f"--{flag}" in options["count"], (formula, flag)
+
+    @pytest.mark.parametrize("command", list(PARSE_CONTRACT))
+    def test_every_option_has_help(self, command):
+        for action in _options(command):
+            assert action.help and action.help.strip(), action.option_strings
