@@ -96,24 +96,18 @@ def is_parking_sequence(instance: ParkingInstance, prefs: Sequence[int]) -> bool
 
 
 def necessary_condition(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
-    """Counting bounds every parking sequence satisfies but that do not suffice.
+    """Order statistics under the standard-order bounds of the lengths sorted largest first.
 
-    At least one preference must be at most z, and for each t at least t + 1
-    preferences must be at most z plus the sum of the t largest car lengths
-    (otherwise the top of the street cannot be fully covered).  With lengths
-    (2, 2) and z = 1 the preference (2, 1) passes here yet fails to park.
+    That is c_(1) <= z and c_(t+1) <= z plus the sum of the t largest car
+    lengths, the vector-parking-function test of Pitman and Stanley (2002):
+    at least t + 1 cars must prefer a spot no higher than that bound, or the
+    top of the street cannot be fully covered.  Every parking sequence passes
+    it, but it does not suffice: with lengths (2, 2) and z = 1 the preference
+    (2, 1) passes here yet fails to park.
     """
     prefs = check_preferences(instance, prefs)
-    z = instance.trailer_z
-    if not any(c <= z for c in prefs):
-        return False
-    bound = z
     largest_first = sorted(instance.lengths, reverse=True)
-    for t in range(1, instance.car_count):
-        bound += largest_first[t - 1]
-        if sum(1 for c in prefs if c <= bound) < t + 1:
-            return False
-    return True
+    return _sorted_under(prefs, itertools.accumulate(largest_first[:-1], initial=instance.trailer_z))
 
 
 def is_increasing_ps(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
@@ -248,15 +242,12 @@ def is_strong_ps(
     ``definitional=True`` the definition is run instead, by
     :func:`_ordering_sweep` over the length multiset (kept for cross-checks).
     """
-    lengths = _as_int_tuple(lengths, "car lengths")
-    if definitional:
-        instance = ParkingInstance(lengths, trailer_z)
-        prefs = check_preferences(instance, prefs)
-        return bool(_ordering_sweep(instance, Counter(lengths), prefs))
-    if len(set(lengths)) == 1:
-        return is_parking_sequence(ParkingInstance(lengths, trailer_z), prefs)
-    instance = ParkingInstance(tuple(sorted(lengths)), trailer_z)
+    instance = ParkingInstance(tuple(sorted(_as_int_tuple(lengths, "car lengths"))), trailer_z)
     prefs = check_preferences(instance, prefs)
+    if definitional:
+        return bool(_ordering_sweep(instance, Counter(instance.lengths), prefs))
+    if instance.lengths[0] == instance.lengths[-1]:
+        return is_parking_sequence(instance, prefs)
     return all(map(operator.le, prefs, standard_order_bounds(instance)))
 
 

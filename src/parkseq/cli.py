@@ -1,9 +1,10 @@
 """Command-line front end: simulate, check, enumerate, count, verify.
 
 Exit codes: 0 success or predicate true, 1 predicate false (a failed parking
-counts), 2 usage error, 3 verification mismatch, 4 enumeration budget
-exceeded, 141 (128 + SIGPIPE, as for a process the signal ends) with nothing
-on stderr when the reader closes stdout early (``parkseq enumerate ... | head``).
+counts), 2 usage error (an input too large to compute with or to hold in
+memory too), 3 verification mismatch, 4 enumeration budget exceeded, 141
+(128 + SIGPIPE, as for a process the signal ends) with nothing on stderr when
+the reader closes stdout early (``parkseq enumerate ... | head``).
 ``--json`` swaps the text output for one stable document with top-level fields
 ``command``, ``params``, ``result`` and, for verify, ``records``.
 
@@ -421,8 +422,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # a MemoryError (a trailer near 2**63 asks for a mask that size) carries no text
+        print(f"error: {str(exc) or 'input too large to hold in memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

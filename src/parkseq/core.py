@@ -180,7 +180,7 @@ def _nondecreasing_under(prefs: Sequence[int], bounds: Sequence[int]) -> bool:
     return all(map(operator.le, prefs, prefs[1:])) and all(map(operator.le, prefs, bounds))
 
 
-def _sorted_under(values: Iterable[int], bounds: Sequence[int]) -> bool:
+def _sorted_under(values: Iterable[int], bounds: Iterable[int]) -> bool:
     """Order statistics under the bounds, x_(i) <= bounds[i] for every i; on checked input."""
     return all(map(operator.le, sorted(values), bounds))
 

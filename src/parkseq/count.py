@@ -9,6 +9,7 @@ against its brute-force listing by the ``verify`` suites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -133,19 +134,15 @@ def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
     """Count of sequences parking under every rearrangement of the lengths.
 
     Constant lengths fall back on the plain product count (every
-    rearrangement is the same vector); otherwise the count is
-    z * prod(z + partial sums of the sorted lengths).
+    rearrangement is the same vector); otherwise the count is the product
+    of the sorted lengths' standard-order bounds, z * (z + y_(1)) * ... *
+    (z + y_(1) + ... + y_(n-1)), the size of their box.
     """
     instance = ParkingInstance(lengths, trailer_z)
     ordered, z = tuple(sorted(instance.lengths)), instance.trailer_z
-    if len(set(ordered)) == 1:
+    if ordered[0] == ordered[-1]:
         return count_ps_product(ordered, z)
-    total = z
-    acc = z
-    for size in ordered[:-1]:
-        acc += size
-        total *= acc
-    return total
+    return math.prod(itertools.accumulate(ordered[:-1], initial=z))
 
 
 def count_sps_k(total: int, k: int, trailer_z: int) -> int:

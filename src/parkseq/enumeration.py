@@ -370,9 +370,8 @@ def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool
     is the only one, so both routes walk it.
     """
     total, k = _weight_and_count(total, k)
-    trailer_z = _positive(trailer_z, "trailer parameter")
     instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
-    params = {"n": total, "k": k, "trailer": trailer_z}
+    params = {"n": total, "k": k, "trailer": instance.trailer_z}
     if definitional or k in (1, total):
         return _walk("kstrong", params, instance, partial(compositions, total, k), budget)
     return _box("kstrong", params, instance, budget)

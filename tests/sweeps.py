@@ -13,7 +13,9 @@ the boundary determinant it checks, and runs to n in the hundreds.
 ``park_on_spots`` is the oracle for ``simulate`` itself: the parking rule on
 a list of spots, with no masks and no parkseq code.  ``parks_in_standard_order``
 defines the standard order through ``simulate``, which pins
-``standard_order_bounds``.
+``standard_order_bounds``.  ``counting_bounds`` states the necessary
+condition as counts of preferences under each bound, with no sorting of the
+preferences.
 """
 
 import itertools
@@ -60,6 +62,20 @@ def park_on_spots(lengths, trailer_z, prefs):
         placements.append((start, wanted[-1]))
     by_start = sorted(range(len(lengths)), key=lambda i: placements[i][0])
     return True, tuple(placements), tuple(i + 1 for i in by_start), None, None, None, None
+
+
+def counting_bounds(lengths, trailer_z, prefs):
+    """The necessary condition as counts: some preference is at most z, and for
+    each t at least t + 1 preferences are at most z plus the t largest lengths."""
+    if not any(c <= trailer_z for c in prefs):
+        return False
+    bound = trailer_z
+    largest_first = sorted(lengths, reverse=True)
+    for t in range(1, len(lengths)):
+        bound += largest_first[t - 1]
+        if sum(1 for c in prefs if c <= bound) < t + 1:
+            return False
+    return True
 
 
 def parks_in_standard_order(instance, prefs):

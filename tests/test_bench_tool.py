@@ -45,3 +45,12 @@ def test_split_counts_code_docstring_comment_and_blank_lines():
     split = bench._split(SOURCE)
     assert split == {"code": 6, "docstring": 5, "comment": 2, "blank": 5}
     assert sum(split.values()) == SOURCE.count("\n")
+
+
+def test_split_by_module_adds_up_to_each_module_and_to_the_line_count():
+    by_module = bench._src_split_by_module()
+    paths = sorted((bench.ROOT / "src" / "parkseq").glob("*.py"))
+    assert list(by_module) == [path.name for path in paths]
+    for path in paths:
+        assert sum(by_module[path.name].values()) == path.read_bytes().count(b"\n")
+    assert sum(bench._src_split(by_module).values()) == bench._src_lines()

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sweeps import (
-    arrangements_park, characterized_set, invariance_rule, k_strong_sweep, orbit_parks,
-    parks_in_standard_order,
+    arrangements_park, characterized_set, counting_bounds, invariance_rule, k_strong_sweep,
+    orbit_parks, parks_in_standard_order,
 )
 
 from parkseq import (
@@ -108,6 +108,15 @@ class TestNecessaryCondition:
             for prefs in _all_prefs(instance):
                 if is_parking_sequence(instance, prefs):
                     assert necessary_condition(instance, prefs)
+
+    def test_matches_the_counting_statement(self):
+        # both directions, on every vector in [1..M+1]^n, so a rule admitting
+        # extra vectors fails here, not only one rejecting members
+        for instance in _grid():
+            spots = range(1, instance.street_length + 2)
+            for prefs in itertools.product(spots, repeat=instance.car_count):
+                expected = counting_bounds(instance.lengths, instance.trailer_z, prefs)
+                assert necessary_condition(instance, prefs) is expected, (instance, prefs)
 
 
 class TestIncreasing:

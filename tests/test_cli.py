@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +150,13 @@ class TestExitCodes:
             assert run(argv) == 2
             err = capsys.readouterr().err
             assert err.endswith(f"error: argument {argv[-2]}: value must be >= 1, got {argv[-1]}\n")
+        # a trailer past 2**63 asks for a free-spot mask no allocator grants (MemoryError,
+        # which carries no text), and past 2**64 for one no int can index (OverflowError)
+        for trailer in (2**63 + 1, 2**70):
+            for argv in (["simulate"], ["check", "--family", "ps"]):
+                assert run([*argv, "--lengths", "1", "--prefs", "1", "--trailer", str(trailer)]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and re.fullmatch(r"error: \S.*\n", err), (argv, trailer, err)
 
     @pytest.mark.parametrize(
         "n, k, message",

@@ -10,9 +10,9 @@ figures, all on seed 1729 with ``--seconds 15``, so that every record is
 taken with the same settings.  It also times the Tier-1 tests, hashes the
 gate document (``parkseq verify --suite all --json``), counts the lines of
 ``src/parkseq/*.py``, in all and as code, docstring, comment and blank
-lines, and reads the commit and the uncommitted paths, so that
-two records can be told apart.  Every step runs in a fresh process; the
-record is written only if all of them finish.
+lines (summed and per module), and reads the commit and the uncommitted
+paths, so that two records can be told apart.  Every step runs in a fresh
+process; the record is written only if all of them finish.
 """
 
 from __future__ import annotations
@@ -105,10 +105,15 @@ def _split(source):
     return {kind: kinds.count(kind) for kind in SPLIT}
 
 
-def _src_split():
-    """:func:`_split` summed over the library modules; its counts add up to ``src_lines``."""
-    splits = [_split(path.read_text(encoding="utf-8")) for path in ROOT.glob("src/parkseq/*.py")]
-    return {kind: sum(split[kind] for split in splits) for kind in SPLIT}
+def _src_split_by_module():
+    """:func:`_split` of each library module, keyed by its file name."""
+    return {path.name: _split(path.read_text(encoding="utf-8"))
+            for path in sorted(ROOT.glob("src/parkseq/*.py"))}
+
+
+def _src_split(by_module):
+    """``by_module`` summed over the modules; its counts add up to ``src_lines``."""
+    return {kind: sum(split[kind] for split in by_module.values()) for kind in SPLIT}
 
 
 def _git(*args):
@@ -149,7 +154,9 @@ def main(argv=None):
     print("gate digest", file=sys.stderr)
     record["gate"] = _gate_digest()
     record["src_lines"] = _src_lines()
-    record["src_split"] = _src_split()
+    by_module = _src_split_by_module()
+    record["src_split"] = _src_split(by_module)
+    record["src_split_by_module"] = by_module
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
