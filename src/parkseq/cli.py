@@ -5,14 +5,21 @@ counts), 2 usage error (an input too large to compute with or to hold in
 memory too), 3 verification mismatch, 4 enumeration budget exceeded, 141
 (128 + SIGPIPE, as for a process the signal ends) with nothing on stderr when
 the reader closes stdout early (``parkseq enumerate ... | head``).
-``--json`` swaps the text output for one stable document with top-level fields
-``command``, ``params``, ``result`` and, for verify, ``records``.
+
+Every answer takes one path.  A handler returns its document (``params``,
+``result`` and, for verify, ``records``), its text lines and its exit code;
+``run`` prints ``{"command": ..., **document}`` under ``--json``, else the
+lines, and ``enumerate --out FILE`` writes the file the same way, the
+document when FILE ends in ``.json``.  The text lines are built as they are
+printed, so ``--json`` builds none.
 
 Each flag is declared once, in ``_FLAGS``: its type, default, help and any
 second spelling.  ``_COMMANDS`` gives each command its flags: ``simulate`` and
 ``verify`` name their own, ``check`` and ``enumerate`` add the flags their
-``--family`` choices need in ``_FAMILIES``, ``count`` has only the flags its
-``--formula`` choices need in ``_FORMULAS``, and every command takes ``--json``.
+``--family`` choices need or read in ``_FAMILIES``, ``count`` has only the
+flags its ``--formula`` choices read in ``_FORMULAS``, and every command takes
+``--json``.  A choice refuses a flag that only other choices read, set to
+anything but its default, as a usage error.
 
 The argparse tree is built once per process, on the first ``run`` call (so
 importing this module builds nothing), and every later call parses with the
@@ -28,7 +35,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classify import (
     is_increasing_ps,
@@ -70,35 +77,38 @@ EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 EXIT_BROKEN_PIPE = 141
 
+# what a handler returns: its document past "command", its text lines, its exit code
+_Answer = tuple[dict, Iterable, int]
+
 
 def _instance(args) -> ParkingInstance:
     return ParkingInstance(args.lengths, args.trailer)
 
 
-# family: (required flags, check predicate or None, enumerator); each callable
-# takes the parsed arguments.  ``check`` offers the families with a predicate.
-# The enumerator gives the listing: family, params, cardinality and members;
-# each spells its members only when they are read.
+# family: (flags it needs, flags it reads besides, check predicate or None,
+# enumerator); each callable takes the parsed arguments.  ``check`` offers the
+# families with a predicate.  The enumerator gives the listing: family,
+# params, cardinality and members; each spells its members only when read.
 _FAMILIES = {
-    "ps": (("lengths",), lambda a: is_parking_sequence(_instance(a), a.prefs),
+    "ps": (("lengths",), ("trailer",), lambda a: is_parking_sequence(_instance(a), a.prefs),
            lambda a: _ps_walk(_instance(a), a.budget)),
-    "ips": (("lengths",), lambda a: is_increasing_ps(_instance(a), a.prefs),
+    "ips": (("lengths",), ("trailer",), lambda a: is_increasing_ps(_instance(a), a.prefs),
             lambda a: _ips(_instance(a), a.budget)),
-    "inv": (("lengths",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
+    "inv": (("lengths",), ("trailer",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
             lambda a: _inv(_instance(a), a.budget)),
-    "strong": (("lengths",),
+    "strong": (("lengths",), ("trailer", "definitional"),
                lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
                lambda a: _strong(a.lengths, a.trailer, a.budget, a.definitional)),
-    "kstrong": (("n", "k"),
+    "kstrong": (("n", "k"), ("trailer", "definitional"),
                 lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
                 lambda a: _kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
-    "upf": (("boundary",), lambda a: is_u_parking_function(a.boundary, a.prefs),
+    "upf": (("boundary",), (), lambda a: is_u_parking_function(a.boundary, a.prefs),
             lambda a: _upf(a.boundary, a.budget)),
-    "paths": (("boundary",), None, lambda a: _paths(a.boundary, a.width, a.budget)),
+    "paths": (("boundary",), ("width",), None, lambda a: _paths(a.boundary, a.width, a.budget)),
 }
 
-# formula: (flags in the order of the JSON params and the positional
-# arguments, count function)
+# formula: (the flags it reads, in the order of the JSON params and the
+# positional arguments, count function); --trailer, which defaults to 1, is never missing
 _FORMULAS = {
     "ps": (("lengths", "trailer"), count_ps_product),
     "ips-det": (("lengths", "trailer"), count_ips_determinant),
@@ -112,11 +122,26 @@ _FORMULAS = {
 }
 
 
-def _need(args, what: str, flags: Sequence[str]) -> None:
-    """Raise the usage error naming every required flag left unset."""
-    missing = [flag for flag in flags if getattr(args, flag) is None]
+def _need(args, needs: Sequence[str], reads: Sequence[str] = ()) -> None:
+    """Refuse a flag that only other choices of the selector read, when set; then a needed one unset.
+
+    A flag is set when it holds neither its default nor False, a switch's.
+    """
+    selector = _COMMANDS[args.command][2]
+    what = f"--{selector} {getattr(args, selector)}"
+    unread = [flag for flag in _choice_flags(args.command) if flag not in needs and flag not in reads
+              and getattr(args, flag) is not False and getattr(args, flag) != _FLAGS[flag].get("default")]
+    if unread:
+        raise ValueError(f"{what} does not take " + ", ".join(f"--{flag}" for flag in unread))
+    missing = [flag for flag in needs if getattr(args, flag) is None]
     if missing:
         raise ValueError(f"{what} needs " + ", ".join(f"--{flag}" for flag in missing))
+
+
+@functools.cache
+def _choice_flags(command: str) -> tuple[str, ...]:
+    """The flags that some choice of ``command``'s selector reads, in ``_FLAGS`` order."""
+    return tuple(flag for flag in _FLAGS if any(flag in flags for flags in _COMMANDS[command][3].values()))
 
 
 def _ints_csv(text: str) -> tuple[int, ...]:
@@ -140,12 +165,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _document(command: str, params: dict, result: dict, records=None) -> str:
-    """The ``--json`` document, also written by ``enumerate --out FILE.json``."""
-    doc = {"command": command, "params": params, "result": result}
-    if records is not None:
-        doc["records"] = records
-    return json.dumps(doc, indent=2)
+def _print_answer(command: str, doc: dict, lines: Iterable, as_json: bool, file=None) -> None:
+    """Print one answer to ``file`` (stdout when None): the document, else the text lines."""
+    if as_json:
+        print(json.dumps({"command": command, **doc}, indent=2), file=file)
+    else:
+        for line in lines:
+            print(line, file=file)
 
 
 def _street_lines(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> list[str]:
@@ -187,156 +213,114 @@ def _failure(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> tuple[in
 
 
 def _outcome_result(instance: ParkingInstance, outcome: ParkOutcome) -> dict:
-    result = {
-        "street_length": instance.street_length,
-        "success": outcome.success,
-        "placements": outcome.placements,
-    }
+    result = {"street_length": instance.street_length, "success": outcome.success,
+              "placements": outcome.placements}
     if outcome.success:
         result["configuration"] = outcome.configuration
     else:
-        result["failed_car"] = outcome.failed_car
-        result["reason"] = outcome.reason
-        result["blocked_spot"] = outcome.blocked_spot
+        result.update(failed_car=outcome.failed_car, reason=outcome.reason,
+                      blocked_spot=outcome.blocked_spot)
     return result
 
 
-def _describe_outcome(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> list[str]:
-    lines = []
+def _describe_outcome(instance: ParkingInstance, prefs, outcome: ParkOutcome) -> Iterator[str]:
     if instance.trailer_z > 1:
-        lines.append(f"spots 1-{instance.trailer_z - 1}: trailer")
+        yield f"spots 1-{instance.trailer_z - 1}: trailer"
     for car, (start, end) in enumerate(outcome.placements, start=1):
-        lines.append(f"car {car} -> spots {start}-{end}")
+        yield f"car {car} -> spots {start}-{end}"
     if outcome.success:
         order = ["T"] if instance.trailer_z > 1 else []
-        order += [f"C{car}" for car in outcome.configuration]
-        lines.append("configuration: " + " ".join(order))
+        yield "configuration: " + " ".join(order + [f"C{car}" for car in outcome.configuration])
     else:
         car = outcome.failed_car
         off_street = outcome.reason is FailureReason.OFF_STREET
         reason = "off street" if off_street else _failure(instance, prefs, outcome)[1]
-        lines.append(f"car {car} cannot park: {reason} (preference {prefs[car - 1]})")
-    return lines
+        yield f"car {car} cannot park: {reason} (preference {prefs[car - 1]})"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Answer:
     instance = ParkingInstance(args.lengths, args.trailer)
     outcome = simulate(instance, args.prefs)
     params = {"lengths": args.lengths, "trailer": args.trailer, "prefs": args.prefs}
-    diagram = _street_lines(instance, args.prefs, outcome) if args.render else None
-    if args.json:
-        result = _outcome_result(instance, outcome)
-        if diagram is not None:
-            result["diagram"] = diagram
-        print(_document(args.command, params, result))
-    elif diagram is not None:
-        print("\n".join(diagram))
+    result = _outcome_result(instance, outcome)
+    if args.render:
+        result["diagram"] = lines = _street_lines(instance, args.prefs, outcome)
     else:
-        print("\n".join(_describe_outcome(instance, args.prefs, outcome)))
-    return EXIT_OK if outcome.success else EXIT_FALSE
+        lines = _describe_outcome(instance, args.prefs, outcome)
+    return {"params": params, "result": result}, lines, EXIT_OK if outcome.success else EXIT_FALSE
 
 
-def _cmd_check(args) -> int:
-    flags, predicate, _ = _FAMILIES[args.family]
-    if args.k is None:  # kstrong's car count defaults to the number of preferences
+def _cmd_check(args) -> _Answer:
+    needs, reads, predicate, _ = _FAMILIES[args.family]
+    if args.family == "kstrong" and args.k is None:  # its car count defaults to the number of preferences
         args.k = len(args.prefs)
-    _need(args, f"--family {args.family}", flags)
+    _need(args, needs, reads)
     params = {"family": args.family, "prefs": args.prefs, "trailer": args.trailer}
-    params.update((flag, getattr(args, flag)) for flag in flags)
+    params.update((flag, getattr(args, flag)) for flag in needs)
     value = predicate(args)
-    if args.json:
-        print(_document("check", params, {"value": value}))
-    else:
-        print("true" if value else "false")
-    return EXIT_OK if value else EXIT_FALSE
+    lines = ["true" if value else "false"]
+    return {"params": params, "result": {"value": value}}, lines, EXIT_OK if value else EXIT_FALSE
 
 
-def _cmd_enumerate(args) -> int:
-    flags, _, enumerator = _FAMILIES[args.family]
-    _need(args, f"--family {args.family}", flags)
+def _cmd_enumerate(args) -> _Answer:
+    needs, reads, _, enumerator = _FAMILIES[args.family]
+    _need(args, needs, reads)
     listing = enumerator(args)  # refused here, before --out opens its file
     if args.out is None:
-        _print_listing(listing, args.json, args.count_only)
-        return EXIT_OK
+        return (*_listing_answer(listing, args.count_only), EXIT_OK)
     try:  # a failed open, write or close is the same usage error
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _print_listing(listing, args.out.endswith(".json"), args.count_only, handle)
+            _print_answer("enumerate", *_listing_answer(listing, args.count_only),
+                          args.out.endswith(".json"), handle)
     except BrokenPipeError:  # FILE is a pipe whose reader left: the quiet 141
         raise
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-    if args.json:
-        _print_listing(listing, True, True)
-    else:
-        print(f"wrote {listing.cardinality} members to {args.out}")
-    return EXIT_OK
+    doc, _ = _listing_answer(listing, True)
+    return doc, [f"wrote {listing.cardinality} members to {args.out}"], EXIT_OK
 
 
-def _print_listing(listing, document: bool, count_only: bool, file=None) -> None:
-    """Print the enumerate output of ``listing`` to ``file`` (stdout when None).
+def _listing_answer(listing, count_only: bool) -> tuple[dict, Iterable]:
+    """The enumerate document and text lines: the cardinality alone, else every member as a CSV row.
 
-    The ``--json`` document, else the cardinality alone with ``--count-only``,
-    else one CSV row per member; the members are read only when printed.
+    The members are read only when listed, and before the cardinality, which they then give.
     """
-    if document:
-        result = {"cardinality": listing.cardinality}
-        if not count_only:
-            result["members"] = listing.members
-        params = dict(listing.params, family=listing.family)
-        print(_document("enumerate", params, result), file=file)
-    elif count_only:
-        print(listing.cardinality, file=file)
-    else:
-        for member in listing.members:
-            print(",".join(str(v) for v in member), file=file)
+    params = dict(listing.params, family=listing.family)
+    if count_only:
+        return {"params": params, "result": {"cardinality": listing.cardinality}}, [listing.cardinality]
+    members = listing.members
+    result = {"cardinality": listing.cardinality, "members": members}
+    return {"params": params, "result": result}, (",".join(map(str, member)) for member in members)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> _Answer:
     flags, formula = _FORMULAS[args.formula]
-    _need(args, f"--formula {args.formula}", flags)
+    _need(args, flags)
     params = {flag: getattr(args, flag) for flag in flags}
     value = formula(*params.values())
-    if args.json:
-        print(_document("count", dict(params, formula=args.formula), {"value": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return {"params": dict(params, formula=args.formula), "result": {"value": value}}, [value], EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Answer:
     records = run_suite(args.suite, max_n=args.max_n, seed=args.seed, budget=args.budget)
-    failed = [record for record in records if not record.passed]
-    if args.json:
-        doc = _document(
-            "verify",
-            {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
-            {"total": len(records), "passed": len(records) - len(failed), "failed": len(failed)},
-            [
-                {
-                    "check": record.check,
-                    "params": record.params,
-                    "expected": record.expected,
-                    "computed": record.computed,
-                    "pass": record.passed,
-                    "note": record.note,
-                }
-                for record in records
-            ],
-        )
-        print(doc)
-    else:
-        for record in records:
-            tag = "PASS" if record.passed else "FAIL"
-            params = " ".join(f"{key}={value}" for key, value in record.params.items())
-            line = f"{tag}  {record.check}  {params}"
-            if not record.passed:
-                line += f"  expected={record.expected} computed={record.computed}"
-            print(line)
-        print(
-            f"suite {args.suite}: {len(records)} checks,"
-            f" {len(records) - len(failed)} passed, {len(failed)} failed"
-        )
-    return EXIT_MISMATCH if failed else EXIT_OK
+    failed = sum(not record.passed for record in records)
+    doc = {
+        "params": {"suite": args.suite, "max_n": args.max_n, "seed": args.seed},
+        "result": {"total": len(records), "passed": len(records) - failed, "failed": failed},
+        "records": [{"check": record.check, "params": record.params, "expected": record.expected,
+                     "computed": record.computed, "pass": record.passed, "note": record.note}
+                    for record in records],
+    }
+    return doc, _verify_lines(args.suite, records, failed), EXIT_MISMATCH if failed else EXIT_OK
+
+
+def _verify_lines(suite: str, records, failed: int) -> Iterator[str]:
+    """One line per record, a failed one with both values, then the tally."""
+    for record in records:
+        params = " ".join(f"{key}={value}" for key, value in record.params.items())
+        line = f"{'PASS' if record.passed else 'FAIL'}  {record.check}  {params}"
+        yield line if record.passed else f"{line}  expected={record.expected} computed={record.computed}"
+    yield f"suite {suite}: {len(records)} checks, {len(records) - failed} passed, {failed} failed"
 
 
 # flag: its add_argument keywords, and "aliases", its spellings past
@@ -366,18 +350,18 @@ _FLAGS = {
     "json": {"action": "store_true", "help": "machine-readable output"},
 }
 
-# command: (help, handler, selector flag, {choice: the flags it needs}, own
+# command: (help, handler, selector flag, {choice: the flags it reads}, own
 # flags, the own flags argparse requires); the selector is required and
 # takes the choices.
 _COMMANDS = {
     "simulate": ("run the parking process once", _cmd_simulate, None, {},
                  ("lengths", "trailer", "prefs", "render"), ("lengths", "prefs")),
     "check": ("test one sequence against a family", _cmd_check, "family",
-              {name: flags for name, (flags, check, _) in _FAMILIES.items() if check},
-              ("trailer", "prefs", "definitional"), ("prefs",)),
+              {name: needs + reads for name, (needs, reads, check, _) in _FAMILIES.items() if check},
+              ("prefs",), ("prefs",)),
     "enumerate": ("list a family exhaustively", _cmd_enumerate, "family",
-                  {name: flags for name, (flags, _, _) in _FAMILIES.items()},
-                  ("trailer", "width", "count_only", "budget", "definitional", "out"), ()),
+                  {name: needs + reads for name, (needs, reads, _, _) in _FAMILIES.items()},
+                  ("count_only", "budget", "out"), ()),
     "count": ("evaluate a closed-form count", _cmd_count, "formula",
               {name: flags for name, (flags, _) in _FORMULAS.items()}, (), ()),
     "verify": ("run formula-versus-sweep cross-checks", _cmd_verify, "suite",
@@ -393,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for parking sequences of cars with lengths behind a trailer.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (text, handler, selector, needs, own, required) in _COMMANDS.items():
+    for command, (text, handler, selector, choices, own, required) in _COMMANDS.items():
         sub = commands.add_parser(command, help=text)
-        takes = {selector, *own, *(flag for flags in needs.values() for flag in flags), "json"}
+        takes = {selector, *own, *(flag for flags in choices.values() for flag in flags), "json"}
         for flag in filter(takes.__contains__, _FLAGS):
             keywords = dict(_FLAGS[flag], required=flag in (selector, *required))
             if flag == selector:
-                keywords["choices"] = needs
+                keywords["choices"] = choices
             names = (f"--{flag.replace('_', '-')}", *keywords.pop("aliases", ()))
             sub.add_argument(*names, **keywords)
         sub.set_defaults(func=handler)
@@ -407,18 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse and execute; returns the exit code instead of raising SystemExit.
+    """Parse, execute and print; returns the exit code instead of raising SystemExit.
 
     Every call parses with the one parser ``build_parser`` built for this
     process; the handler gets that call's own namespace and must not mutate
-    the parser.
+    the parser.  It returns its document, its text lines and its exit code,
+    and the answer printed is the document under ``--json``, else the lines.
     """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        doc, lines, code = args.func(args)
+        _print_answer(args.command, doc, lines, args.json)
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

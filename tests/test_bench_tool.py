@@ -1,5 +1,6 @@
 """The record-writing script ``tools/bench.py``: how it reads the working tree."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -7,6 +8,17 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench", SCRIPT)
 bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
+
+
+def test_gate_digest_hashes_the_document_and_the_text(monkeypatch):
+    rendered = {True: b'{"records": [{}, {}]}\n', False: b"PASS  a\nPASS  b\n"}
+    monkeypatch.setattr(bench, "_run", lambda args, env=None: rendered["--json" in args])
+    assert bench._gate_digest() == {
+        "sha256": hashlib.sha256(rendered[True]).hexdigest(),
+        "text_sha256": hashlib.sha256(rendered[False]).hexdigest(),
+        "records": 2,
+    }
+    assert bench.GATE_COMMAND[-4:] == ["verify", "--suite", "all", "--json"]
 
 
 def test_uncommitted_keeps_every_first_letter():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from sweeps import bounded_nondecreasing_count
 import parkseq
 from parkseq import ParkingInstance, simulate
 from parkseq.cli import (
+    _COMMANDS,
     _FAMILIES,
     _FORMULAS,
     _ints_csv,
@@ -190,6 +192,34 @@ class TestExitCodes:
     def test_malformed_value_is_a_usage_error(self, capsys, argv, message):
         assert run(argv.split()) == 2
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            ("count --formula fuss --k 2 --n 3 --trailer 5", "--trailer"),
+            ("check --family upf --boundary 1,2 --prefs 1,1 --trailer 3", "--trailer"),
+            ("enumerate --family ips --lengths 1,1 --width 3", "--width"),
+            ("check --family ps --lengths 1,2 --prefs 1,1 --definitional", "--definitional"),
+            ("check --family ps --lengths 1,2 --prefs 1,1 --k 0", "--k"),
+            ("enumerate --family paths --boundary 1,2 --trailer 2 --definitional", "--trailer, --definitional"),
+            ("count --formula ps --lengths 1,2 --n 2 --r 1", "--n, --r"),
+        ],
+        ids=["fuss-trailer", "upf-trailer", "ips-width", "ps-definitional", "ps-k", "paths", "ps-n-r"],
+    )
+    def test_flag_the_choice_does_not_read_is_a_usage_error(self, capsys, argv, flags):
+        # refused whatever the other flags hold, a needed one left unset among them
+        words = argv.split()
+        for request in (words, words[:3] + words[5:]):
+            assert run(request) == 2, request
+            assert capsys.readouterr() == ("", f"error: {' '.join(words[1:3])} does not take {flags}\n"), request
+
+    def test_a_default_value_counts_as_unset(self, capsys):
+        for argv in ("count --formula fuss --k 2 --n 3", "check --family upf --boundary 1,2 --prefs 1,1",
+                     "enumerate --family upf --boundary 1,2 --count-only"):
+            assert run([*argv.split(), "--json"]) in (0, 1)
+            plain = capsys.readouterr().out
+            assert run([*argv.split(), "--trailer", "1", "--json"]) in (0, 1)
+            assert capsys.readouterr().out == plain
 
     def test_budget_error_is_four(self):
         assert run(["enumerate", "--family", "ps", "--lengths", "2,2,2", "--budget", "10"]) == 4
@@ -482,6 +512,7 @@ def test_unknown_suite_reported_as_usage_error():
 _VALUE = st.one_of(st.integers(1, 6), st.integers(-1, 6))
 _BUDGET = st.one_of(st.just(10**5), st.integers(-1, 10**5))
 _OFTEN = st.sampled_from((True,) * 7 + (False,))
+_RARELY = st.sampled_from((True,) + (False,) * 31)
 # each optional flag of a command, with the kind of value it takes (None: a switch)
 _OPTIONAL = {
     "simulate": {"--trailer": "int", "--render": None},
@@ -499,12 +530,14 @@ _OUT_NAMES = ("rows.csv", "doc.json", "rows", "missing/rows.csv", "")
 
 @st.composite
 def _argv(draw, out_dir):
-    """One CLI request: a command, its required flags, and some of its optional ones.
+    """One CLI request, and the flags it sets that its family or formula does not read.
 
-    Lists hold one to four values, mostly as many as the request's cars, and
-    boundaries are mostly sorted.  ``enumerate``, which has the most to keep,
-    is drawn twice as often as each other command.  The flags a family or
-    formula needs are drawn seven times in eight, the others half the time;
+    The request is a command, its required flags, and some of its optional
+    ones.  Lists hold one to four values, mostly as many as the request's
+    cars, and boundaries are mostly sorted.  ``enumerate``, which has the most
+    to keep, is drawn twice as often as each other command.  The flags a
+    family or formula reads are drawn seven times in eight, those only other
+    choices read one time in 32, and the command's own half the time;
     "present" comes first, so the simplest requests hypothesis tries carry
     every flag, ``--json`` and ``--out`` together among them.
     """
@@ -519,29 +552,35 @@ def _argv(draw, out_dir):
         "out": st.sampled_from(_OUT_NAMES).map(lambda name: str(out_dir / name)),
     }
     command = draw(st.sampled_from([*_OPTIONAL, "enumerate"]))
-    argv, needed = [command], ()
+    choices = _COMMANDS[command][3]  # each choice of the selector, and the flags it reads
+    argv, reads = [command], ()
     if command == "simulate":
         argv += ["--lengths", draw(values["csv"]), "--prefs", draw(values["csv"])]
     elif command == "check":
-        family = draw(st.sampled_from([name for name, (_, check, _) in _FAMILIES.items() if check]))
+        family = draw(st.sampled_from(sorted(choices)))
         argv += ["--family", family, "--prefs", draw(values["csv"])]
-        needed = _FAMILIES[family][0]
+        reads = choices[family]
     elif command == "enumerate":
-        family = draw(st.sampled_from(sorted(_FAMILIES)))
+        family = draw(st.sampled_from(sorted(choices)))
         argv += ["--family", family, "--budget", draw(values["budget"])]
-        needed = _FAMILIES[family][0]
+        reads = choices[family]
     elif command == "count":
-        formula = draw(st.sampled_from(sorted(_FORMULAS)))
+        formula = draw(st.sampled_from(sorted(choices)))
         argv += ["--formula", formula]
-        needed = _FORMULAS[formula][0]
+        reads = choices[formula]
     else:  # the suites that take milliseconds at --max-n 2
         small = [suite for suite in SUITE_NAMES if suite not in ("all", "determinant")]
         max_n = draw(st.one_of(st.integers(1, 2), st.integers(-1, 2)))
         argv += ["--suite", draw(st.sampled_from(small)), "--max-n", str(max_n)]
+    others = set().union(*choices.values()).difference(reads)
+    unread = []
     for flag, kind in {**_OPTIONAL[command], "--json": None}.items():
-        if draw(_OFTEN if flag[2:] in needed else st.sampled_from((True, False))):
+        name = flag[2:]
+        if draw(_OFTEN if name in reads else _RARELY if name in others else st.sampled_from((True, False))):
             argv += [flag] if kind is None else [flag, draw(values[kind])]
-    return argv
+            if name in others and argv[-2:] != ["--trailer", "1"]:  # 1 is --trailer's default
+                unread.append(flag)
+    return argv, unread
 
 
 def _run_captured(argv):
@@ -556,9 +595,12 @@ def _run_captured(argv):
 def test_generated_argv_keep_the_cli_contract(tmp_path_factory, data):
     out_dir = tmp_path_factory.getbasetemp() / "cli-contract"
     out_dir.mkdir(exist_ok=True)
-    argv = data.draw(_argv(out_dir))
+    argv, unread = data.draw(_argv(out_dir))
     code, out, err = _run_captured(argv)
     assert code in range(5), (code, err)
+    if unread:  # refused as the first flag it names, unless argparse refuses a value first
+        assert code == 2
+        assert f" does not take {unread[0]}" in err or err.startswith("usage:"), (argv, err)
     if code in (2, 4):
         assert out == ""
         assert err.startswith(("error:", "usage:"))
@@ -690,6 +732,15 @@ class TestPinnedDocuments:
         assert run(["count", "--formula", formula, *flags.split(), "--json"]) == 0
         assert capsys.readouterr().out == _document("count", params, {"value": value})
         assert run(["count", "--formula", formula, "--json"]) == 2
+
+
+    @pytest.mark.parametrize("json_flag, digest", [
+        (["--json"], "029d9874f1ee5fe3956e4d33f00052d47742a1b8330f9c94be153f6263de84df"),
+        ([], "185eb08f73b40efd1f0c762a7aadd1d5d97183d2dcd607100091f82ee4821a27"),
+    ], ids=["json", "text"])
+    def test_verify(self, capsys, json_flag, digest):
+        assert run(["verify", "--suite", "all", "--max-n", "2", *json_flag]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSharedParser:
@@ -846,8 +897,8 @@ class TestParseContract:
     def test_tables_name_options_of_their_commands(self):
         options = {command: {name for action in _options(command) for name in action.option_strings}
                    for command in PARSE_CONTRACT}
-        for family, (flags, check, _) in _FAMILIES.items():
-            for flag in flags:
+        for family, (needs, reads, check, _) in _FAMILIES.items():
+            for flag in needs + reads:
                 assert f"--{flag}" in options["enumerate"], (family, flag)
                 if check is not None:
                     assert f"--{flag}" in options["check"], (family, flag)

@@ -8,6 +8,7 @@ or not positive.
 """
 
 from collections.abc import Iterator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -125,3 +126,64 @@ def test_returns_its_type_or_refuses(name, data):
             list(result)  # a lazy result may refuse only as it is read
     except (ValueError, TypeError, BudgetExceededError):
         pass
+
+
+# What an admitted request does first: the walk's step, the invariance sweep
+# (which the enumeration module imports by name), the capped walk and the box.
+WORK = ((parkseq.enumeration, "_steps"), (parkseq.classify, "_ordering_sweep"),
+        (parkseq.enumeration, "_ordering_sweep"), (parkseq.enumeration, "_nondecreasing"),
+        (parkseq.enumeration, "_box_members"))
+SMALL = ParkingInstance((1, 2, 2), 2)
+# each budgeted entry point on each of its routes, as a call of the budget;
+# every request sweeps more than one candidate, and eq3 meets every guard in
+# grid order before its first walk, as does the gate, which runs eq3 first
+BUDGETED = {
+    "enum_ps": lambda budget: parkseq.enum_ps(SMALL, budget),
+    "enum_ips": lambda budget: parkseq.enum_ips(SMALL, budget),
+    "enum_ps_inv": lambda budget: parkseq.enum_ps_inv(SMALL, budget),
+    "enum_sps definition": lambda budget: parkseq.enum_sps((1, 2, 2), 2, budget, "definition"),
+    "enum_sps bounds": lambda budget: parkseq.enum_sps((1, 2, 2), 2, budget, "bounds"),
+    "enum_sps constant": lambda budget: parkseq.enum_sps((2, 2, 2), 1, budget, "bounds"),
+    "enum_sps_k": lambda budget: parkseq.enum_sps_k(5, 3, 2, budget),
+    "enum_sps_k definitional": lambda budget: parkseq.enum_sps_k(5, 3, 2, budget, True),
+    "enum_sps_k one part": lambda budget: parkseq.enum_sps_k(4, 1, 1, budget),
+    "enum_u_pf": lambda budget: parkseq.enum_u_pf((1, 2, 3), budget),
+    "enum_lattice_paths": lambda budget: parkseq.enum_lattice_paths((1, 2, 3), None, budget),
+    "run_suite eq3": partial(parkseq.run_suite, "eq3", 2, 1729),
+    "run_suite all": partial(parkseq.run_suite, "all", 2, 1729),
+}
+EVERY_SUITE = {f"run_suite {suite}": partial(parkseq.run_suite, suite, 2, 1729) for suite in SUITE_NAMES}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_budgeted_names_every_enumerator():
+    assert {name.split()[0] for name in BUDGETED} >= {name for name in parkseq.__all__
+                                                       if name.startswith("enum_")}
+
+
+@pytest.mark.parametrize("name", BUDGETED)
+def test_an_admitted_request_does_the_patched_work(no_work, name):
+    # so that the refusals below come before that work
+    with pytest.raises(AssertionError, match="worked before refusing"):
+        BUDGETED[name](10**4)
+
+
+@pytest.mark.parametrize("budget", [0, -1, True, 2.5])
+@pytest.mark.parametrize("name", {**BUDGETED, **EVERY_SUITE})
+def test_a_bad_budget_is_refused_before_any_work(no_work, name, budget):
+    with pytest.raises(ValueError, match="budget must be"):
+        {**BUDGETED, **EVERY_SUITE}[name](budget)
+
+
+@pytest.mark.parametrize("name", BUDGETED)
+def test_an_over_budget_request_is_refused_before_any_work(no_work, name):
+    with pytest.raises(BudgetExceededError, match="budget is 1$"):
+        BUDGETED[name](1)

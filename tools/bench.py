@@ -8,7 +8,8 @@ It runs ``perfbench/run.py`` with ``--trace 0`` once for each of the four
 workloads, then once with ``--workload all --trace 1`` for the per-layer
 figures, all on seed 1729 with ``--seconds 15``, so that every record is
 taken with the same settings.  It also times the Tier-1 tests, hashes the
-gate document (``parkseq verify --suite all --json``), counts the lines of
+gate's two renderings (``parkseq verify --suite all``, with ``--json`` and
+without it), counts the lines of
 ``src/parkseq/*.py``, in all and as code, docstring, comment and blank
 lines (summed and per module), and reads the commit and the uncommitted
 paths, so that two records can be told apart.  Every step runs in a fresh
@@ -75,8 +76,10 @@ def _tier1():
 
 
 def _gate_digest():
+    """The sha256 of the gate document and of the gate's text, and the document's record count."""
     out = _run(GATE_COMMAND, env=_source_env())
-    return {"sha256": hashlib.sha256(out).hexdigest(),
+    text = _run(GATE_COMMAND[:-1], env=_source_env())  # the same request without --json
+    return {"sha256": hashlib.sha256(out).hexdigest(), "text_sha256": hashlib.sha256(text).hexdigest(),
             "records": len(json.loads(out)["records"])}
 
 
