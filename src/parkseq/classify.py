@@ -25,10 +25,10 @@ from .biject import _contract, _invariant_contraction
 from .core import (
     ParkingInstance,
     _as_int_tuple,
-    _empty_street,
     _integer,
     _nondecreasing_under,
     _park,
+    _shifted,
     _sorted_under,
     _weight_and_count,
     check_boundary,
@@ -84,12 +84,13 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def is_parking_sequence(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
     """Do all cars park under these preferences?
 
-    One :func:`parkseq.core._park` step per car, stopping at the first that
-    fails; no :class:`parkseq.core.ParkOutcome` is built.
+    One :func:`parkseq.core._park` step per car on the shifted street,
+    stopping at the first that fails; no :class:`parkseq.core.ParkOutcome`
+    is built.
     """
-    free = _empty_street(instance)
+    free, lift = instance._empty_street, instance.trailer_z - 1
     for pref, size in zip(check_preferences(instance, prefs), instance.lengths):
-        free = _park(free, pref, size)
+        free = _park(free, pref - lift if pref > lift else 1, size)  # the shift, inline
         if free is None:
             return False
     return True
@@ -121,14 +122,15 @@ def is_increasing_ps(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
 
 
 def _ordering_sweep(
-    instance: ParkingInstance, room: dict[int, int], prefs: tuple[int, ...] | None = None
+    instance: ParkingInstance, room: dict[int, int], prefs: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
     """The "every ordering parks" sweep: the sorted n-multisets of its last layer.
 
     Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
     value drawn from a pool holding up to ``room[v]`` copies of each value v
-    (a preference, or else a length).  Layer j maps each j-multiset of the
-    pool whose orderings all park cars 1..j to the free-spot masks they
+    (a preference, or else a length); preferences, fixed or drawn, are on the
+    shifted street of :mod:`parkseq.core`.  Layer j maps each j-multiset of
+    the pool whose orderings all park cars 1..j to the free-spot masks they
     leave.  A (j+1)-multiset enters the next layer when, for every distinct
     value v in it, the multiset without v is in layer j and car j+1 parks v
     from every mask that entry left.  That is exact: every sub-multiset of a
@@ -157,7 +159,7 @@ def _ordering_sweep(
         steps.append((t, unit, ones * unit, room[v] * unit))
         drawn.append((unit, itertools.repeat(v)))
     whole = sum(room.values()) == instance.car_count  # then one failing part fails the pool
-    layer: dict[int, set[int]] = {0: {_empty_street(instance)}}  # code -> masks left
+    layer: dict[int, set[int]] = {0: {instance._empty_street}}  # code -> masks left
     present: dict[int, tuple[int, ...]] = {0: ()}  # code -> indices of its values
     for fixed in prefs or instance.lengths:
         kept = itertools.repeat(fixed)
@@ -197,9 +199,12 @@ def _ordering_sweep(
 
 
 def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
-    """Every rearrangement of the preferences (the sequence included) parks."""
+    """Every rearrangement of the preferences (the sequence included) parks.
+
+    On the shifted street every preference up to z is the one value 1.
+    """
     prefs = check_preferences(instance, prefs)
-    return bool(_ordering_sweep(instance, Counter(prefs)))
+    return bool(_ordering_sweep(instance, Counter(_shifted(instance.trailer_z - 1, prefs))))
 
 
 def perm_invariant_characterized(
@@ -245,7 +250,8 @@ def is_strong_ps(
     instance = ParkingInstance(tuple(sorted(_as_int_tuple(lengths, "car lengths"))), trailer_z)
     prefs = check_preferences(instance, prefs)
     if definitional:
-        return bool(_ordering_sweep(instance, Counter(instance.lengths), prefs))
+        shifted = _shifted(instance.trailer_z - 1, prefs)
+        return bool(_ordering_sweep(instance, Counter(instance.lengths), shifted))
     if instance.lengths[0] == instance.lengths[-1]:
         return is_parking_sequence(instance, prefs)
     return all(map(operator.le, prefs, standard_order_bounds(instance)))
@@ -275,8 +281,8 @@ def is_k_strong(
     if not definitional:
         return is_strong_ps(witness, trailer_z, prefs)
     instance = ParkingInstance(witness, trailer_z)
-    prefs = check_preferences(instance, prefs)
-    frontier = {_empty_street(instance): 0}  # free-spot mask -> length parked
+    prefs = _shifted(instance.trailer_z - 1, check_preferences(instance, prefs))
+    frontier = {instance._empty_street: 0}  # free-spot mask -> length parked
     for later, pref in zip(range(k - 1, -1, -1), prefs):
         grown: dict[int, int] = {}
         for free, used in frontier.items():

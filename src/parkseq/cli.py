@@ -410,7 +410,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        # a MemoryError (a trailer near 2**63 asks for a mask that size) carries no text
+        # a MemoryError carries no text: huge car lengths ask for a free-spot
+        # mask that size, and --render for one cell per spot, trailer included
         print(f"error: {str(exc) or 'input too large to hold in memory'}", file=sys.stderr)
         return EXIT_USAGE
 

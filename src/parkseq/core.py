@@ -10,9 +10,17 @@ also leaves.  A blocked car never keeps searching past the blocking interval.
 That single rule is the easiest one to get wrong, and the test suite pins it
 with the smallest counterexample (lengths (2, 2), preferences (2, 1)).
 
-Occupancy is one free-spot mask (bit ``j`` set when spot ``j`` is on the
-street and empty).  The rule is written twice on it: by :func:`simulate`,
-and by :func:`_park`, the success-only step of every walk and of
+The trailer is a shift of coordinates, applied once where a request comes
+in.  A car that prefers a spot below z drives on to spot z, the first one
+the trailer leaves, so instance (y, z) parks exactly as (y, 1) under the
+preferences c' = max(c - z + 1, 1), with every spot it reports moved up by
+z - 1.  So the parking kernel never sees z: its street is the y_1 + ... +
+y_n spots past the trailer, and its time and memory do not grow with z.
+
+Occupancy is one free-spot mask on that street (bit ``j`` set when shifted
+spot ``j``, spot ``j + z - 1``, is on the street and empty).  The rule is
+written twice on it: by :func:`simulate`, and by :func:`_park`, the
+success-only step of every walk and of
 :func:`parkseq.classify.is_parking_sequence`, which the tests hold to
 :func:`simulate`.
 """
@@ -129,6 +137,11 @@ class ParkingInstance:
         return self.trailer_z - 1 + sum(self.lengths)
 
     @functools.cached_property
+    def _empty_street(self) -> int:
+        """The free-spot mask before any car parks, in shifted spots: bits 1 .. y_1 + ... + y_n."""
+        return (2 << sum(self.lengths)) - 2
+
+    @functools.cached_property
     def _bounds(self) -> tuple[int, ...]:
         """z, z + y_1, ..., z + y_1 + ... + y_(n-1); see :func:`standard_order_bounds`."""
         return tuple(itertools.accumulate(self.lengths[:-1], initial=self.trailer_z))
@@ -185,16 +198,17 @@ def _sorted_under(values: Iterable[int], bounds: Iterable[int]) -> bool:
     return all(map(operator.le, sorted(values), bounds))
 
 
-def _empty_street(instance: ParkingInstance) -> int:
-    """The free-spot mask before any car parks: bits z..M set."""
-    return (1 << (instance.street_length + 1)) - (1 << instance.trailer_z)
+def _shifted(lift: int, prefs: Sequence[int]) -> Sequence[int]:
+    """Preferences on the shifted street of ``lift = z - 1``: max(c - lift, 1) each."""
+    return [c - lift if c > lift else 1 for c in prefs] if lift else prefs
 
 
 def _park(free: int, pref: int, size: int) -> int | None:
     """Success-only step of :func:`simulate` for hot loops: park one car.
 
-    ``free`` has bit j set when spot j is on the street and empty (the start
-    is :func:`_empty_street`).  Returns the mask the car leaves, or None when
+    ``free`` has bit j set when shifted spot j is on the street and empty
+    (the start is ``ParkingInstance._empty_street``), and ``pref`` is
+    shifted (:func:`_shifted`).  Returns the mask the car leaves, or None when
     it fails; a block running past the street end meets a clear bit, as a
     taken spot does.
     """
@@ -208,12 +222,18 @@ def _park(free: int, pref: int, size: int) -> int | None:
 
 
 def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
-    """Run the parking process; deterministic, one pass over the cars."""
+    """Run the parking process; deterministic, one pass over the cars.
+
+    The cars park on the shifted street (module docstring), and each spot
+    reported is moved up by z - 1.
+    """
     prefs = check_preferences(instance, prefs)
-    free = _empty_street(instance)
+    lift = instance.trailer_z - 1
+    free = instance._empty_street
     spots = free.bit_length() - 1
     placements: list[tuple[int, int]] = []
     for car, (pref, size) in enumerate(zip(prefs, instance.lengths), start=1):
+        pref = pref - lift if pref > lift else 1  # the shift; inline, as in the deciders
         tail = free >> pref
         if not tail:
             return ParkOutcome(
@@ -226,17 +246,18 @@ def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
         block = ((1 << size) - 1) << start
         hit = block & ~free  # a taken spot, or a spot past the street end
         if hit:
-            # start is empty, so the lowest hit is past it; above M it is the street end
+            # start is empty, so the lowest hit is past it; above the street it is its end
             spot = (hit & -hit).bit_length() - 1
             return ParkOutcome(
                 False,
                 tuple(placements),
                 failed_car=car,
                 reason=FailureReason.COLLISION,
-                attempted_start=start,
-                blocked_spot=spot if spot <= spots else None,
+                attempted_start=start + lift,
+                blocked_spot=spot + lift if spot <= spots else None,
             )
         free ^= block
+        start += lift
         placements.append((start, start + size - 1))
     order = sorted(range(1, instance.car_count + 1), key=lambda car: placements[car - 1][0])
     return ParkOutcome(True, tuple(placements), tuple(order))

@@ -15,10 +15,15 @@ characterizations are verified against.  Three producers build them:
   rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
 
-Every producer gives a :class:`FamilyListing` built from a count and a
-speller, each called on first read, so ``enumerate --count-only`` builds no
-member; the capped pass is counted by :func:`_count_nondecreasing`.  The
-public ``enum_*`` return their listings spelled.
+Every producer meets its budget guard and gives a :class:`FamilyListing`
+built from a count and a speller, each called on first read, so no walk or
+pass runs before it is read and ``enumerate --count-only`` builds no member;
+the capped pass is counted by :func:`_count_nondecreasing`.  The public
+``enum_*`` return their listings spelled.
+
+The walk and the sweep run on the shifted street of :mod:`parkseq.core`,
+so what they keep does not depend on the trailer: a shifted preference 1
+stands for the z preferences 1..z and any other p for p + z - 1.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
@@ -42,13 +47,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Callable, Iterable, Sequence
 
 from .biject import LatticePath
 from .classify import _ordering_sweep, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _empty_street, _park, _positive, _weight_and_count,
+    ParkingInstance, _as_int_tuple, _park, _positive, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
 
@@ -175,13 +180,33 @@ def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...]
     return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
 
 
-def _orderings(multisets: Iterable[Sequence[int]], n: int) -> int:
-    """How many orderings the n-multisets have in all: the sum of n! / prod m_v!."""
+def _orderings(multisets: Iterable[Sequence[int]], n: int, ones: int = 1) -> int:
+    """How many orderings the n-multisets have in all, each 1 standing for ``ones`` values.
+
+    That is the sum of ones^m_1 n! / prod m_v!, m_v the copies of v.
+    """
     whole = math.factorial(n)
-    return sum(
-        whole // math.prod(map(math.factorial, Counter(multiset).values()))
-        for multiset in multisets
-    )
+    total = 0
+    for multiset in multisets:
+        copies = Counter(multiset)
+        total += whole * ones ** copies[1] // math.prod(map(math.factorial, copies.values()))
+    return total
+
+
+def _unshifted(multisets: list[tuple[int, ...]], z: int) -> list[tuple[int, ...]]:
+    """The sorted multisets that sorted shifted ones stand for behind a trailer of ``z``.
+
+    The c ones of a multiset become each c-multiset over 1..z, any other v
+    becomes v + z - 1.
+    """
+    if z == 1:
+        return multisets
+    out = []
+    for multiset in multisets:
+        c = multiset.count(1)
+        rest = tuple(v + z - 1 for v in multiset[c:])
+        out += [head + rest for head in itertools.combinations_with_replacement(range(1, z + 1), c)]
+    return out
 
 
 def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple[tuple, int]:
@@ -193,7 +218,9 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
     Vectors that reach one mask with the same lengths left behave alike from
     then on, so they are one pair.  A set of one pair is that int, else a
     frozenset; either keys the memo.  No length is 0, so a code's bit length
-    tells how many cars are left, which fixes the depth.
+    tells how many cars are left, which fixes the depth.  The masks are
+    those of the shifted street (:mod:`parkseq.core`), so a state, its steps
+    and its count are the same for every trailer, and are those of z = 1.
     Preferences are cut at every spot empty in some mask, up to the first cut
     past some mask's last empty spot, and each interval parks every pair.  The
     pairs run longest next car first, so a cut most often fails at once, and
@@ -281,6 +308,62 @@ def _emit(found: tuple, left: int, prefix: tuple = (), members: list | None = No
     return members
 
 
+def _lifted_values(values: Sequence[int], lift: int) -> list[int]:
+    """Ascending shifted preferences as the ascending ones they stand for, ``lift = z - 1``."""
+    lifted = [v + lift for v in values if v > 1]
+    return [*range(1, lift + 2), *lifted] if values and values[0] == 1 else lifted
+
+
+def _lifted_count(found: tuple, left: int, lift: int, memo: dict) -> int:
+    """How many sequences the z = 1 steps ``found`` spell behind a trailer of ``lift + 1``.
+
+    A step's interval from 1 weighs its width plus ``lift``, the others their
+    width; the last two cars' pairs weigh the product of their entries'
+    weights.  Each node is counted once, memoized on its id: ``found`` keeps
+    every node alive while ``memo`` lives.
+    """
+    known = memo.get(id(found))
+    if known is None:
+        if not left:
+            known = len(found) + (lift if found and found[0] == 1 else 0)
+        elif left == 1:
+            weight = lift + 1
+            known = sum((weight if pref == 1 else 1) * (weight if last == 1 else 1)
+                        for pref, last in found)
+        else:
+            known = sum((len(prefs) + (lift if prefs.start == 1 else 0))
+                        * _lifted_count(after, left - 1, lift, memo) for prefs, after in found)
+        memo[id(found)] = known
+    return known
+
+
+def _lifted_steps(found: tuple, left: int, lift: int, memo: dict) -> tuple | list:
+    """The z = 1 steps ``found`` moved behind a trailer of ``lift + 1``, for :func:`_emit`.
+
+    Each node is translated once, memoized on its id as in
+    :func:`_lifted_count`, never member by member.  The shift keeps the order
+    of the other values and a 1 becomes 1..z, below all of them, so the
+    lifted steps spell in lex order too.
+    """
+    known = memo.get(id(found))
+    if known is None:
+        if not left:
+            known = _lifted_values(found, lift)
+        elif left == 1:
+            known = []
+            for pref, pairs in itertools.groupby(found, key=operator.itemgetter(0)):
+                lasts = _lifted_values([last for _, last in pairs], lift)
+                known += [(first, last) for first in _lifted_values((pref,), lift) for last in lasts]
+        else:
+            known = tuple(
+                (range(1 if prefs.start == 1 else prefs.start + lift, prefs.stop + lift),
+                 _lifted_steps(after, left - 1, lift, memo))
+                for prefs, after in found
+            )
+        memo[id(found)] = known
+    return known
+
+
 def _walk(
     family: str,
     params: dict[str, object],
@@ -289,34 +372,52 @@ def _walk(
     budget: int,
     memos: dict[tuple[int, int], dict] | None = None,
 ) -> FamilyListing:
-    """The listing of the all-vectors walk.
+    """The listing of the all-vectors walk, walked on first read.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
-    total, so its street.  ``vectors()`` lists them, called only once the
-    budget allows the walk.  The walk runs here, its memo keeping each
-    state's steps and count, so no state is walked twice; the cardinality is
-    read off the steps, and the members are spelled out of them on first read.
+    total, so its street.  The budget is met here; ``vectors()`` lists them
+    and the walk runs on the first read of the count or the members, its memo
+    keeping each state's steps and count, so no state is walked twice.  The
+    steps and the count are those of z = 1 (:func:`_steps`); a larger
+    trailer reads its count and members off them.
 
     By default each walk has a memo of its own.  A caller that walks many
-    instances in one call (verify's ``eq3`` suite) may pass ``memos``, which
-    maps a packing (shift, width) to its memo and lasts as long as the caller
-    keeps it, so instances on one street walk each state they share once.  A
-    code names one state only under one packing, so a memo never serves two.
+    instances in one call (verify's suites) may pass ``memos``, which maps a
+    packing (shift, width) to its memo and lasts as long as the caller keeps
+    it, so instances with one total walk each state they share once, for
+    every trailer.  A code names one state only under one packing, so a memo
+    never serves two.
     """
-    spots, n = instance.street_length, instance.car_count
-    _guard(spots**n, budget)
-    shift = spots + 1
+    n = instance.car_count
+    _guard(instance.street_length**n, budget)
+    lift = instance.trailer_z - 1
+    walked = cache(partial(_walked, instance, vectors, memos))
+
+    def count() -> int:
+        found, total = walked()
+        return _lifted_count(found, n - 1, lift, {}) if lift else total
+
+    def spell() -> list:
+        found = walked()[0]
+        return _emit(_lifted_steps(found, n - 1, lift, {}) if lift else found, n - 1)
+
+    return FamilyListing._lazy(family, params, count, spell)
+
+
+def _walked(instance: ParkingInstance, vectors: Callable, memos: dict | None) -> tuple[tuple, int]:
+    """The steps of the walk from ``vectors()`` on the instance's shifted street, and their count."""
+    empty = instance._empty_street
+    shift = empty.bit_length()
     columns = list(zip(*vectors()))
     width = max(map(max, columns)).bit_length()
     packed = columns.pop()
     for column in reversed(columns):
         packed = list(map(operator.or_, column, map(width.__rlshift__, packed)))
-    start = frozenset(map(_empty_street(instance).__or__, map(shift.__rlshift__, packed)))
+    start = frozenset(map(empty.__or__, map(shift.__rlshift__, packed)))
     if len(start) == 1:
         (start,) = start
     memo = {} if memos is None else memos.setdefault((shift, width), {})
-    found, count = _steps(start, shift, width, memo)
-    return FamilyListing._lazy(family, params, lambda: count, partial(_emit, found, n - 1))
+    return _steps(start, shift, width, memo)
 
 
 def _listed(listing: FamilyListing) -> FamilyListing:
@@ -348,42 +449,50 @@ def _box(family: str, params: dict, instance: ParkingInstance, budget: int) -> F
     return FamilyListing._lazy(family, params, lambda: size, partial(_box_members, bounds))
 
 
-def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool) -> FamilyListing:
+def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool,
+            memos: dict | None = None) -> FamilyListing:
     """The strong family: the walk over every arrangement of the sorted lengths, or the box.
 
     Constant lengths have one arrangement, whose plain family is the
-    characterized set, so both routes walk it.
+    characterized set, so both routes walk it, with ``memos`` as :func:`_walk`.
     """
     ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
     instance = ParkingInstance(ordered, trailer_z)
     if definitional or ordered[0] == ordered[-1]:
         vectors = partial(distinct_permutations, ordered)
-        return _walk("strong", _params(instance), instance, vectors, budget)
+        return _walk("strong", _params(instance), instance, vectors, budget, memos)
     return _box("strong", _params(instance), instance, budget)
 
 
-def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool) -> FamilyListing:
+def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool,
+             memos: dict | None = None) -> FamilyListing:
     """The k-strong family: the walk over every composition of ``total``, or the box.
 
     The compositions are closed under reordering; the box is that of the
     binding one, (1, ..., 1, total - k + 1).  For k = 1 or k = ``total`` it
-    is the only one, so both routes walk it.
+    is the only one, so both routes walk it, with ``memos`` as :func:`_walk`.
     """
     total, k = _weight_and_count(total, k)
     instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
     params = {"n": total, "k": k, "trailer": instance.trailer_z}
     if definitional or k in (1, total):
-        return _walk("kstrong", params, instance, partial(compositions, total, k), budget)
+        return _walk("kstrong", params, instance, partial(compositions, total, k), budget, memos)
     return _box("kstrong", params, instance, budget)
 
 
 def _inv(instance: ParkingInstance, budget: int) -> FamilyListing:
-    """The invariant members: the orderings of the sweep's last layer, counted unbuilt."""
-    spots, n = instance.street_length, instance.car_count
-    _guard(spots**n, budget)
-    multisets = _ordering_sweep(instance, dict.fromkeys(range(1, spots + 1), n))
-    return FamilyListing._lazy("inv", _params(instance), partial(_orderings, multisets, n),
-                               partial(_rearrangements, multisets))
+    """The invariant members: the orderings of the sweep's last layer, counted unbuilt.
+
+    The sweep runs on first read, on the shifted street, over the pool
+    1 .. y_1 + ... + y_n with room n for each value, the 1 among them
+    standing for 1..z.
+    """
+    n, z = instance.car_count, instance.trailer_z
+    _guard(instance.street_length**n, budget)
+    pool = dict.fromkeys(range(1, instance._empty_street.bit_length()), n)
+    multisets = cache(partial(_ordering_sweep, instance, pool))
+    return FamilyListing._lazy("inv", _params(instance), lambda: _orderings(multisets(), n, z),
+                               lambda: _rearrangements(_unshifted(multisets(), z)))
 
 
 def _ips(instance: ParkingInstance, budget: int) -> FamilyListing:
@@ -409,10 +518,10 @@ def _upf(bounds: Sequence[int], budget: int) -> FamilyListing:
     """The vector parking functions: the orderings of the sorted ones, counted unbuilt."""
     bounds = check_boundary(bounds)
     _guard(bounds[-1] ** len(bounds), budget)
-    sorted_members = _nondecreasing(bounds)
+    sorted_members = cache(partial(_nondecreasing, bounds))
     return FamilyListing._lazy("upf", {"boundary": bounds},
-                               partial(_orderings, sorted_members, len(bounds)),
-                               partial(_rearrangements, sorted_members))
+                               lambda: _orderings(sorted_members(), len(bounds)),
+                               lambda: _rearrangements(sorted_members()))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
@@ -434,9 +543,9 @@ def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> Fami
     """Members whose every rearrangement also parks.
 
     The rearrangements of the multisets in the last layer of the
-    every-ordering sweep over [1..M], each value up to n times; a multiset
-    with a failing ordering never grows.  The budget guard is that of
-    :func:`enum_ps`.
+    every-ordering sweep over the shifted street's spots, each value up to n
+    times (see :func:`_inv`); a multiset with a failing ordering never grows.
+    The budget guard is that of :func:`enum_ps`.
     """
     return _listed(_inv(instance, budget))
 

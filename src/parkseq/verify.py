@@ -1,8 +1,11 @@
 """Named cross-check suites: formulas against sweeps, pinned values, round trips.
 
-Each suite yields ``(check, params, expected, computed, note)`` rows, and
-:func:`run_suite` wraps every row in a :class:`ReportRecord`; a record passes
-only when the expected and computed values match exactly.  ``_SUITES`` is the
+Each suite builds the listings of its grid, which meets every budget guard
+in grid order and walks nothing (a listing is walked on first read), and
+returns an iterator of ``(check, params, expected, computed, note)`` rows
+that reads them.  :func:`run_suite` wraps every row in a
+:class:`ReportRecord`; a record passes only when the expected and computed
+values match exactly.  ``_SUITES`` is the
 one table of the suites and their default sizes.  The ``all`` suite chains
 every suite and is the repository's gate: ``parkseq verify --suite all``.
 """
@@ -36,17 +39,16 @@ from .count import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
-    _guard,
+    _inv,
+    _ips,
+    _kstrong,
+    _listed,
     _params,
+    _paths,
     _ps_walk,
     _rearrangements,
-    enum_ips,
-    enum_lattice_paths,
-    enum_ps,
-    enum_ps_inv,
-    enum_sps,
-    enum_sps_k,
-    enum_u_pf,
+    _strong,
+    _upf,
 )
 
 __all__ = ["DEFAULT_SEED", "ReportRecord", "SUITE_NAMES", "run_suite"]
@@ -113,9 +115,9 @@ def _invariant_grid(max_n):
             yield kind, ParkingInstance(lengths, z), count(len(lengths), *extra, z)
 
 
-def _contracts_onto(instance, images, budget):
-    """Do these contraction images sort to the instance's vector parking functions?"""
-    return tuple(sorted(images)) == enum_u_pf(_invariant_contraction(instance)[1], budget).members
+def _contracts_onto(images, boundary_family):
+    """Do these contraction images sort to the members of the boundary's u-PF listing?"""
+    return tuple(sorted(images)) == boundary_family.members
 
 
 def _characterized_set(instance):
@@ -139,154 +141,238 @@ def _characterized_set(instance):
     )
 
 
+def _spent(items):
+    """The items of a list, front first, each dropped from it as it is handed out."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _suite_eq3(max_n, seed, budget):
     """Each instance's walk count against the product formula, in grid order.
 
-    Every budget guard is met in grid order before any walk.  A walk state
-    holds the lengths still to park, the last car's among them, so only
-    instances on one street with one last length meet the same states; each
-    such group walks through shared memos, dropped when the group is done.
+    A walk state is free of the trailer (:mod:`parkseq.core`) and holds the
+    lengths still to park, the last car's among them, so instances with one
+    total length and one last length meet the same states, whatever their
+    trailers.  Each such group walks through shared memos, dropped when the
+    group is done.
     """
     instances = list(_instance_grid(max_n))
     groups = {}
     for instance in instances:
-        _guard(instance.street_length**instance.car_count, budget)
-        groups.setdefault((instance.street_length, instance.lengths[-1]), []).append(instance)
-    counts = {}
-    for group in groups.values():
-        memos = {}
-        for instance in group:
-            counts[instance] = _ps_walk(instance, budget, memos).cardinality
-    for instance in instances:
-        yield ("ps-product-vs-enum", _params(instance),
-               count_ps_product(instance.lengths, instance.trailer_z), counts[instance],
-               "product count formula against the exhaustive sweep")
+        memos, walks = groups.setdefault((sum(instance.lengths), instance.lengths[-1]), ({}, {}))
+        walks[instance] = _ps_walk(instance, budget, memos)
+
+    def rows():
+        counts = {}
+        for memos, walks in groups.values():
+            counts.update((instance, walk.cardinality) for instance, walk in walks.items())
+            memos.clear()
+            walks.clear()
+        for instance in instances:
+            yield ("ps-product-vs-enum", _params(instance),
+                   count_ps_product(instance.lengths, instance.trailer_z), counts[instance],
+                   "product count formula against the exhaustive sweep")
+
+    return rows()
 
 
 def _suite_table1(max_n, seed, budget):
+    cases = []
     for size, row in _TWO_BIG_CAR_COUNTS.items():
         for extra, expected in enumerate(row):
             instance = ParkingInstance((size, size) + (1,) * extra, 1)
-            yield ("inv-two-big-cars-count", _params(instance), expected,
-                   enum_ps_inv(instance, budget).cardinality, "pinned reference count")
+            cases.append((instance, expected, _inv(instance, budget)))
+    return (
+        ("inv-two-big-cars-count", _params(instance), expected, _listed(inv).cardinality,
+         "pinned reference count")
+        for instance, expected, inv in _spent(cases)
+    )
 
 
 def _suite_catalan(max_n, seed, budget):
-    for n in range(1, max_n + 1):
-        computed = enum_ips(ParkingInstance((1,) * n, 1), budget).cardinality
-        yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
-        if n <= len(_CATALAN):
-            yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
+    cases = [(n, _ips(ParkingInstance((1,) * n, 1), budget)) for n in range(1, max_n + 1)]
+
+    def rows():
+        for n, ips in _spent(cases):
+            computed = _listed(ips).cardinality
+            yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
+            if n <= len(_CATALAN):
+                yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
+
+    return rows()
 
 
 def _suite_fuss(max_n, seed, budget):
-    for n in range(1, max_n + 1):
-        computed = enum_ips(ParkingInstance((2,) * n, 1), budget).cardinality
-        expected = fuss_catalan(2, n)
-        yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
-        yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
-               "two closed forms for the same count")
-        if n <= len(_FUSS_ORDER2):
-            yield "fuss-pinned", {"n": n}, _FUSS_ORDER2[n - 1], computed, "pinned reference value"
+    cases = [(n, _ips(ParkingInstance((2,) * n, 1), budget)) for n in range(1, max_n + 1)]
+
+    def rows():
+        for n, ips in _spent(cases):
+            computed = _listed(ips).cardinality
+            expected = fuss_catalan(2, n)
+            yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
+            yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
+                   "two closed forms for the same count")
+            if n <= len(_FUSS_ORDER2):
+                yield "fuss-pinned", {"n": n}, _FUSS_ORDER2[n - 1], computed, "pinned reference value"
+
+    return rows()
 
 
 def _suite_determinant(max_n, seed, budget):
-    for instance in _instance_grid(max_n):
-        params, listing = _params(instance), enum_ips(instance, budget)
-        yield ("ips-determinant-vs-enum", params,
-               count_ips_determinant(instance.lengths, instance.trailer_z), listing.cardinality,
-               "boundary determinant against the direct sweep")
-        if instance.car_count <= 3:
-            filtered = tuple(
-                m for m in enum_ps(instance, budget).members if all(map(le, m, m[1:]))
-            )
-            yield ("ips-methods-agree", params, True, listing.members == filtered,
-                   "bound generation equals filtering the simulation sweep")
+    """Boundary determinant against the capped pass; for n <= 3, that pass against the walk.
+
+    The walks of one length vector's trailers share one memo.
+    """
+    grid = []
+    for _, instances in itertools.groupby(_instance_grid(max_n), key=attrgetter("lengths")):
+        memos = {}
+        for instance in instances:
+            ips = _ips(instance, budget)
+            grid.append((instance, ips,
+                         _ps_walk(instance, budget, memos) if instance.car_count <= 3 else None))
     rng = random.Random(seed)
+    samples = []
     for index in range(20):
         lengths = tuple(rng.randint(1, 4) for _ in range(5))
         z = rng.randint(1, 3)
-        yield ("ips-determinant-vs-enum", {"lengths": lengths, "trailer": z, "sample": index},
-               count_ips_determinant(lengths, z),
-               enum_ips(ParkingInstance(lengths, z), budget).cardinality,
-               f"seeded sample (seed {seed})")
+        samples.append((index, lengths, z, _ips(ParkingInstance(lengths, z), budget)))
+
+    def rows():
+        for instance, ips, ps in _spent(grid):
+            params, listing = _params(instance), _listed(ips)
+            yield ("ips-determinant-vs-enum", params,
+                   count_ips_determinant(instance.lengths, instance.trailer_z), listing.cardinality,
+                   "boundary determinant against the direct sweep")
+            if ps is not None:
+                filtered = tuple(m for m in ps.members if all(map(le, m, m[1:])))
+                yield ("ips-methods-agree", params, True, listing.members == filtered,
+                       "bound generation equals filtering the simulation sweep")
+        for index, lengths, z, ips in _spent(samples):
+            yield ("ips-determinant-vs-enum", {"lengths": lengths, "trailer": z, "sample": index},
+                   count_ips_determinant(lengths, z), _listed(ips).cardinality,
+                   f"seeded sample (seed {seed})")
+
+    return rows()
 
 
 def _suite_inv_characterizations(max_n, seed, budget):
+    cases = []
     for kind, instance, count in _invariant_grid(max_n):
-        params, inv = _params(instance), enum_ps_inv(instance, budget)
-        yield (f"inv-{kind}-set", params, True, inv.members == _characterized_set(instance),
-               "sweep equals the characterized set")
-        yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
-        if kind == "two-block":
-            step, z = _invariant_contraction(instance)[0], instance.trailer_z
-            images = [to_vector_parking_function(z, step, prefs) for prefs in inv.members]
-            yield ("inv-two-block-image", params, True, _contracts_onto(instance, images, budget),
-                   "contraction maps the sweep onto the boundary family")
+        inv = _inv(instance, budget)
+        image = _upf(_invariant_contraction(instance)[1], budget) if kind == "two-block" else None
+        cases.append((kind, instance, count, inv, image))
+
+    def rows():
+        for kind, instance, count, inv, boundary_family in _spent(cases):
+            params, inv = _params(instance), _listed(inv)
+            yield (f"inv-{kind}-set", params, True, inv.members == _characterized_set(instance),
+                   "sweep equals the characterized set")
+            yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
+            if boundary_family is not None:
+                step, z = _invariant_contraction(instance)[0], instance.trailer_z
+                images = [to_vector_parking_function(z, step, prefs) for prefs in inv.members]
+                yield ("inv-two-block-image", params, True, _contracts_onto(images, boundary_family),
+                       "contraction maps the sweep onto the boundary family")
+
+    return rows()
 
 
 def _suite_strong(max_n, seed, budget):
+    """The definition's walk against the box; a multiset's two trailers share one memo."""
+    cases = []
     for n in range(2, max_n + 1):
         for lengths in itertools.combinations_with_replacement((1, 2, 3), n):
             if len(set(lengths)) == 1:
                 continue
+            memos = {}
             for z in (1, 2):
-                params, swept = {"lengths": lengths, "trailer": z}, enum_sps(lengths, z, budget)
-                boxed = enum_sps(lengths, z, budget, method="bounds")
-                yield ("strong-definition-vs-bounds", params, True, swept.members == boxed.members,
-                       "rearrangement intersection equals the standard-order box")
-                yield ("strong-count", params, count_sps(lengths, z), swept.cardinality,
-                       "partial-sum product formula")
-                if n == 2:
-                    box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
-                    yield ("strong-pair-box", params, box, swept.members,
-                           "two cars: box [z] x [z + smaller length]")
+                cases.append((lengths, z, _strong(lengths, z, budget, True, memos),
+                              _strong(lengths, z, budget, False)))
+
+    def rows():
+        for lengths, z, swept, boxed in _spent(cases):
+            params, swept = {"lengths": lengths, "trailer": z}, _listed(swept)
+            yield ("strong-definition-vs-bounds", params, True,
+                   swept.members == _listed(boxed).members,
+                   "rearrangement intersection equals the standard-order box")
+            yield ("strong-count", params, count_sps(lengths, z), swept.cardinality,
+                   "partial-sum product formula")
+            if len(lengths) == 2:
+                box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
+                yield ("strong-pair-box", params, box, swept.members,
+                       "two cars: box [z] x [z + smaller length]")
+
+    return rows()
 
 
 def _suite_sps_k(max_n, seed, budget):
-    for k, expected in _KSTRONG_N3.items():
-        yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected,
-               enum_sps_k(3, k, 1, budget).members, "pinned reference listing")
+    """Pinned listings, counts, and for n <= 4 the definition against the characterized set.
+
+    The walks of one (n, k)'s trailers share one memo.
+    """
+    pinned = [(k, expected, _kstrong(3, k, 1, budget, False)) for k, expected in _KSTRONG_N3.items()]
+    cases = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
+            memos = {}
             for z in (1, 2, 3):
-                params, listing = {"n": n, "k": k, "trailer": z}, enum_sps_k(n, k, z, budget)
-                yield ("kstrong-count", params, count_sps_k(n, k, z), listing.cardinality,
-                       "rising factorial, or the unit-car count when k = n")
-                if n <= 4:
-                    definitional = enum_sps_k(n, k, z, budget, definitional=True)
-                    yield ("kstrong-definition-vs-characterization", params, True,
-                           definitional.members == listing.members,
-                           "composition intersection equals the characterized set")
+                listing = _kstrong(n, k, z, budget, False, memos)
+                definitional = _kstrong(n, k, z, budget, True, memos) if n <= 4 else None
+                cases.append((n, k, z, listing, definitional))
+
+    def rows():
+        for k, expected, listing in _spent(pinned):
+            yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected,
+                   _listed(listing).members, "pinned reference listing")
+        for n, k, z, listing, definitional in _spent(cases):
+            params, listing = {"n": n, "k": k, "trailer": z}, _listed(listing)
+            yield ("kstrong-count", params, count_sps_k(n, k, z), listing.cardinality,
+                   "rising factorial, or the unit-car count when k = n")
+            if definitional is not None:
+                yield ("kstrong-definition-vs-characterization", params, True,
+                       _listed(definitional).members == listing.members,
+                       "composition intersection equals the characterized set")
+
+    return rows()
 
 
 def _suite_bijections(max_n, seed, budget):
-    for instance in _instance_grid(max_n):
-        params, members = _params(instance), enum_ips(instance, budget).members
-        paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
-        yield ("ips-path-roundtrip", params, True,
-               all(lattice_path_to_ips(instance, path) == prefs
-                   for prefs, path in zip(members, paths)),
-               "shift there and back is the identity")
-        bounded = enum_lattice_paths(
-            standard_order_bounds(instance), instance.street_length, budget
-        )
-        yield ("ips-path-image", params, True,
-               list(map(attrgetter("xs"), paths)) == list(map(attrgetter("xs"), bounded)),
-               "image is exactly the bounded-path family")
+    grid = [
+        (instance, _ips(instance, budget),
+         _paths(standard_order_bounds(instance), instance.street_length, budget))
+        for instance in _instance_grid(max_n)
+    ]
+    contractions = [
+        (kind, instance, _upf(_invariant_contraction(instance)[1], budget))
+        for kind, instance, _ in _invariant_grid(max_n)
+        if kind in ("constant", "two-block")
+    ]
 
-    for kind, instance, _ in _invariant_grid(max_n):
-        if kind not in ("constant", "two-block"):
-            continue
-        step, z = _invariant_contraction(instance)[0], instance.trailer_z
-        params, domain = _params(instance), _characterized_set(instance)
-        images = [to_vector_parking_function(z, step, prefs) for prefs in domain]
-        yield (f"contraction-{kind}-roundtrip", params, True,
-               all(from_vector_parking_function(z, step, image) == prefs
-                   for prefs, image in zip(domain, images)),
-               "contraction then expansion is the identity")
-        yield (f"contraction-{kind}-image", params, True, _contracts_onto(instance, images, budget),
-               "characterized set maps onto the boundary family")
+    def rows():
+        for instance, ips, bounded in _spent(grid):
+            params, members = _params(instance), _listed(ips).members
+            paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
+            yield ("ips-path-roundtrip", params, True,
+                   all(lattice_path_to_ips(instance, path) == prefs
+                       for prefs, path in zip(members, paths)),
+                   "shift there and back is the identity")
+            yield ("ips-path-image", params, True,
+                   tuple(map(attrgetter("xs"), paths)) == bounded.members,
+                   "image is exactly the bounded-path family")
+        for kind, instance, boundary_family in _spent(contractions):
+            step, z = _invariant_contraction(instance)[0], instance.trailer_z
+            params, domain = _params(instance), _characterized_set(instance)
+            images = [to_vector_parking_function(z, step, prefs) for prefs in domain]
+            yield (f"contraction-{kind}-roundtrip", params, True,
+                   all(from_vector_parking_function(z, step, image) == prefs
+                       for prefs, image in zip(domain, images)),
+                   "contraction then expansion is the identity")
+            yield (f"contraction-{kind}-image", params, True,
+                   _contracts_onto(images, boundary_family),
+                   "characterized set maps onto the boundary family")
+
+    return rows()
 
 
 # name: (suite, default max_n); table1's rows are pinned and take no size.
@@ -321,8 +407,7 @@ def run_suite(
     max_n = None if max_n is None else _positive(max_n, "max_n")
     budget = _positive(budget, "budget")  # a suite with no rows at this max_n meets no guard
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
-    return [
-        ReportRecord(*row)
-        for suite, default in suites
-        for row in suite(default if max_n is None else max_n, seed, budget)
-    ]
+    # each suite meets every budget guard of its grid as it is called, so all
+    # of them are met before the first walk or listing of any
+    rows = [suite(default if max_n is None else max_n, seed, budget) for suite, default in suites]
+    return [ReportRecord(*row) for suite_rows in rows for row in suite_rows]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sweeps import bounded_nondecreasing_count
 
 import parkseq
-from parkseq import ParkingInstance, simulate
+from parkseq import ParkingInstance, count_ps_product, simulate
 from parkseq.cli import (
     _COMMANDS,
     _FAMILIES,
@@ -152,13 +152,22 @@ class TestExitCodes:
             assert run(argv) == 2
             err = capsys.readouterr().err
             assert err.endswith(f"error: argument {argv[-2]}: value must be >= 1, got {argv[-1]}\n")
-        # a trailer past 2**63 asks for a free-spot mask no allocator grants (MemoryError,
-        # which carries no text), and past 2**64 for one no int can index (OverflowError)
-        for trailer in (2**63 + 1, 2**70):
-            for argv in (["simulate"], ["check", "--family", "ps"]):
-                assert run([*argv, "--lengths", "1", "--prefs", "1", "--trailer", str(trailer)]) == 2
-                out, err = capsys.readouterr()
-                assert out == "" and re.fullmatch(r"error: \S.*\n", err), (argv, trailer, err)
+        # the diagram has one cell per spot, and no list holds 2**63 of them
+        argv = ["simulate", "--render", "--lengths", "1", "--prefs", "1", "--trailer", str(2**63 + 1)]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: \S.*\n", err), err
+
+    @pytest.mark.parametrize("trailer", [2**63 + 1, 2**70])
+    def test_a_huge_trailer_is_answered(self, capsys, trailer):
+        # the trailer is a shift of the street, so no mask grows with it
+        flags = ["--lengths", "1", "--prefs", "1", "--trailer", str(trailer)]
+        assert run(["simulate", *flags]) == 0
+        assert capsys.readouterr() == (
+            f"spots 1-{trailer - 1}: trailer\ncar 1 -> spots {trailer}-{trailer}\n"
+            "configuration: T C1\n", "")
+        assert run(["check", "--family", "ps", *flags]) == 0
+        assert capsys.readouterr() == ("true\n", "")
 
     @pytest.mark.parametrize(
         "n, k, message",
@@ -284,6 +293,14 @@ class TestOutputs:
     def test_enumerate_count_only(self, capsys):
         run(["enumerate", "--family", "ps", "--lengths", "1,2", "--count-only"])
         assert capsys.readouterr().out.strip() == "3"
+
+    def test_enumerate_count_only_behind_a_trailer_of_10_000(self, capsys):
+        # the walk is that of z = 1 and the count is read off its steps; the
+        # guard still charges (z - 1 + 7)**4 candidates, so the budget is raised
+        argv = ["enumerate", "--family", "ps", "--lengths", "1,2,1,3", "--trailer", "10000"]
+        assert run([*argv, "--budget", str(10**17), "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{count_ps_product((1, 2, 1, 3), 10_000)}\n"
+        assert run([*argv, "--count-only"]) == 4
 
     def test_enumerate_paths_family(self, capsys):
         run(["enumerate", "--family", "paths", "--boundary", "1,2,3", "--count-only"])
@@ -707,6 +724,35 @@ class TestPinnedDocuments:
                   "configuration": [1, 2]}
         assert run(["simulate", *flags.split(), "--json"]) == 0
         assert capsys.readouterr().out == _document("simulate", params, result)
+
+    def test_simulate_behind_a_trailer_of_10_to_the_18(self, capsys):
+        z = 10**18
+        flags = f"--lengths 2,2 --trailer {z} --prefs {z + 1},1"
+        params = {"lengths": [2, 2], "trailer": z, "prefs": [z + 1, 1]}
+        result = {"street_length": z + 3, "success": False, "placements": [[z + 1, z + 2]],
+                  "failed_car": 2, "reason": "collision", "blocked_spot": z + 1}
+        assert run(["simulate", *flags.split(), "--json"]) == 1
+        assert capsys.readouterr().out == _document("simulate", params, result)
+        flags = f"--lengths 1,2 --trailer {z} --prefs 1,1"
+        params = {"lengths": [1, 2], "trailer": z, "prefs": [1, 1]}
+        result = {"street_length": z + 2, "success": True,
+                  "placements": [[z, z], [z + 1, z + 2]], "configuration": [1, 2]}
+        assert run(["simulate", *flags.split(), "--json"]) == 0
+        assert capsys.readouterr().out == _document("simulate", params, result)
+
+    def test_check_and_count_behind_a_trailer_of_10_to_the_18(self, capsys):
+        z = 10**18
+        for prefs, value in ((f"{z + 1},1", False), (f"1,{z + 2}", True)):
+            flags = f"--family ps --lengths 2,2 --trailer {z} --prefs {prefs}"
+            assert run(["check", *flags.split(), "--json"]) == (0 if value else 1)
+            params = {"family": "ps", "prefs": list(map(int, prefs.split(","))), "trailer": z,
+                      "lengths": [2, 2]}
+            assert capsys.readouterr().out == _document("check", params, {"value": value})
+        # lengths (1, 2): car 1 at z then car 2 at z+1..z+2 (z(z+1) ways), or
+        # car 1 at z+2 and car 2 at z..z+1 (z ways); car 1 at z+1 strands car 2
+        assert run(["count", "--formula", "ps", "--lengths", "1,2", "--trailer", str(z), "--json"]) == 0
+        params = {"lengths": [1, 2], "trailer": z, "formula": "ps"}
+        assert capsys.readouterr().out == _document("count", params, {"value": z * (z + 2)})
 
     @pytest.mark.parametrize("family", list(_FAMILIES))
     def test_enumerate(self, family, capsys):

@@ -135,8 +135,8 @@ WORK = ((parkseq.enumeration, "_steps"), (parkseq.classify, "_ordering_sweep"),
         (parkseq.enumeration, "_box_members"))
 SMALL = ParkingInstance((1, 2, 2), 2)
 # each budgeted entry point on each of its routes, as a call of the budget;
-# every request sweeps more than one candidate, and eq3 meets every guard in
-# grid order before its first walk, as does the gate, which runs eq3 first
+# every request sweeps more than one candidate, and every suite meets every
+# guard in grid order before its first walk, as does the gate
 BUDGETED = {
     "enum_ps": lambda budget: parkseq.enum_ps(SMALL, budget),
     "enum_ips": lambda budget: parkseq.enum_ips(SMALL, budget),
@@ -171,9 +171,10 @@ def test_budgeted_names_every_enumerator():
 
 @pytest.mark.parametrize("name", BUDGETED)
 def test_an_admitted_request_does_the_patched_work(no_work, name):
-    # so that the refusals below come before that work
+    # so that the refusals below come before that work; the gate at n <= 2
+    # sweeps up to 27,216 candidates (a seeded determinant sample)
     with pytest.raises(AssertionError, match="worked before refusing"):
-        BUDGETED[name](10**4)
+        BUDGETED[name](10**5)
 
 
 @pytest.mark.parametrize("budget", [0, -1, True, 2.5])
@@ -183,7 +184,26 @@ def test_a_bad_budget_is_refused_before_any_work(no_work, name, budget):
         {**BUDGETED, **EVERY_SUITE}[name](budget)
 
 
-@pytest.mark.parametrize("name", BUDGETED)
+@pytest.mark.parametrize("name", {**BUDGETED, **EVERY_SUITE})
 def test_an_over_budget_request_is_refused_before_any_work(no_work, name):
     with pytest.raises(BudgetExceededError, match="budget is 1$"):
-        BUDGETED[name](1)
+        {**BUDGETED, **EVERY_SUITE}[name](1)
+
+
+@pytest.mark.parametrize("name", EVERY_SUITE)
+def test_a_suite_meets_all_its_guards_before_any_work(no_work, monkeypatch, name):
+    # a budget one short of the suite's largest guard passes every other
+    # guard, and must still be refused before the first walk or listing
+    guard, seen = parkseq.enumeration._guard, []
+
+    def recorded(candidates, budget):
+        seen.append(candidates)
+        guard(candidates, budget)
+
+    monkeypatch.setattr(parkseq.enumeration, "_guard", recorded)
+    with pytest.raises(AssertionError, match="worked before refusing"):
+        EVERY_SUITE[name](10**8)
+    largest = max(seen)
+    assert largest > 1 and len(seen) > 1
+    with pytest.raises(BudgetExceededError, match=f"would sweep {largest} candidates, budget is {largest - 1}$"):
+        EVERY_SUITE[name](largest - 1)

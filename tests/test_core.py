@@ -22,7 +22,7 @@ from parkseq import (
     standard_order_bounds,
 )
 from parkseq.core import (
-    _as_int_tuple, _empty_street, _nondecreasing_under, _park, check_preferences,
+    _as_int_tuple, _nondecreasing_under, _park, check_preferences,
 )
 
 
@@ -184,16 +184,18 @@ def test_replay_is_bit_identical_and_covers_on_success(case):
 def test_success_only_kernel_agrees_with_simulate(case):
     instance, prefs = case
     outcome = simulate(instance, prefs)
-    free, left = _empty_street(instance), []
+    lift = instance.trailer_z - 1  # the kernel's street starts at spot z, its bit 1
+    free, left = instance._empty_street, []
     for pref, size in zip(prefs, instance.lengths):
-        free = _park(free, pref, size)
+        free = _park(free, max(pref - lift, 1), size)
         if free is None:
             break
         left.append(free)
     # car by car the kernel clears the blocks simulate places, and the cars
     # of a success fill the street exactly
-    blocks = [sum(1 << s for s in range(first, last + 1)) for first, last in outcome.placements]
-    assert left == [_empty_street(instance) - taken for taken in itertools.accumulate(blocks)]
+    blocks = [sum(1 << s - lift for s in range(first, last + 1))
+              for first, last in outcome.placements]
+    assert left == [instance._empty_street - taken for taken in itertools.accumulate(blocks)]
     assert free == (0 if outcome.success else None)
 
 
@@ -201,19 +203,26 @@ def _fields(outcome):
     return tuple(getattr(outcome, field.name) for field in dataclasses.fields(outcome))
 
 
+# four cars: every vector of total length at most 5, and one with every length
+_FOUR_CARS = ((1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2), (1, 2, 1, 3))
+
+
 def test_simulate_matches_the_spot_list_oracle_exhaustively():
-    # every field, on every case with lengths in {1,2,3}^n, n <= 3, z <= 3
-    # and preferences in [1..M+1]^n, so off-street failures are covered too;
-    # is_parking_sequence, which parks without simulate, gives the success field
-    for n in (1, 2, 3):
-        for lengths in itertools.product((1, 2, 3), repeat=n):
-            for z in (1, 2, 3):
-                instance = ParkingInstance(lengths, z)
-                top = instance.street_length + 1
-                for prefs in itertools.product(range(1, top + 1), repeat=n):
-                    expected = park_on_spots(lengths, z, prefs)
-                    assert _fields(simulate(instance, prefs)) == expected, (lengths, z, prefs)
-                    assert is_parking_sequence(instance, prefs) is expected[0], (lengths, z, prefs)
+    # every field, on every case with lengths in {1,2,3}^n, n <= 3 (and the
+    # four-car vectors above), z in {1, 2, 3, 5} and preferences in
+    # [1..M+1]^n, so off-street failures and preferences on both sides of the
+    # trailer's end are covered; the oracle knows nothing of the shift that
+    # simulate parks by. is_parking_sequence, which parks without simulate,
+    # gives the success field. 209,647 vectors.
+    grid = [lengths for n in (1, 2, 3) for lengths in itertools.product((1, 2, 3), repeat=n)]
+    for lengths in grid + list(_FOUR_CARS):
+        for z in (1, 2, 3, 5):
+            instance = ParkingInstance(lengths, z)
+            top = instance.street_length + 1
+            for prefs in itertools.product(range(1, top + 1), repeat=len(lengths)):
+                expected = park_on_spots(lengths, z, prefs)
+                assert _fields(simulate(instance, prefs)) == expected, (lengths, z, prefs)
+                assert is_parking_sequence(instance, prefs) is expected[0], (lengths, z, prefs)
 
 
 @st.composite
@@ -324,7 +333,7 @@ def test_stored_geometry_matches_a_recomputation():
         for _ in range(2):  # the first read computes, the second reads what was kept
             assert standard_order_bounds(instance) == sums[:-1]
             assert instance.street_length == sums[-1] - 1
-            assert _empty_street(instance) == sum(1 << j for j in range(z, sums[-1]))
+            assert instance._empty_street == sum(1 << j for j in range(1, sums[-1] - z + 1))
 
 
 def test_geometry_is_computed_on_first_read_only():
