@@ -8,6 +8,11 @@ Two maps, both tested by round trip and by exact image equality:
   to vector parking functions, by contracting the offsets above the trailer
   from step ``a`` down to step 1.  :func:`_invariant_contraction` names the
   step and the boundary for each shape; ``classify`` decides invariance by it.
+
+Each map's arithmetic is written once, as a kernel that trusts its input
+(``_to_path``, ``_from_path``, ``_contract``, ``_expand``).  A public map
+checks its input, then calls its kernel; library code that already holds
+valid input, such as a listing the library built, calls the kernel.
 """
 
 from __future__ import annotations
@@ -82,8 +87,12 @@ def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> Latt
     bounds = standard_order_bounds(instance)
     if not _nondecreasing_under(prefs, bounds):
         raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
-    xs = tuple([c - 1 for c in prefs])
-    return LatticePath._unchecked(xs, bounds, instance.street_length)
+    return _to_path(prefs, bounds, instance.street_length)
+
+
+def _to_path(prefs: Sequence[int], bounds: tuple[int, ...], width: int) -> LatticePath:
+    """The shift on a nondecreasing member of the instance with these bounds and street."""
+    return LatticePath._unchecked(tuple([c - 1 for c in prefs]), bounds, width)
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
@@ -97,6 +106,11 @@ def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[i
         raise ValueError(
             f"path width {path.width} does not match street length {instance.street_length}"
         )
+    return _from_path(path)
+
+
+def _from_path(path: LatticePath) -> tuple[int, ...]:
+    """The inverse shift on a path whose boundary and width are the instance's."""
     return tuple([x + 1 for x in path.xs])
 
 
@@ -137,9 +151,12 @@ def from_vector_parking_function(
     values = _as_int_tuple(values, "values")
     step = _positive(step, "step")
     trailer_z = _positive(trailer_z, "trailer parameter")
-    return tuple(
-        v if v <= trailer_z else trailer_z + (v - trailer_z) * step for v in values
-    )
+    return _expand(trailer_z, step, values)
+
+
+def _expand(trailer_z: int, step: int, values: Sequence[int]) -> tuple[int, ...]:
+    """The expansion on checked input."""
+    return tuple([v if v <= trailer_z else trailer_z + (v - trailer_z) * step for v in values])
 
 
 def _invariant_contraction(instance: ParkingInstance) -> tuple[int, tuple[int, ...]] | None:

@@ -370,7 +370,7 @@ def _walk(
     instance: ParkingInstance,
     vectors: Callable[[], Iterable[tuple[int, ...]]],
     budget: int,
-    memos: dict[tuple[int, int], dict] | None = None,
+    memos: dict[tuple, dict] | None = None,
 ) -> FamilyListing:
     """The listing of the all-vectors walk, walked on first read.
 
@@ -386,7 +386,11 @@ def _walk(
     packing (shift, width) to its memo and lasts as long as the caller keeps
     it, so instances with one total walk each state they share once, for
     every trailer.  A code names one state only under one packing, so a memo
-    never serves two.
+    never serves two.  The counts behind a trailer go in ``memos`` too, one
+    memo per ``("count", lift)``, so each shared step node is counted once per
+    trailer.  That memo is keyed on the nodes' ids, which is safe because the
+    state memos in the same dict keep every node alive, and clearing the dict
+    drops both together.
     """
     n = instance.car_count
     _guard(instance.street_length**n, budget)
@@ -395,7 +399,10 @@ def _walk(
 
     def count() -> int:
         found, total = walked()
-        return _lifted_count(found, n - 1, lift, {}) if lift else total
+        if not lift:
+            return total
+        memo = {} if memos is None else memos.setdefault(("count", lift), {})
+        return _lifted_count(found, n - 1, lift, memo)
 
     def spell() -> list:
         found = walked()[0]

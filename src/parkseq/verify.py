@@ -8,6 +8,8 @@ that reads them.  :func:`run_suite` wraps every row in a
 values match exactly.  ``_SUITES`` is the
 one table of the suites and their default sizes.  The ``all`` suite chains
 every suite and is the repository's gate: ``parkseq verify --suite all``.
+The suites run the bijections as their kernels on the listings they build
+(:mod:`parkseq.biject` states the rule).
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter, le
 
-from .biject import (
-    _invariant_contraction,
-    from_vector_parking_function,
-    ips_to_lattice_path,
-    lattice_path_to_ips,
-    to_vector_parking_function,
-)
+from .biject import _contract, _expand, _from_path, _invariant_contraction, _to_path
 from .classify import _admits
 from .core import ParkingInstance, _positive, standard_order_bounds
 from .count import (
@@ -116,8 +112,13 @@ def _invariant_grid(max_n):
 
 
 def _contracts_onto(images, boundary_family):
-    """Do these contraction images sort to the members of the boundary's u-PF listing?"""
-    return tuple(sorted(images)) == boundary_family.members
+    """Do these contraction images sort to the members of the boundary's u-PF listing?
+
+    An image holding None, an entry off the step grid, never does; it is not
+    sorted, since None does not compare with an int.
+    """
+    return (not any(None in image for image in images)
+            and tuple(sorted(images)) == boundary_family.members)
 
 
 def _characterized_set(instance):
@@ -271,7 +272,7 @@ def _suite_inv_characterizations(max_n, seed, budget):
             yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
             if boundary_family is not None:
                 step, z = _invariant_contraction(instance)[0], instance.trailer_z
-                images = [to_vector_parking_function(z, step, prefs) for prefs in inv.members]
+                images = [_contract(z, step, prefs) for prefs in inv.members]
                 yield ("inv-two-block-image", params, True, _contracts_onto(images, boundary_family),
                        "contraction maps the sweep onto the boundary family")
 
@@ -338,11 +339,11 @@ def _suite_sps_k(max_n, seed, budget):
 
 
 def _suite_bijections(max_n, seed, budget):
-    grid = [
-        (instance, _ips(instance, budget),
-         _paths(standard_order_bounds(instance), instance.street_length, budget))
-        for instance in _instance_grid(max_n)
-    ]
+    """Each map's round trip and image, through its kernel, on every member of a listing."""
+    grid = []
+    for instance in _instance_grid(max_n):
+        bounds, width = standard_order_bounds(instance), instance.street_length
+        grid.append((instance, bounds, width, _ips(instance, budget), _paths(bounds, width, budget)))
     contractions = [
         (kind, instance, _upf(_invariant_contraction(instance)[1], budget))
         for kind, instance, _ in _invariant_grid(max_n)
@@ -350,12 +351,11 @@ def _suite_bijections(max_n, seed, budget):
     ]
 
     def rows():
-        for instance, ips, bounded in _spent(grid):
+        for instance, bounds, width, ips, bounded in _spent(grid):
             params, members = _params(instance), _listed(ips).members
-            paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
+            paths = [_to_path(prefs, bounds, width) for prefs in members]
             yield ("ips-path-roundtrip", params, True,
-                   all(lattice_path_to_ips(instance, path) == prefs
-                       for prefs, path in zip(members, paths)),
+                   all(_from_path(path) == prefs for prefs, path in zip(members, paths)),
                    "shift there and back is the identity")
             yield ("ips-path-image", params, True,
                    tuple(map(attrgetter("xs"), paths)) == bounded.members,
@@ -363,9 +363,9 @@ def _suite_bijections(max_n, seed, budget):
         for kind, instance, boundary_family in _spent(contractions):
             step, z = _invariant_contraction(instance)[0], instance.trailer_z
             params, domain = _params(instance), _characterized_set(instance)
-            images = [to_vector_parking_function(z, step, prefs) for prefs in domain]
+            images = [_contract(z, step, prefs) for prefs in domain]
             yield (f"contraction-{kind}-roundtrip", params, True,
-                   all(from_vector_parking_function(z, step, image) == prefs
+                   all(None not in image and _expand(z, step, image) == prefs
                        for prefs, image in zip(domain, images)),
                    "contraction then expansion is the identity")
             yield (f"contraction-{kind}-image", params, True,

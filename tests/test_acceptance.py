@@ -21,6 +21,8 @@ from parkseq import (
     necessary_condition,
     simulate,
 )
+from parkseq import verify
+from parkseq.enumeration import FamilyListing
 from parkseq.verify import SUITE_NAMES, run_suite
 
 # sha256 of every gate record, suites in run order, one repr per line:
@@ -103,6 +105,42 @@ def test_criterion_08_k_strong(suites):
 def test_criterion_09_bijection_round_trips(suites):
     images = [r for r in suites["inv-characterizations"] if r.check.endswith("-image")]
     _criterion("criterion 9 (round trips and images)", suites["bijections"] + images)
+
+
+def _failed_at(records, instance):
+    params = {"lengths": instance.lengths, "trailer": instance.trailer_z}
+    return sorted(r.check for r in records if not r.passed and r.params == params)
+
+
+def test_off_grid_member_fails_the_contraction_records(monkeypatch):
+    # the suites contract through the kernel, which maps an entry off the step
+    # grid to None; that must read as a failed record, never raise
+    off_grid = ParkingInstance((2, 2), 1)  # step 2 above z = 1: 2 is off the grid
+    characterized = verify._characterized_set
+    monkeypatch.setattr(verify, "_characterized_set",
+                        lambda instance: ((2, 1),) if instance == off_grid else characterized(instance))
+    records = run_suite("bijections", max_n=2)
+    assert _failed_at(records, off_grid) == [
+        "contraction-constant-image", "contraction-constant-roundtrip"]
+    assert sum(not r.passed for r in records) == 2
+
+
+def test_off_grid_member_fails_the_two_block_image(monkeypatch):
+    off_grid = ParkingInstance((2, 2, 3), 1)  # step 2 above z = 1: (2, 1, 1) is off the grid
+    inv = verify._inv
+
+    def padded(instance, budget):
+        listing = inv(instance, budget)
+        if instance != off_grid:
+            return listing
+        members = tuple(sorted(listing.members + ((2, 1, 1),)))
+        return FamilyListing(listing.family, listing.params, members)
+
+    monkeypatch.setattr(verify, "_inv", padded)
+    records = run_suite("inv-characterizations", max_n=3)
+    assert _failed_at(records, off_grid) == [
+        "inv-two-block-count", "inv-two-block-image", "inv-two-block-set"]
+    assert sum(not r.passed for r in records) == 3
 
 
 def test_criterion_10_counterexample_pinning():

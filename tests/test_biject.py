@@ -10,6 +10,7 @@ from sweeps import contraction_shape
 from parkseq import (
     LatticePath,
     ParkingInstance,
+    enum_ips,
     enum_lattice_paths,
     enum_ps_inv,
     enum_u_pf,
@@ -20,7 +21,8 @@ from parkseq import (
     to_vector_parking_function,
 )
 from parkseq import biject
-from parkseq.biject import _invariant_contraction
+from parkseq.biject import _contract, _expand, _from_path, _invariant_contraction, _to_path
+from parkseq.verify import _instance_grid, _invariant_grid
 
 
 class TestLatticePathMap:
@@ -57,8 +59,6 @@ class TestLatticePathMap:
     def test_round_trip_on_a_family(self):
         for lengths, z in (((1, 2, 2, 3), 4), ((2, 1, 3), 2), ((1, 1, 1), 1)):
             instance = ParkingInstance(lengths, z)
-            from parkseq import enum_ips
-
             members = enum_ips(instance).members
             paths = [ips_to_lattice_path(instance, prefs) for prefs in members]
             assert [lattice_path_to_ips(instance, p) for p in paths] == list(members)
@@ -194,3 +194,28 @@ def test_contraction_matches_its_restatement_on_every_small_shape():
             for z in (1, 2):
                 expected = contraction_shape(lengths, z)
                 assert _invariant_contraction(ParkingInstance(lengths, z)) == expected, (lengths, z)
+
+
+def test_public_maps_are_their_kernels_on_the_gate_grid():
+    # the gate's bijections suite runs the kernels alone; here every public map
+    # equals its kernel on the same members, and inverts its partner
+    for instance in _instance_grid(3):
+        bounds, width = standard_order_bounds(instance), instance.street_length
+        for prefs in enum_ips(instance).members:
+            path = ips_to_lattice_path(instance, prefs)
+            assert path == _to_path(prefs, bounds, width)
+            assert lattice_path_to_ips(instance, path) == _from_path(path) == prefs
+        for path in enum_lattice_paths(bounds, width):
+            assert ips_to_lattice_path(instance, lattice_path_to_ips(instance, path)) == path
+    for kind, instance, _ in _invariant_grid(3):
+        if kind not in ("constant", "two-block"):
+            continue
+        z = instance.trailer_z
+        step, boundary = _invariant_contraction(instance)
+        for prefs in enum_ps_inv(instance).members:
+            image = to_vector_parking_function(z, step, prefs)
+            assert image == _contract(z, step, prefs)
+            assert from_vector_parking_function(z, step, image) == _expand(z, step, image) == prefs
+        for values in enum_u_pf(boundary).members:
+            expanded = from_vector_parking_function(z, step, values)
+            assert to_vector_parking_function(z, step, expanded) == values

@@ -137,6 +137,9 @@ def test_the_walk_keeps_no_trace_of_the_trailer():
         memos[z] = {}
         listing = _ps_walk(ParkingInstance(lengths, z), 10**30, memos[z])
         assert listing.cardinality == count_ps_product(lengths, z)
+        # the count read off the walk is memoized beside it, per trailer
+        counts = memos[z].pop(("count", z - 1), None)
+        assert (counts is None) == (z == 1)
     assert memos[1] == memos[100] == memos[10_000]
 
 

@@ -1,17 +1,21 @@
-"""Mutation survey of the lines a change adds to the parking kernel and its callers.
+"""Mutation survey of the parking kernel, the bijection kernels and their callers.
 
 From the root of a source checkout:
 
     python3 tools/mutants.py --base REV --work DIR
 
-It reads the lines that ``git diff REV`` adds (the working tree against
-REV) to the functions in ``TARGETS``, those of ``src/parkseq/core.py``,
-``classify.py`` and ``enumeration.py`` that apply the trailer's shift or
-undo it, keeps the lines that build the shifted street's mask or name the
-shift (``lift`` or ``z``), and makes one mutant per token on them: an
-integer constant c becomes c - 1 (0 becomes 1), ``<`` and ``<=`` (``>``
-and ``>=``) are swapped, and so are ``+`` and ``-``.  At most ``LIMIT``
-mutants are made, in module and line order.
+Each function in ``TARGETS`` is marked with one of two ways to survey it.
+A ``WHOLE`` function has every line of its body mutated; the bijection
+kernels of ``src/parkseq/biject.py`` are marked so.  An ``ADDED`` function
+has only the lines that ``git diff REV`` adds to it (the working tree
+against REV) mutated, and of those only the lines that build the shifted
+street's mask or name the trailer or its shift (``lift``, ``z`` or
+``trailer_z``); the functions of ``core.py``, ``classify.py`` and
+``enumeration.py`` that apply the trailer's shift or undo it are marked so.
+One mutant is made per token on those lines: an integer constant c becomes
+c - 1 (0 becomes 1), ``<`` and ``<=`` (``>`` and ``>=``) are swapped, and
+so are ``+`` and ``-``.  At most ``LIMIT`` mutants are made, in module and
+line order.
 
 Each mutant is written into a copy of the checkout under DIR, never into the
 checkout itself.  It is killed when the gate (``parkseq verify --suite
@@ -36,15 +40,18 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# module: the functions whose added lines are mutated
+WHOLE, ADDED = "whole", "added"  # every line of a function is mutated, or the added ones
+# module: {function: which of its lines are mutated}
 TARGETS = {
-    "core": ("_empty_street", "simulate"),
-    "classify": ("is_parking_sequence",),
-    "enumeration": ("_unshifted", "_lifted_values", "_lifted_count", "_lifted_steps"),
+    "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
+    "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
+    "classify": dict.fromkeys(("is_parking_sequence",), ADDED),
+    "enumeration": dict.fromkeys(("_unshifted", "_lifted_values", "_lifted_count",
+                                  "_lifted_steps"), ADDED),
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-LIMIT = 50  # mutants per survey
+LIMIT = 64  # mutants per survey; the kernels and the trailer's shift make 61 together
 TIMEOUT_S = 300  # per run; Tier-1 takes about a minute on a 2-vCPU host
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+"}
 # (module, stripped source line, column in it, old token, new token): why no input
@@ -53,7 +60,17 @@ SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+"}
 # finds the same first empty spot as 1, and the clamp may send pref == lift to either.
 _CLAMPS = (("core", "pref = pref - lift if pref > lift else 1  # the shift; inline, as in the deciders"),
            ("classify", "free = _park(free, pref - lift if pref > lift else 1, size)  # the shift, inline"))
+_SHORTCUT = "if step == 1:  # every entry is on the step-1 grid and maps to itself"
+_CONTRACT_KEEP = "c if c <= trailer_z"
+_EXPAND = ("return tuple([v if v <= trailer_z else trailer_z + (v - trailer_z) * step"
+           " for v in values])")
 EQUIVALENT = {
+    ("biject", _SHORTCUT, _SHORTCUT.index("1"), "1", "0"):
+        "a shortcut: at step 1 the general contraction maps every entry to itself too",
+    ("biject", _CONTRACT_KEEP, _CONTRACT_KEEP.index("<="), "<=", "<"):
+        "an entry equal to z is on the grid at s = 0, and contracts to z either way",
+    ("biject", _EXPAND, _EXPAND.index("<="), "<=", "<"):
+        "a value equal to z expands to z + 0 * step = z either way",
     **{(*clamp, clamp[1].index(">"), ">", ">="): "pref == lift now gives 0, which parks as 1 does"
        for clamp in _CLAMPS},
     **{(*clamp, clamp[1].index("1"), "1", "0"): "a preference up to z now gives 0, which parks as 1 does"
@@ -67,19 +84,26 @@ EQUIVALENT = {
 
 
 def target_lines(base, module, source):
-    """The lines that ``git diff base`` adds to the ``TARGETS`` functions of a module."""
+    """The lines to mutate in a module's ``TARGETS`` functions.
+
+    Every line of a ``WHOLE`` function's body; of any other, the lines that
+    ``git diff base`` adds and that name the shift.
+    """
     diff = subprocess.run(["git", "diff", "-U0", base, "--", f"src/parkseq/{module}.py"],
                           cwd=ROOT, capture_output=True, text=True, check=True).stdout
     added = set()
     for start, count in re.findall(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", diff, re.M):
         first = int(start)
         added.update(range(first, first + (1 if count == "" else int(count))))
-    inside = set()
+    marks = TARGETS[module]
+    whole, inside = set(), set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name in TARGETS[module]:
-            inside.update(range(node.body[0].lineno, node.end_lineno + 1))
+        if isinstance(node, ast.FunctionDef) and node.name in marks:
+            body = range(node.body[0].lineno, node.end_lineno + 1)
+            (whole if marks[node.name] == WHOLE else inside).update(body)
     text = source.splitlines()
-    return {row for row in added & inside if re.search(r"\b(lift|z)\b|<<", text[row - 1])}
+    return whole | {row for row in added & inside
+                    if re.search(r"\b(lift|z|trailer_z)\b|<<", text[row - 1])}
 
 
 def mutants(source, lines):
