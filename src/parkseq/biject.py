@@ -87,12 +87,12 @@ def ips_to_lattice_path(instance: ParkingInstance, prefs: Sequence[int]) -> Latt
     bounds = standard_order_bounds(instance)
     if not _nondecreasing_under(prefs, bounds):
         raise ValueError(f"{prefs} is not a nondecreasing member for this instance")
-    return _to_path(prefs, bounds, instance.street_length)
+    return LatticePath._unchecked(_to_path(prefs), bounds, instance.street_length)
 
 
-def _to_path(prefs: Sequence[int], bounds: tuple[int, ...], width: int) -> LatticePath:
-    """The shift on a nondecreasing member of the instance with these bounds and street."""
-    return LatticePath._unchecked(tuple([c - 1 for c in prefs]), bounds, width)
+def _to_path(prefs: Sequence[int]) -> tuple[int, ...]:
+    """The shift on a nondecreasing member: the path's north steps."""
+    return tuple([c - 1 for c in prefs])
 
 
 def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[int, ...]:
@@ -106,12 +106,12 @@ def lattice_path_to_ips(instance: ParkingInstance, path: LatticePath) -> tuple[i
         raise ValueError(
             f"path width {path.width} does not match street length {instance.street_length}"
         )
-    return _from_path(path)
+    return _from_path(path.xs)
 
 
-def _from_path(path: LatticePath) -> tuple[int, ...]:
-    """The inverse shift on a path whose boundary and width are the instance's."""
-    return tuple([x + 1 for x in path.xs])
+def _from_path(xs: Sequence[int]) -> tuple[int, ...]:
+    """The inverse shift on the north steps of a path whose boundary and width are the instance's."""
+    return tuple([x + 1 for x in xs])
 
 
 def to_vector_parking_function(

@@ -4,9 +4,10 @@ These listings are the ground truth that the closed forms and the
 characterizations are verified against.  Three producers build them:
 
 * the all-vectors walk (:func:`_steps`), one :func:`parkseq.core._park`
-  step per car on a free-spot mask, which lists the preferences under which
-  every vector of a set of length vectors parks.  It counts before it
-  builds;
+  step per car on a free-spot mask, which builds the tree of intervals of
+  preferences under which every vector of a set of length vectors parks.
+  One count (:func:`_count`) and one speller (:func:`_spelled`) read it for
+  every trailer;
 * the standard-order box, the product of the prefix-sum ranges, which is
   the characterized strong set on sorted lengths that are not constant;
 * one capped pass over nondecreasing tuples, parking no car, for the
@@ -119,7 +120,7 @@ class FamilyListing:
     @cached_property
     def members(self) -> tuple[tuple[int, ...], ...]:
         members = tuple(self._spell())
-        # drop what the count and the speller hold, the walk's steps or the sweep's multisets
+        # drop what the count and the speller hold, the walk's tree or the sweep's multisets
         self.__dict__.update(cardinality=len(members), _count=None, _spell=None)
         return members
 
@@ -209,8 +210,8 @@ def _unshifted(multisets: list[tuple[int, ...]], z: int) -> list[tuple[int, ...]
     return out
 
 
-def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple[tuple, int]:
-    """The live steps of the all-vectors walk from ``state``, and the members they spell.
+def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple:
+    """The tree of live steps of the all-vectors walk from ``state``.
 
     A state is the set of distinct (free-spot mask, lengths still to park)
     pairs the vectors have reached, each packed in one int: the mask below bit
@@ -219,15 +220,17 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
     then on, so they are one pair.  A set of one pair is that int, else a
     frozenset; either keys the memo.  No length is 0, so a code's bit length
     tells how many cars are left, which fixes the depth.  The masks are
-    those of the shifted street (:mod:`parkseq.core`), so a state, its steps
-    and its count are the same for every trailer, and are those of z = 1.
+    those of the shifted street (:mod:`parkseq.core`), so a state and its
+    node are the same for every trailer, and are those of z = 1.
     Preferences are cut at every spot empty in some mask, up to the first cut
     past some mask's last empty spot, and each interval parks every pair.  The
     pairs run longest next car first, so a cut most often fails at once, and
-    pairs sharing a mask and a next car park it once.  A step is (interval,
-    child steps) for an interval whose child completes; the last car's steps
-    are its preferences alone, and the car before it keeps (pref, last)
-    pairs.  The count is the sum of interval width times child count.
+    pairs sharing a mask and a next car park it once.
+
+    A node is a tuple of steps (range of shifted preferences, child node),
+    one per interval whose child completes, in ascending order; the last
+    car's child is None.  The node keeps no count and no member:
+    :func:`_count` and :func:`_spelled` read it for any trailer.
     """
     known = memo.get(state)
     if known is not None:
@@ -251,7 +254,6 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
     # past some mask's last empty spot no preference parks that pair
     cuts = reduce(operator.or_, frees) & ((1 << min(map(int.bit_length, frees))) - 1)
     found: list = []
-    count = 0
     lo = 1
     while cuts:
         spot = (cuts & -cuts).bit_length() - 1
@@ -266,34 +268,77 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
             children.append(child | rest)
         else:
             if not left:
-                found.extend(range(lo, spot + 1))
+                found.append((range(lo, spot + 1), None))
             else:
                 child_state = children[0]
                 if len(children) > 1:
                     merged = frozenset(children)
                     if len(merged) > 1:
                         child_state = merged
-                after, child_count = _steps(child_state, shift, width, memo)
+                after = _steps(child_state, shift, width, memo)
                 if after:
                     found.append((range(lo, spot + 1), after))
-                    count += (spot + 1 - lo) * child_count
         lo = spot + 1
         cuts &= cuts - 1
-    if not left:
-        count = len(found)
-    elif left == 1:
-        found = [(pref, last) for prefs, after in found for pref in prefs for last in after]
-    # the collector untracks tuples of ints, ranges and such tuples, so the
+    # the collector untracks tuples of ranges, None and such tuples, so the
     # memo does not fill its older generations the way lists would
-    known = memo[state] = tuple(found), count
+    known = memo[state] = tuple(found)
     return known
 
 
-def _emit(found: tuple, left: int, prefix: tuple = (), members: list | None = None) -> list:
+def _lifted(prefs: range, lift: int) -> range:
+    """The preferences a range of shifted ones stands for behind a trailer of ``lift + 1``.
+
+    A shifted 1 stands for 1..z, any other p for p + z - 1, so a range from
+    1 grows by ``lift`` at its top and any other moves up by it.
+    """
+    return range(1 if prefs.start == 1 else prefs.start + lift, prefs.stop + lift)
+
+
+def _count(node: tuple, lift: int, memo: dict) -> int:
+    """How many sequences the node of :func:`_steps` spells behind a trailer of ``lift + 1``.
+
+    The sum over its steps of the lifted range's width times the child's
+    count.  Each node is counted once, memoized on its id: the tree keeps
+    every node alive while ``memo`` lives.
+    """
+    known = memo.get(id(node))
+    if known is None:
+        known = memo[id(node)] = sum(
+            len(_lifted(prefs, lift)) * (1 if after is None else _count(after, lift, memo))
+            for prefs, after in node
+        )
+    return known
+
+
+def _spelled(node: tuple, left: int, lift: int, memo: dict) -> tuple | list:
+    """The node of :func:`_steps`, ``left`` cars after its own, behind a trailer of ``lift + 1``.
+
+    Each node is translated once for :func:`_emit`, memoized on its id as in
+    :func:`_count`: its ranges lifted, the last car's node into its
+    preferences and the node above it into the last two cars' (pref, last)
+    pairs.  Lifting keeps the order of the preferences, so the translated
+    steps spell in lex order too.
+    """
+    known = memo.get(id(node))
+    if known is None:
+        if not left:
+            known = [pref for prefs, _ in node for pref in _lifted(prefs, lift)]
+        elif left == 1:
+            known = [(pref, last) for prefs, after in node for pref in _lifted(prefs, lift)
+                     for last in _spelled(after, 0, lift, memo)]
+        else:
+            known = tuple((_lifted(prefs, lift), _spelled(after, left - 1, lift, memo))
+                          for prefs, after in node)
+        memo[id(node)] = known
+    return known
+
+
+def _emit(found: tuple | list, left: int, prefix: tuple = (), members: list | None = None) -> list:
     """``members``, new by default, with ``prefix`` plus each sequence the steps ``found`` spell.
 
-    ``left`` more cars follow the prefix; with one car left the steps are
-    already the last two cars' pairs.
+    ``found`` is a node of :func:`_steps` as :func:`_spelled` translates it,
+    and ``left`` more cars follow the prefix.
     """
     if members is None:
         members = []
@@ -306,62 +351,6 @@ def _emit(found: tuple, left: int, prefix: tuple = (), members: list | None = No
             for pref in prefs:
                 _emit(after, left - 1, prefix + (pref,), members)
     return members
-
-
-def _lifted_values(values: Sequence[int], lift: int) -> list[int]:
-    """Ascending shifted preferences as the ascending ones they stand for, ``lift = z - 1``."""
-    lifted = [v + lift for v in values if v > 1]
-    return [*range(1, lift + 2), *lifted] if values and values[0] == 1 else lifted
-
-
-def _lifted_count(found: tuple, left: int, lift: int, memo: dict) -> int:
-    """How many sequences the z = 1 steps ``found`` spell behind a trailer of ``lift + 1``.
-
-    A step's interval from 1 weighs its width plus ``lift``, the others their
-    width; the last two cars' pairs weigh the product of their entries'
-    weights.  Each node is counted once, memoized on its id: ``found`` keeps
-    every node alive while ``memo`` lives.
-    """
-    known = memo.get(id(found))
-    if known is None:
-        if not left:
-            known = len(found) + (lift if found and found[0] == 1 else 0)
-        elif left == 1:
-            weight = lift + 1
-            known = sum((weight if pref == 1 else 1) * (weight if last == 1 else 1)
-                        for pref, last in found)
-        else:
-            known = sum((len(prefs) + (lift if prefs.start == 1 else 0))
-                        * _lifted_count(after, left - 1, lift, memo) for prefs, after in found)
-        memo[id(found)] = known
-    return known
-
-
-def _lifted_steps(found: tuple, left: int, lift: int, memo: dict) -> tuple | list:
-    """The z = 1 steps ``found`` moved behind a trailer of ``lift + 1``, for :func:`_emit`.
-
-    Each node is translated once, memoized on its id as in
-    :func:`_lifted_count`, never member by member.  The shift keeps the order
-    of the other values and a 1 becomes 1..z, below all of them, so the
-    lifted steps spell in lex order too.
-    """
-    known = memo.get(id(found))
-    if known is None:
-        if not left:
-            known = _lifted_values(found, lift)
-        elif left == 1:
-            known = []
-            for pref, pairs in itertools.groupby(found, key=operator.itemgetter(0)):
-                lasts = _lifted_values([last for _, last in pairs], lift)
-                known += [(first, last) for first in _lifted_values((pref,), lift) for last in lasts]
-        else:
-            known = tuple(
-                (range(1 if prefs.start == 1 else prefs.start + lift, prefs.stop + lift),
-                 _lifted_steps(after, left - 1, lift, memo))
-                for prefs, after in found
-            )
-        memo[id(found)] = known
-    return known
 
 
 def _walk(
@@ -377,20 +366,20 @@ def _walk(
     ``instance`` holds one of the vectors and the trailer; they all share its
     total, so its street.  The budget is met here; ``vectors()`` lists them
     and the walk runs on the first read of the count or the members, its memo
-    keeping each state's steps and count, so no state is walked twice.  The
-    steps and the count are those of z = 1 (:func:`_steps`); a larger
-    trailer reads its count and members off them.
+    keeping each state's node, so no state is walked twice.  The tree is
+    that of z = 1 (:func:`_steps`); every trailer reads its count off it
+    with :func:`_count` and its members with :func:`_spelled`.
 
     By default each walk has a memo of its own.  A caller that walks many
     instances in one call (verify's suites) may pass ``memos``, which maps a
     packing (shift, width) to its memo and lasts as long as the caller keeps
     it, so instances with one total walk each state they share once, for
     every trailer.  A code names one state only under one packing, so a memo
-    never serves two.  The counts behind a trailer go in ``memos`` too, one
-    memo per ``("count", lift)``, so each shared step node is counted once per
-    trailer.  That memo is keyed on the nodes' ids, which is safe because the
-    state memos in the same dict keep every node alive, and clearing the dict
-    drops both together.
+    never serves two.  The count behind every trailer, z = 1 included, goes
+    in ``memos`` too, one memo per ``("count", lift)``, so each shared node
+    is counted once per trailer.  That memo is keyed on the nodes' ids, which
+    is safe because the state memos in the same dict keep every node alive,
+    and clearing the dict drops both together.
     """
     n = instance.car_count
     _guard(instance.street_length**n, budget)
@@ -398,21 +387,17 @@ def _walk(
     walked = cache(partial(_walked, instance, vectors, memos))
 
     def count() -> int:
-        found, total = walked()
-        if not lift:
-            return total
         memo = {} if memos is None else memos.setdefault(("count", lift), {})
-        return _lifted_count(found, n - 1, lift, memo)
+        return _count(walked(), lift, memo)
 
     def spell() -> list:
-        found = walked()[0]
-        return _emit(_lifted_steps(found, n - 1, lift, {}) if lift else found, n - 1)
+        return _emit(_spelled(walked(), n - 1, lift, {}), n - 1)
 
     return FamilyListing._lazy(family, params, count, spell)
 
 
-def _walked(instance: ParkingInstance, vectors: Callable, memos: dict | None) -> tuple[tuple, int]:
-    """The steps of the walk from ``vectors()`` on the instance's shifted street, and their count."""
+def _walked(instance: ParkingInstance, vectors: Callable, memos: dict | None) -> tuple:
+    """The tree of the walk from ``vectors()`` on the instance's shifted street."""
     empty = instance._empty_street
     shift = empty.bit_length()
     columns = list(zip(*vectors()))

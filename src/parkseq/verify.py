@@ -342,8 +342,8 @@ def _suite_bijections(max_n, seed, budget):
     """Each map's round trip and image, through its kernel, on every member of a listing."""
     grid = []
     for instance in _instance_grid(max_n):
-        bounds, width = standard_order_bounds(instance), instance.street_length
-        grid.append((instance, bounds, width, _ips(instance, budget), _paths(bounds, width, budget)))
+        bounds = standard_order_bounds(instance)
+        grid.append((instance, _ips(instance, budget), _paths(bounds, instance.street_length, budget)))
     contractions = [
         (kind, instance, _upf(_invariant_contraction(instance)[1], budget))
         for kind, instance, _ in _invariant_grid(max_n)
@@ -351,14 +351,13 @@ def _suite_bijections(max_n, seed, budget):
     ]
 
     def rows():
-        for instance, bounds, width, ips, bounded in _spent(grid):
+        for instance, ips, bounded in _spent(grid):
             params, members = _params(instance), _listed(ips).members
-            paths = [_to_path(prefs, bounds, width) for prefs in members]
+            paths = tuple(map(_to_path, members))
             yield ("ips-path-roundtrip", params, True,
-                   all(_from_path(path) == prefs for prefs, path in zip(members, paths)),
+                   tuple(map(_from_path, paths)) == members,
                    "shift there and back is the identity")
-            yield ("ips-path-image", params, True,
-                   tuple(map(attrgetter("xs"), paths)) == bounded.members,
+            yield ("ips-path-image", params, True, paths == bounded.members,
                    "image is exactly the bounded-path family")
         for kind, instance, boundary_family in _spent(contractions):
             step, z = _invariant_contraction(instance)[0], instance.trailer_z

@@ -203,8 +203,8 @@ def test_public_maps_are_their_kernels_on_the_gate_grid():
         bounds, width = standard_order_bounds(instance), instance.street_length
         for prefs in enum_ips(instance).members:
             path = ips_to_lattice_path(instance, prefs)
-            assert path == _to_path(prefs, bounds, width)
-            assert lattice_path_to_ips(instance, path) == _from_path(path) == prefs
+            assert path == LatticePath(_to_path(prefs), bounds, width)
+            assert lattice_path_to_ips(instance, path) == _from_path(path.xs) == prefs
         for path in enum_lattice_paths(bounds, width):
             assert ips_to_lattice_path(instance, lattice_path_to_ips(instance, path)) == path
     for kind, instance, _ in _invariant_grid(3):

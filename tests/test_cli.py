@@ -409,10 +409,10 @@ class TestFileDumps:
         def refuse(*args):
             raise AssertionError("--count-only built a member")
 
-        # what spells the members of the walk, the box, the reordering-closed
-        # families and the capped walk; upf counts its sorted members, so it
-        # runs the capped walk
-        spellers = ["_emit", "_box_members", "_rearrangements"]
+        # what spells the members of the walk (and translates its nodes), the
+        # box, the reordering-closed families and the capped walk; upf counts
+        # its sorted members, so it runs the capped walk
+        spellers = ["_spelled", "_emit", "_box_members", "_rearrangements"]
         if route[1] != "upf":
             spellers.append("_nondecreasing")
         for speller in spellers:

@@ -128,18 +128,16 @@ def test_kstrong_behind_a_trailer():
 
 
 def test_the_walk_keeps_no_trace_of_the_trailer():
-    # the walk's memo, each state's steps and count, is the same behind every
-    # trailer; only the count read off it depends on z (the walk was
-    # quadratic in z when its masks held the trailer, and z = 10,000 ran a
-    # host out of memory)
+    # the walk's memo, each state's node, is the same behind every trailer;
+    # only the count read off it depends on z (the walk was quadratic in z
+    # when its masks held the trailer, and z = 10,000 ran a host out of memory)
     lengths, memos = (1, 2, 1, 3), {}
     for z in (1, 100, 10_000):
         memos[z] = {}
         listing = _ps_walk(ParkingInstance(lengths, z), 10**30, memos[z])
         assert listing.cardinality == count_ps_product(lengths, z)
-        # the count read off the walk is memoized beside it, per trailer
-        counts = memos[z].pop(("count", z - 1), None)
-        assert (counts is None) == (z == 1)
+        # the count read off the walk is memoized beside it, for every trailer
+        assert memos[z].pop(("count", z - 1))
     assert memos[1] == memos[100] == memos[10_000]
 
 

@@ -6,11 +6,12 @@ From the root of a source checkout:
 
 Each function in ``TARGETS`` is marked with one of two ways to survey it.
 A ``WHOLE`` function has every line of its body mutated; the bijection
-kernels of ``src/parkseq/biject.py`` are marked so.  An ``ADDED`` function
-has only the lines that ``git diff REV`` adds to it (the working tree
+kernels of ``src/parkseq/biject.py`` and the walk's lift and its two
+readers in ``src/parkseq/enumeration.py`` are marked so.  An ``ADDED``
+function has only the lines that ``git diff REV`` adds to it (the working tree
 against REV) mutated, and of those only the lines that build the shifted
 street's mask or name the trailer or its shift (``lift``, ``z`` or
-``trailer_z``); the functions of ``core.py``, ``classify.py`` and
+``trailer_z``); the other functions of ``core.py``, ``classify.py`` and
 ``enumeration.py`` that apply the trailer's shift or undo it are marked so.
 One mutant is made per token on those lines: an integer constant c becomes
 c - 1 (0 becomes 1), ``<`` and ``<=`` (``>`` and ``>=``) are swapped, and
@@ -46,8 +47,7 @@ TARGETS = {
     "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
     "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
     "classify": dict.fromkeys(("is_parking_sequence",), ADDED),
-    "enumeration": dict.fromkeys(("_unshifted", "_lifted_values", "_lifted_count",
-                                  "_lifted_steps"), ADDED),
+    "enumeration": {"_unshifted": ADDED, **dict.fromkeys(("_lifted", "_count", "_spelled"), WHOLE)},
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -77,9 +77,6 @@ EQUIVALENT = {
        for clamp in _CLAMPS},
     ("enumeration", "if z == 1:", 8, "1", "0"):
         "a shortcut: at z = 1 the general expansion gives the same multisets",
-    ("enumeration", "known = len(found) + (lift if found and found[0] == 1 else 0)", 59, "0", "1"):
-        "a last car's steps are counted here only when it is the only car, and a lone "
-        "car parks from preference 1, so its steps always start at 1",
 }
 
 
