@@ -472,17 +472,22 @@ def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool
     return _box("kstrong", params, instance, budget)
 
 
-def _inv(instance: ParkingInstance, budget: int) -> FamilyListing:
+def _inv(instance: ParkingInstance, budget: int, memos: dict | None = None) -> FamilyListing:
     """The invariant members: the orderings of the sweep's last layer, counted unbuilt.
 
     The sweep runs on first read, on the shifted street, over the pool
     1 .. y_1 + ... + y_n with room n for each value, the 1 among them
-    standing for 1..z.
+    standing for 1..z.  The sweep reads the length vector only, so a caller
+    that lists many instances in one call may pass ``memos``, on
+    :func:`_walk`'s terms: the sweep goes in it under ``("sweep", lengths)``
+    and one vector's trailers share it.
     """
     n, z = instance.car_count, instance.trailer_z
     _guard(instance.street_length**n, budget)
     pool = dict.fromkeys(range(1, instance._empty_street.bit_length()), n)
     multisets = cache(partial(_ordering_sweep, instance, pool))
+    if memos is not None:
+        multisets = memos.setdefault(("sweep", instance.lengths), multisets)
     return FamilyListing._lazy("inv", _params(instance), lambda: _orderings(multisets(), n, z),
                                lambda: _rearrangements(_unshifted(multisets(), z)))
 

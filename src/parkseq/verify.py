@@ -10,6 +10,17 @@ one table of the suites and their default sizes.  The ``all`` suite chains
 every suite and is the repository's gate: ``parkseq verify --suite all``.
 The suites run the bijections as their kernels on the listings they build
 (:mod:`parkseq.biject` states the rule).
+
+A suite runs each producer once per distinct input that the producer reads,
+and every record of an instance reads the shared result.  Each key is
+exactly what its producer reads, by construction: the capped pass
+(``_ips``) and its path shift are keyed by the standard-order bounds, which
+leave out the last length; the characterized set and the contraction's
+checks by (z, step, boundary); the invariance sweep by the length vector,
+since it runs on the shifted street of :mod:`parkseq.core`, shared through
+``_inv``'s ``memos``.  A shared result is held only by the grid entries
+that read it, each dropped as it is read (:func:`_spent`), so it goes with
+the last of them.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from operator import attrgetter, le
 
 from .biject import _contract, _expand, _from_path, _invariant_contraction, _to_path
@@ -149,6 +161,14 @@ def _spent(items):
         yield items.pop()
 
 
+def _once(made, key, make):
+    """``made[key]``, from ``make()`` the first time ``key`` is met: one product per input."""
+    product = made.get(key)
+    if product is None:
+        product = made[key] = make()
+    return product
+
+
 def _suite_eq3(max_n, seed, budget):
     """Each instance's walk count against the product formula, in grid order.
 
@@ -225,19 +245,22 @@ def _suite_determinant(max_n, seed, budget):
 
     The walks of one length vector's trailers share one memo.
     """
-    grid = []
+    grid, passes = [], {}
+
+    def capped(instance):
+        return _once(passes, standard_order_bounds(instance), partial(_ips, instance, budget))
+
     for _, instances in itertools.groupby(_instance_grid(max_n), key=attrgetter("lengths")):
         memos = {}
         for instance in instances:
-            ips = _ips(instance, budget)
-            grid.append((instance, ips,
+            grid.append((instance, capped(instance),
                          _ps_walk(instance, budget, memos) if instance.car_count <= 3 else None))
     rng = random.Random(seed)
     samples = []
     for index in range(20):
         lengths = tuple(rng.randint(1, 4) for _ in range(5))
         z = rng.randint(1, 3)
-        samples.append((index, lengths, z, _ips(ParkingInstance(lengths, z), budget)))
+        samples.append((index, lengths, z, capped(ParkingInstance(lengths, z))))
 
     def rows():
         for instance, ips, ps in _spent(grid):
@@ -258,20 +281,24 @@ def _suite_determinant(max_n, seed, budget):
 
 
 def _suite_inv_characterizations(max_n, seed, budget):
-    cases = []
+    """Each instance's sweep against its characterized set and count, two-block images too."""
+    cases, memos, sets = [], {}, {}
     for kind, instance, count in _invariant_grid(max_n):
-        inv = _inv(instance, budget)
-        image = _upf(_invariant_contraction(instance)[1], budget) if kind == "two-block" else None
-        cases.append((kind, instance, count, inv, image))
+        step, boundary = _invariant_contraction(instance)
+        inv = _inv(instance, budget, memos)
+        image = _upf(boundary, budget) if kind == "two-block" else None
+        characterized = _once(sets, (instance.trailer_z, step, boundary),
+                              lambda: cache(partial(_characterized_set, instance)))
+        cases.append((kind, instance, count, inv, image, characterized, step))
 
     def rows():
-        for kind, instance, count, inv, boundary_family in _spent(cases):
+        for kind, instance, count, inv, boundary_family, characterized, step in _spent(cases):
             params, inv = _params(instance), _listed(inv)
-            yield (f"inv-{kind}-set", params, True, inv.members == _characterized_set(instance),
+            yield (f"inv-{kind}-set", params, True, inv.members == characterized(),
                    "sweep equals the characterized set")
             yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
             if boundary_family is not None:
-                step, z = _invariant_contraction(instance)[0], instance.trailer_z
+                z = instance.trailer_z
                 images = [_contract(z, step, prefs) for prefs in inv.members]
                 yield ("inv-two-block-image", params, True, _contracts_onto(images, boundary_family),
                        "contraction maps the sweep onto the boundary family")
@@ -340,38 +367,50 @@ def _suite_sps_k(max_n, seed, budget):
 
 def _suite_bijections(max_n, seed, budget):
     """Each map's round trip and image, through its kernel, on every member of a listing."""
-    grid = []
+    grid, shifts = [], {}
     for instance in _instance_grid(max_n):
         bounds = standard_order_bounds(instance)
-        grid.append((instance, _ips(instance, budget), _paths(bounds, instance.street_length, budget)))
-    contractions = [
-        (kind, instance, _upf(_invariant_contraction(instance)[1], budget))
-        for kind, instance, _ in _invariant_grid(max_n)
-        if kind in ("constant", "two-block")
-    ]
+        shift = _once(shifts, bounds, lambda: cache(partial(_path_shift, _ips(instance, budget))))
+        grid.append((instance, shift, _paths(bounds, instance.street_length, budget)))
+    contractions, checks = [], {}
+    for kind, instance, _ in _invariant_grid(max_n):
+        if kind in ("constant", "two-block"):
+            step, boundary = _invariant_contraction(instance)
+            checked = _once(checks, (instance.trailer_z, step, boundary), lambda: cache(partial(
+                _contraction_checks, instance, step, _upf(boundary, budget))))
+            contractions.append((kind, instance, checked))
 
     def rows():
-        for instance, ips, bounded in _spent(grid):
-            params, members = _params(instance), _listed(ips).members
-            paths = tuple(map(_to_path, members))
-            yield ("ips-path-roundtrip", params, True,
-                   tuple(map(_from_path, paths)) == members,
+        for instance, shift, bounded in _spent(grid):
+            params, (paths, restored) = _params(instance), shift()
+            yield ("ips-path-roundtrip", params, True, restored,
                    "shift there and back is the identity")
             yield ("ips-path-image", params, True, paths == bounded.members,
                    "image is exactly the bounded-path family")
-        for kind, instance, boundary_family in _spent(contractions):
-            step, z = _invariant_contraction(instance)[0], instance.trailer_z
-            params, domain = _params(instance), _characterized_set(instance)
-            images = [_contract(z, step, prefs) for prefs in domain]
-            yield (f"contraction-{kind}-roundtrip", params, True,
-                   all(None not in image and _expand(z, step, image) == prefs
-                       for prefs, image in zip(domain, images)),
+        for kind, instance, checked in _spent(contractions):
+            params, (restored, onto) = _params(instance), checked()
+            yield (f"contraction-{kind}-roundtrip", params, True, restored,
                    "contraction then expansion is the identity")
-            yield (f"contraction-{kind}-image", params, True,
-                   _contracts_onto(images, boundary_family),
+            yield (f"contraction-{kind}-image", params, True, onto,
                    "characterized set maps onto the boundary family")
 
     return rows()
+
+
+def _path_shift(ips):
+    """The north steps of a capped pass's members, and whether shifting back restores them."""
+    members = _listed(ips).members
+    paths = tuple(map(_to_path, members))
+    return paths, tuple(map(_from_path, paths)) == members
+
+
+def _contraction_checks(instance, step, boundary_family):
+    """Does contracting the characterized set expand back, and land on the boundary family?"""
+    z, domain = instance.trailer_z, _characterized_set(instance)
+    images = [_contract(z, step, prefs) for prefs in domain]
+    restored = all(None not in image and _expand(z, step, image) == prefs
+                   for prefs, image in zip(domain, images))
+    return restored, _contracts_onto(images, boundary_family)
 
 
 # name: (suite, default max_n); table1's rows are pinned and take no size.

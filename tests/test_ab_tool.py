@@ -50,3 +50,12 @@ def test_ab_refuses_a_tree_that_imports_itself_by_name(tmp_path):
     foreign = (ROOT / "src" / "parkseq" / "__init__.py").resolve()
     assert done.stderr == (f"error: loading {tree.resolve()} imported parkseq from {foreign},"
                            f" not from {package.resolve()}\n")
+
+
+def test_ab_help_prints_usage():
+    done = subprocess.run([sys.executable, "tools/ab.py", "--help"], cwd=ROOT, capture_output=True,
+                          text=True, check=False, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: ab.py ")
+    assert "TREE_A TREE_B" in done.stdout

@@ -22,6 +22,7 @@ from parkseq import (
     simulate,
 )
 from parkseq import verify
+from parkseq.core import standard_order_bounds
 from parkseq.enumeration import FamilyListing
 from parkseq.verify import SUITE_NAMES, run_suite
 
@@ -129,8 +130,8 @@ def test_off_grid_member_fails_the_two_block_image(monkeypatch):
     off_grid = ParkingInstance((2, 2, 3), 1)  # step 2 above z = 1: (2, 1, 1) is off the grid
     inv = verify._inv
 
-    def padded(instance, budget):
-        listing = inv(instance, budget)
+    def padded(instance, budget, memos=None):
+        listing = inv(instance, budget, memos)
         if instance != off_grid:
             return listing
         members = tuple(sorted(listing.members + ((2, 1, 1),)))
@@ -141,6 +142,24 @@ def test_off_grid_member_fails_the_two_block_image(monkeypatch):
     assert _failed_at(records, off_grid) == [
         "inv-two-block-count", "inv-two-block-image", "inv-two-block-set"]
     assert sum(not r.passed for r in records) == 3
+
+
+@pytest.mark.parametrize("top", [(3,), (3, 6, 9, 12)])
+def test_a_bad_path_shift_fails_exactly_the_instances_with_its_bounds(monkeypatch, top):
+    # ``top`` is the largest member of the capped pass under bounds equal to
+    # it, and no other bounds of the grid admit it.  The instances with those
+    # bounds share one shift, so a wrong path for it must fail the round trip
+    # and the image of each of them, wherever it sits in the grid, and no
+    # other record.
+    to_path = verify._to_path
+    monkeypatch.setattr(verify, "_to_path",
+                        lambda prefs: (0,) * len(prefs) if prefs == top else to_path(prefs))
+    records = run_suite("bijections")
+    hit = [instance for instance in verify._instance_grid(4) if standard_order_bounds(instance) == top]
+    assert len(hit) == 3
+    for instance in hit:
+        assert _failed_at(records, instance) == ["ips-path-image", "ips-path-roundtrip"]
+    assert sum(not r.passed for r in records) == 2 * len(hit)
 
 
 def test_criterion_10_counterexample_pinning():

@@ -32,8 +32,9 @@ from parkseq import (
     run_suite,
     simulate,
 )
-from parkseq import classify, enumeration
-from parkseq.core import _park
+from parkseq import classify, enumeration, verify
+from parkseq.biject import _invariant_contraction
+from parkseq.core import _park, standard_order_bounds
 from parkseq.enumeration import (
     _count_nondecreasing, _inv, _ips, _kstrong, _nondecreasing, _paths, _ps_walk, _strong, _upf,
     _walk,
@@ -425,6 +426,45 @@ def test_eq3_walks_each_shared_state_once_per_call(monkeypatch):
         records = run_suite("eq3")
         assert len(records) == 360 and all(record.passed for record in records)
         assert len(calls) == 10755
+
+
+def test_gate_suites_run_each_producer_once_per_distinct_input(monkeypatch):
+    # inv-characterizations: 153 instances, one invariance sweep per length
+    # vector (45 of them) and one characterized set per (z, step, boundary)
+    # (63); bijections: 360 instances, one path shift per set of bounds (120),
+    # so _to_path runs once per member of those 120 capped passes, not on the
+    # 43,038 members of all 360.  The second call counts as the first: no
+    # memo outlives a call.
+    calls = dict.fromkeys(("_ordering_sweep", "_characterized_set", "_to_path"), 0)
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(enumeration, "_ordering_sweep")
+    counted(verify, "_characterized_set")
+    counted(verify, "_to_path")
+    shapes = [instance for _, instance, _ in verify._invariant_grid(4)]
+    vectors = {instance.lengths for instance in shapes}
+    keys = {(instance.trailer_z, *_invariant_contraction(instance)) for instance in shapes}
+    passes = {standard_order_bounds(instance): instance for instance in verify._instance_grid(4)}
+    members = sum(enum_ips(instance).cardinality for instance in passes.values())
+    assert (len(shapes), len(vectors), len(keys)) == (153, 45, 63)
+    assert (len(passes), members) == (120, 14346)
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        records = run_suite("inv-characterizations")
+        assert len(records) == 360 and all(record.passed for record in records)
+        assert (calls["_ordering_sweep"], calls["_characterized_set"]) == (45, 63)
+        calls.update(dict.fromkeys(calls, 0))
+        records = run_suite("bijections")
+        assert len(records) == 900 and all(record.passed for record in records)
+        assert calls["_to_path"] == members
 
 
 def test_enum_sps_k_definitional_on_seven_cars():

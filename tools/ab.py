@@ -135,7 +135,9 @@ def _report(trees, results, args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trees", nargs=2, metavar=("TREE_A", "TREE_B"))
+    # two positionals: a tuple metavar on one nargs=2 positional breaks argparse's usage line
+    parser.add_argument("tree_a", metavar="TREE_A")
+    parser.add_argument("tree_b", metavar="TREE_B")
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--passes", type=int, default=30,
                         help="passes over the ops per tree (default 30)")
@@ -143,7 +145,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    trees = [Path(tree).resolve() for tree in args.trees]
+    trees = [Path(tree).resolve() for tree in (args.tree_a, args.tree_b)]
     lines, any_failed = _report(trees, _time(trees, args.workload, args.seed, args.passes), args)
     print("\n".join(lines))
     return 1 if any_failed else 0

@@ -6,8 +6,9 @@ From the root of a source checkout:
 
 Each function in ``TARGETS`` is marked with one of two ways to survey it.
 A ``WHOLE`` function has every line of its body mutated; the bijection
-kernels of ``src/parkseq/biject.py`` and the walk's lift and its two
-readers in ``src/parkseq/enumeration.py`` are marked so.  An ``ADDED``
+kernels of ``src/parkseq/biject.py``, the "every ordering parks" sweep
+of ``src/parkseq/classify.py``, and the walk's lift and its two readers in
+``src/parkseq/enumeration.py`` are marked so.  An ``ADDED``
 function has only the lines that ``git diff REV`` adds to it (the working tree
 against REV) mutated, and of those only the lines that build the shifted
 street's mask or name the trailer or its shift (``lift``, ``z`` or
@@ -46,12 +47,12 @@ WHOLE, ADDED = "whole", "added"  # every line of a function is mutated, or the a
 TARGETS = {
     "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
     "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
-    "classify": dict.fromkeys(("is_parking_sequence",), ADDED),
+    "classify": {"is_parking_sequence": ADDED, "_ordering_sweep": WHOLE},
     "enumeration": {"_unshifted": ADDED, **dict.fromkeys(("_lifted", "_count", "_spelled"), WHOLE)},
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-LIMIT = 64  # mutants per survey; the kernels and the trailer's shift make 61 together
+LIMIT = 64  # mutants per survey; the WHOLE functions alone make 35
 TIMEOUT_S = 300  # per run; Tier-1 takes about a minute on a 2-vCPU host
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+"}
 # (module, stripped source line, column in it, old token, new token): why no input
