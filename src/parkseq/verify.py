@@ -14,13 +14,19 @@ The suites run the bijections as their kernels on the listings they build
 A suite runs each producer once per distinct input that the producer reads,
 and every record of an instance reads the shared result.  Each key is
 exactly what its producer reads, by construction: the capped pass
-(``_ips``) and its path shift are keyed by the standard-order bounds, which
-leave out the last length; the characterized set and the contraction's
-checks by (z, step, boundary); the invariance sweep by the length vector,
-since it runs on the shifted street of :mod:`parkseq.core`, shared through
-``_inv``'s ``memos``.  A shared result is held only by the grid entries
-that read it, each dropped as it is read (:func:`_spent`), so it goes with
-the last of them.
+(``_ips``), the bounded paths (``_paths``, at their default width, which
+the street length never undercuts) and the path shift's check by the
+standard-order bounds, which leave out the last length; the characterized
+set and the contraction's check by (z, step, boundary), the boundary's
+u-PFs (``_upf``) by the boundary; the invariance sweep by the length
+vector, since it runs on the shifted street of :mod:`parkseq.core`, shared
+through ``_inv``'s ``memos``.  A shared result is held only by the grid
+entries that read it, each dropped as it is read (:func:`_spent`), so it
+goes with the last of them.  The walks share memos by group, not by suite,
+to bound memory, and a group's memos go when it is done: ``eq3``'s by
+(total length, last length), the states its instances meet alike whatever
+their trailers; those of ``determinant``, ``strong`` and ``sps-k`` by the
+trailers of one length vector, multiset or (n, k).
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from .enumeration import (
     _inv,
     _ips,
     _kstrong,
-    _listed,
     _params,
     _paths,
     _ps_walk,
@@ -123,16 +128,6 @@ def _invariant_grid(max_n):
             yield kind, ParkingInstance(lengths, z), count(len(lengths), *extra, z)
 
 
-def _contracts_onto(images, boundary_family):
-    """Do these contraction images sort to the members of the boundary's u-PF listing?
-
-    An image holding None, an entry off the step grid, never does; it is not
-    sorted, since None does not compare with an int.
-    """
-    return (not any(None in image for image in images)
-            and tuple(sorted(images)) == boundary_family.members)
-
-
 def _characterized_set(instance):
     """All sequences the closed invariance conditions admit, built without simulation.
 
@@ -173,10 +168,7 @@ def _suite_eq3(max_n, seed, budget):
     """Each instance's walk count against the product formula, in grid order.
 
     A walk state is free of the trailer (:mod:`parkseq.core`) and holds the
-    lengths still to park, the last car's among them, so instances with one
-    total length and one last length meet the same states, whatever their
-    trailers.  Each such group walks through shared memos, dropped when the
-    group is done.
+    lengths still to park, the last car's among them.
     """
     instances = list(_instance_grid(max_n))
     groups = {}
@@ -205,7 +197,7 @@ def _suite_table1(max_n, seed, budget):
             instance = ParkingInstance((size, size) + (1,) * extra, 1)
             cases.append((instance, expected, _inv(instance, budget)))
     return (
-        ("inv-two-big-cars-count", _params(instance), expected, _listed(inv).cardinality,
+        ("inv-two-big-cars-count", _params(instance), expected, len(inv.members),
          "pinned reference count")
         for instance, expected, inv in _spent(cases)
     )
@@ -216,7 +208,7 @@ def _suite_catalan(max_n, seed, budget):
 
     def rows():
         for n, ips in _spent(cases):
-            computed = _listed(ips).cardinality
+            computed = len(ips.members)
             yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
             if n <= len(_CATALAN):
                 yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
@@ -229,7 +221,7 @@ def _suite_fuss(max_n, seed, budget):
 
     def rows():
         for n, ips in _spent(cases):
-            computed = _listed(ips).cardinality
+            computed = len(ips.members)
             expected = fuss_catalan(2, n)
             yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
             yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
@@ -241,10 +233,7 @@ def _suite_fuss(max_n, seed, budget):
 
 
 def _suite_determinant(max_n, seed, budget):
-    """Boundary determinant against the capped pass; for n <= 3, that pass against the walk.
-
-    The walks of one length vector's trailers share one memo.
-    """
+    """Boundary determinant against the capped pass; for n <= 3, that pass against the walk."""
     grid, passes = [], {}
 
     def capped(instance):
@@ -264,50 +253,53 @@ def _suite_determinant(max_n, seed, budget):
 
     def rows():
         for instance, ips, ps in _spent(grid):
-            params, listing = _params(instance), _listed(ips)
+            params = _params(instance)
             yield ("ips-determinant-vs-enum", params,
-                   count_ips_determinant(instance.lengths, instance.trailer_z), listing.cardinality,
+                   count_ips_determinant(instance.lengths, instance.trailer_z), len(ips.members),
                    "boundary determinant against the direct sweep")
             if ps is not None:
                 filtered = tuple(m for m in ps.members if all(map(le, m, m[1:])))
-                yield ("ips-methods-agree", params, True, listing.members == filtered,
+                yield ("ips-methods-agree", params, True, ips.members == filtered,
                        "bound generation equals filtering the simulation sweep")
         for index, lengths, z, ips in _spent(samples):
             yield ("ips-determinant-vs-enum", {"lengths": lengths, "trailer": z, "sample": index},
-                   count_ips_determinant(lengths, z), _listed(ips).cardinality,
+                   count_ips_determinant(lengths, z), len(ips.members),
                    f"seeded sample (seed {seed})")
 
     return rows()
 
 
 def _suite_inv_characterizations(max_n, seed, budget):
-    """Each instance's sweep against its characterized set and count, two-block images too."""
-    cases, memos, sets = [], {}, {}
+    """Each instance's sweep against its characterized set and count, two-block images too.
+
+    The images are compared in order, as :func:`_bijection` compares them.
+    """
+    cases, memos, sets, families = [], {}, {}, {}
     for kind, instance, count in _invariant_grid(max_n):
         step, boundary = _invariant_contraction(instance)
         inv = _inv(instance, budget, memos)
-        image = _upf(boundary, budget) if kind == "two-block" else None
+        image = (_once(families, boundary, partial(_upf, boundary, budget))
+                 if kind == "two-block" else None)
         characterized = _once(sets, (instance.trailer_z, step, boundary),
                               lambda: cache(partial(_characterized_set, instance)))
         cases.append((kind, instance, count, inv, image, characterized, step))
 
     def rows():
         for kind, instance, count, inv, boundary_family, characterized, step in _spent(cases):
-            params, inv = _params(instance), _listed(inv)
+            params = _params(instance)
             yield (f"inv-{kind}-set", params, True, inv.members == characterized(),
                    "sweep equals the characterized set")
-            yield f"inv-{kind}-count", params, count, inv.cardinality, "count formula"
+            yield f"inv-{kind}-count", params, count, len(inv.members), "count formula"
             if boundary_family is not None:
-                z = instance.trailer_z
-                images = [_contract(z, step, prefs) for prefs in inv.members]
-                yield ("inv-two-block-image", params, True, _contracts_onto(images, boundary_family),
+                images = tuple(map(partial(_contract, instance.trailer_z, step), inv.members))
+                yield ("inv-two-block-image", params, True, images == boundary_family.members,
                        "contraction maps the sweep onto the boundary family")
 
     return rows()
 
 
 def _suite_strong(max_n, seed, budget):
-    """The definition's walk against the box; a multiset's two trailers share one memo."""
+    """The definition's walk against the box."""
     cases = []
     for n in range(2, max_n + 1):
         for lengths in itertools.combinations_with_replacement((1, 2, 3), n):
@@ -320,11 +312,10 @@ def _suite_strong(max_n, seed, budget):
 
     def rows():
         for lengths, z, swept, boxed in _spent(cases):
-            params, swept = {"lengths": lengths, "trailer": z}, _listed(swept)
-            yield ("strong-definition-vs-bounds", params, True,
-                   swept.members == _listed(boxed).members,
+            params = {"lengths": lengths, "trailer": z}
+            yield ("strong-definition-vs-bounds", params, True, swept.members == boxed.members,
                    "rearrangement intersection equals the standard-order box")
-            yield ("strong-count", params, count_sps(lengths, z), swept.cardinality,
+            yield ("strong-count", params, count_sps(lengths, z), len(swept.members),
                    "partial-sum product formula")
             if len(lengths) == 2:
                 box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
@@ -335,10 +326,7 @@ def _suite_strong(max_n, seed, budget):
 
 
 def _suite_sps_k(max_n, seed, budget):
-    """Pinned listings, counts, and for n <= 4 the definition against the characterized set.
-
-    The walks of one (n, k)'s trailers share one memo.
-    """
+    """Pinned listings, counts, and for n <= 4 the definition against the characterized set."""
     pinned = [(k, expected, _kstrong(3, k, 1, budget, False)) for k, expected in _KSTRONG_N3.items()]
     cases = []
     for n in range(1, max_n + 1):
@@ -352,65 +340,71 @@ def _suite_sps_k(max_n, seed, budget):
     def rows():
         for k, expected, listing in _spent(pinned):
             yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected,
-                   _listed(listing).members, "pinned reference listing")
+                   listing.members, "pinned reference listing")
         for n, k, z, listing, definitional in _spent(cases):
-            params, listing = {"n": n, "k": k, "trailer": z}, _listed(listing)
-            yield ("kstrong-count", params, count_sps_k(n, k, z), listing.cardinality,
+            params = {"n": n, "k": k, "trailer": z}
+            yield ("kstrong-count", params, count_sps_k(n, k, z), len(listing.members),
                    "rising factorial, or the unit-car count when k = n")
             if definitional is not None:
                 yield ("kstrong-definition-vs-characterization", params, True,
-                       _listed(definitional).members == listing.members,
+                       definitional.members == listing.members,
                        "composition intersection equals the characterized set")
 
     return rows()
 
 
 def _suite_bijections(max_n, seed, budget):
-    """Each map's round trip and image, through its kernel, on every member of a listing."""
-    grid, shifts = [], {}
+    """Each map's round trip and image, through its kernels, on every member of a listing.
+
+    The path shift takes each capped pass onto its bounded paths, the
+    contraction each characterized set onto its boundary's u-PFs.  Each
+    grid entry names its two records' checks and notes, and reads them off
+    its key's shared :func:`_bijection`.
+    """
+    grid, checks, families = [], {}, {}
+    shift = (("ips-path-roundtrip", "shift there and back is the identity"),
+             ("ips-path-image", "image is exactly the bounded-path family"))
     for instance in _instance_grid(max_n):
         bounds = standard_order_bounds(instance)
-        shift = _once(shifts, bounds, lambda: cache(partial(_path_shift, _ips(instance, budget))))
-        grid.append((instance, shift, _paths(bounds, instance.street_length, budget)))
-    contractions, checks = [], {}
+        checked = _once(checks, bounds, lambda: cache(partial(
+            _bijection, partial(getattr, _ips(instance, budget), "members"), _to_path, _from_path,
+            _paths(bounds, None, budget))))
+        grid.append((shift, instance, checked))
     for kind, instance, _ in _invariant_grid(max_n):
         if kind in ("constant", "two-block"):
-            step, boundary = _invariant_contraction(instance)
-            checked = _once(checks, (instance.trailer_z, step, boundary), lambda: cache(partial(
-                _contraction_checks, instance, step, _upf(boundary, budget))))
-            contractions.append((kind, instance, checked))
+            (step, boundary), z = _invariant_contraction(instance), instance.trailer_z
+            upf = _once(families, boundary, partial(_upf, boundary, budget))
+            checked = _once(checks, (z, step, boundary), lambda: cache(partial(
+                _bijection, partial(_characterized_set, instance), partial(_contract, z, step),
+                partial(_expand, z, step), upf)))
+            contraction = (
+                (f"contraction-{kind}-roundtrip", "contraction then expansion is the identity"),
+                (f"contraction-{kind}-image", "characterized set maps onto the boundary family"))
+            grid.append((contraction, instance, checked))
 
     def rows():
-        for instance, shift, bounded in _spent(grid):
-            params, (paths, restored) = _params(instance), shift()
-            yield ("ips-path-roundtrip", params, True, restored,
-                   "shift there and back is the identity")
-            yield ("ips-path-image", params, True, paths == bounded.members,
-                   "image is exactly the bounded-path family")
-        for kind, instance, checked in _spent(contractions):
-            params, (restored, onto) = _params(instance), checked()
-            yield (f"contraction-{kind}-roundtrip", params, True, restored,
-                   "contraction then expansion is the identity")
-            yield (f"contraction-{kind}-image", params, True, onto,
-                   "characterized set maps onto the boundary family")
+        for pairs, instance, checked in _spent(grid):
+            params = _params(instance)
+            for (check, note), passed in zip(pairs, checked()):
+                yield check, params, True, passed, note
 
     return rows()
 
 
-def _path_shift(ips):
-    """The north steps of a capped pass's members, and whether shifting back restores them."""
-    members = _listed(ips).members
-    paths = tuple(map(_to_path, members))
-    return paths, tuple(map(_from_path, paths)) == members
+def _bijection(domain, there, back, family):
+    """Does ``back`` undo ``there`` on every member of ``domain()``; are the images ``family``?
 
-
-def _contraction_checks(instance, step, boundary_family):
-    """Does contracting the characterized set expand back, and land on the boundary family?"""
-    z, domain = instance.trailer_z, _characterized_set(instance)
-    images = [_contract(z, step, prefs) for prefs in domain]
-    restored = all(None not in image and _expand(z, step, image) == prefs
-                   for prefs, image in zip(domain, images))
-    return restored, _contracts_onto(images, boundary_family)
+    Both answers, in that order.  The images are compared with the family's
+    members in order, unsorted: both maps are strictly increasing entrywise,
+    so a domain in lex order has its image in lex order.  An image holding
+    None, an entry the contraction found off its step grid, is neither
+    undone nor a member.
+    """
+    members = domain()
+    images = tuple(map(there, members))
+    restored = all(None not in image and back(image) == member
+                   for member, image in zip(members, images))
+    return restored, images == family.members
 
 
 # name: (suite, default max_n); table1's rows are pinned and take no size.

@@ -23,7 +23,7 @@ from parkseq import (
 )
 from parkseq import verify
 from parkseq.core import standard_order_bounds
-from parkseq.enumeration import FamilyListing
+from parkseq.enumeration import BudgetExceededError, FamilyListing
 from parkseq.verify import SUITE_NAMES, run_suite
 
 # sha256 of every gate record, suites in run order, one repr per line:
@@ -160,6 +160,59 @@ def test_a_bad_path_shift_fails_exactly_the_instances_with_its_bounds(monkeypatc
     for instance in hit:
         assert _failed_at(records, instance) == ["ips-path-image", "ips-path-roundtrip"]
     assert sum(not r.passed for r in records) == 2 * len(hit)
+
+
+@pytest.mark.parametrize("back, broken, check, hit", [
+    pytest.param("_from_path", ((2, 5, 8, 11),), "ips-path-roundtrip",
+                 [instance for instance in verify._instance_grid(4)
+                  if standard_order_bounds(instance) == (3, 6, 9, 12)], id="path"),
+    pytest.param("_expand", (1, 2, (1, 2)), "contraction-constant-roundtrip",
+                 [ParkingInstance((2, 2), 1)], id="contraction"),
+])
+def test_a_bad_inverse_fails_exactly_the_round_trips_that_read_it(monkeypatch, back, broken, check, hit):
+    # The map there is right, so every image still equals its family.  The
+    # inverse is wrong on one image only, which lies in the domain of the
+    # instances ``hit`` and no other: each of them must fail its round trip,
+    # and no other record may fail.
+    inverse = getattr(verify, back)
+    monkeypatch.setattr(verify, back, lambda *args: (0,) if args == broken else inverse(*args))
+    records = run_suite("bijections")
+    assert hit
+    for instance in hit:
+        assert _failed_at(records, instance) == [check]
+    assert sum(not r.passed for r in records) == len(hit)
+
+
+# Budgets from 1 to 10^5, eight a decade, and for each suite the candidates
+# of the refusal at each rung (None: the suite runs and passes), recorded
+# when `bijections` still built `_paths` per instance and `_upf` per
+# contraction, and `inv-characterizations` `_upf` per instance.  A shared
+# producer skips its repeated guards, which must change no refusal.
+BUDGET_LADDER = sorted({round(10 ** (k / 8)) for k in range(41)})
+REFUSED_AT = {
+    "determinant": (2, 3, 4, 5, 9, 9, 12, 16, 25, 25, 36, 49, 64, 125, 125, 216, 216, 343, 343,
+                    512, 729, 1000, 1331, 1440, 1782, *(27216,) * 9, 40320, 51051, *(None,) * 3),
+    "bijections": (2, 3, 6, 6, 12, 12, 12, 15, 24, 60, 60, 60, 60, 84, 105, 144, 360, 360, 360,
+                   480, 576, 756, 1050, 1440, 1782, *(None,) * 14),
+    "inv-characterizations": (2, 3, 4, 5, 9, 9, 16, 16, 25, 25, 36, 49, 64, 81, 216, 216, 216,
+                              343, 343, 512, 729, 1000, 1331, *(10000,) * 7, 14641, 14641, 20736,
+                              28561, 38416, *(None,) * 4),
+    "all": (2, 3, 4, 5, 9, 9, 16, 16, 25, 25, 36, 49, 64, 125, 125, 216, 216, 343, 343, 512, 729,
+            1000, 1331, 2401, 2401, 2401, 4096, 6561, 6561, 10000, 14641, 14641, 20736, 28561,
+            38416, 59049, 59049, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_AT))
+def test_budget_ladder_refuses_as_before_the_shared_keys(name):
+    assert len(BUDGET_LADDER) == len(REFUSED_AT[name]) == 39
+    for budget, candidates in zip(BUDGET_LADDER, REFUSED_AT[name]):
+        if candidates is None:
+            assert all(record.passed for record in run_suite(name, budget=budget))
+            continue
+        message = f"enumeration would sweep {candidates} candidates, budget is {budget}"
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            run_suite(name, budget=budget)
 
 
 def test_criterion_10_counterexample_pinning():

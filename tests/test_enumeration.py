@@ -430,12 +430,14 @@ def test_eq3_walks_each_shared_state_once_per_call(monkeypatch):
 
 def test_gate_suites_run_each_producer_once_per_distinct_input(monkeypatch):
     # inv-characterizations: 153 instances, one invariance sweep per length
-    # vector (45 of them) and one characterized set per (z, step, boundary)
-    # (63); bijections: 360 instances, one path shift per set of bounds (120),
-    # so _to_path runs once per member of those 120 capped passes, not on the
-    # 43,038 members of all 360.  The second call counts as the first: no
+    # vector (45 of them), one characterized set per (z, step, boundary) (63)
+    # and one u-PF family per two-block boundary (18); bijections: 360
+    # instances, one capped pass, bounded-path family and path shift per set
+    # of bounds (120), so _to_path runs once per member of those 120 capped
+    # passes, not on the 43,038 members of all 360, and one u-PF family per
+    # contraction boundary (30).  The second call counts as the first: no
     # memo outlives a call.
-    calls = dict.fromkeys(("_ordering_sweep", "_characterized_set", "_to_path"), 0)
+    calls = dict.fromkeys(("_ordering_sweep", "_characterized_set", "_to_path", "_paths", "_upf"), 0)
 
     def counted(module, name):
         function = getattr(module, name)
@@ -447,24 +449,28 @@ def test_gate_suites_run_each_producer_once_per_distinct_input(monkeypatch):
         monkeypatch.setattr(module, name, count)
 
     counted(enumeration, "_ordering_sweep")
-    counted(verify, "_characterized_set")
-    counted(verify, "_to_path")
-    shapes = [instance for _, instance, _ in verify._invariant_grid(4)]
+    for name in ("_characterized_set", "_to_path", "_paths", "_upf"):
+        counted(verify, name)
+    kinds = [(kind, instance) for kind, instance, _ in verify._invariant_grid(4)]
+    shapes = [instance for _, instance in kinds]
     vectors = {instance.lengths for instance in shapes}
     keys = {(instance.trailer_z, *_invariant_contraction(instance)) for instance in shapes}
+    two_block, contracted = ({_invariant_contraction(instance)[1] for kind, instance in kinds
+                              if kind in chosen} for chosen in (("two-block",), ("constant", "two-block")))
     passes = {standard_order_bounds(instance): instance for instance in verify._instance_grid(4)}
     members = sum(enum_ips(instance).cardinality for instance in passes.values())
     assert (len(shapes), len(vectors), len(keys)) == (153, 45, 63)
+    assert (len(two_block), len(contracted)) == (18, 30)
     assert (len(passes), members) == (120, 14346)
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         records = run_suite("inv-characterizations")
         assert len(records) == 360 and all(record.passed for record in records)
-        assert (calls["_ordering_sweep"], calls["_characterized_set"]) == (45, 63)
+        assert (calls["_ordering_sweep"], calls["_characterized_set"], calls["_upf"]) == (45, 63, 18)
         calls.update(dict.fromkeys(calls, 0))
         records = run_suite("bijections")
         assert len(records) == 900 and all(record.passed for record in records)
-        assert calls["_to_path"] == members
+        assert (calls["_to_path"], calls["_paths"], calls["_upf"]) == (members, 120, 30)
 
 
 def test_enum_sps_k_definitional_on_seven_cars():

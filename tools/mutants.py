@@ -7,8 +7,9 @@ From the root of a source checkout:
 Each function in ``TARGETS`` is marked with one of two ways to survey it.
 A ``WHOLE`` function has every line of its body mutated; the bijection
 kernels of ``src/parkseq/biject.py``, the "every ordering parks" sweep
-of ``src/parkseq/classify.py``, and the walk's lift and its two readers in
-``src/parkseq/enumeration.py`` are marked so.  An ``ADDED``
+of ``src/parkseq/classify.py``, the walk, its lift and its two readers in
+``src/parkseq/enumeration.py``, and the one check of both bijections in
+``src/parkseq/verify.py`` are marked so.  An ``ADDED``
 function has only the lines that ``git diff REV`` adds to it (the working tree
 against REV) mutated, and of those only the lines that build the shifted
 street's mask or name the trailer or its shift (``lift``, ``z`` or
@@ -16,8 +17,8 @@ street's mask or name the trailer or its shift (``lift``, ``z`` or
 ``enumeration.py`` that apply the trailer's shift or undo it are marked so.
 One mutant is made per token on those lines: an integer constant c becomes
 c - 1 (0 becomes 1), ``<`` and ``<=`` (``>`` and ``>=``) are swapped, and
-so are ``+`` and ``-``.  At most ``LIMIT`` mutants are made, in module and
-line order.
+so are ``+`` and ``-``, ``==`` and ``!=``, and ``and`` and ``or``.  At most
+``LIMIT`` mutants are made, in module and line order.
 
 Each mutant is written into a copy of the checkout under DIR, never into the
 checkout itself.  It is killed when the gate (``parkseq verify --suite
@@ -48,13 +49,16 @@ TARGETS = {
     "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
     "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
     "classify": {"is_parking_sequence": ADDED, "_ordering_sweep": WHOLE},
-    "enumeration": {"_unshifted": ADDED, **dict.fromkeys(("_lifted", "_count", "_spelled"), WHOLE)},
+    "enumeration": {"_unshifted": ADDED,
+                    **dict.fromkeys(("_steps", "_lifted", "_count", "_spelled"), WHOLE)},
+    "verify": {"_bijection": WHOLE},
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-LIMIT = 64  # mutants per survey; the WHOLE functions alone make 35
+LIMIT = 96  # mutants per survey; the WHOLE functions alone make 82
 TIMEOUT_S = 300  # per run; Tier-1 takes about a minute on a 2-vCPU host
-SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+"}
+SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+", "==": "!=", "!=": "==",
+         "and": "or", "or": "and"}
 # (module, stripped source line, column in it, old token, new token): why no input
 # tells the mutant apart.
 # Bit 0 of the shifted street's mask is never set, so a shifted preference of 0
@@ -65,6 +69,8 @@ _SHORTCUT = "if step == 1:  # every entry is on the step-1 grid and maps to itse
 _CONTRACT_KEEP = "c if c <= trailer_z"
 _EXPAND = ("return tuple([v if v <= trailer_z else trailer_z + (v - trailer_z) * step"
            " for v in values])")
+_DEPTH = "left = (codes[0].bit_length() - 1 - shift) // width"
+_CHILDREN, _MERGED = "if len(children) > 1:", "if len(merged) > 1:"
 EQUIVALENT = {
     ("biject", _SHORTCUT, _SHORTCUT.index("1"), "1", "0"):
         "a shortcut: at step 1 the general contraction maps every entry to itself too",
@@ -78,6 +84,15 @@ EQUIVALENT = {
        for clamp in _CLAMPS},
     ("enumeration", "if z == 1:", 8, "1", "0"):
         "a shortcut: at z = 1 the general expansion gives the same multisets",
+    ("enumeration", _DEPTH, _DEPTH.index("0"), "0", "1"):
+        "every pair of a state has as many cars left, so any code of two or more gives the depth",
+    **{("enumeration", _CHILDREN, _CHILDREN.index(old), old, new):
+       "one child makes a frozenset of one pair, which the next test turns back into that child"
+       for old, new in ((">", ">="), ("1", "0"))},
+    **{("enumeration", _MERGED, _MERGED.index(old), old, new):
+       "never reached: a state of two or more pairs walks vectors closed under reordering,"
+       " so its children keep two distinct tuples of lengths left"
+       for old, new in ((">", ">="), ("1", "0"))},
 }
 
 
@@ -114,7 +129,7 @@ def mutants(source, lines):
         if token.type == tokenize.NUMBER and token.string.isdigit():
             value = int(token.string)
             out.append((row, col, token.string, str(value - 1 if value else 1)))
-        elif token.type == tokenize.OP and token.string in SWAPS:
+        elif token.type in (tokenize.OP, tokenize.NAME) and token.string in SWAPS:
             out.append((row, col, token.string, SWAPS[token.string]))
     return out
 
