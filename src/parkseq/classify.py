@@ -3,11 +3,10 @@
 Every family has a defining test that parks the cars, one
 :func:`parkseq.core._park` step per car on a free-spot mask.  "Every ordering
 of the preferences (or of the lengths) parks" knows its sequence up to order,
-so :func:`_ordering_sweep` sweeps sub-multisets, never orderings, each one
-int with a count field per distinct value (the sweep's docstring gives the
-code).  The k-strong definition has no one multiset, as every composition
-of the total counts, so its frontier of masks parks only the longest length
-that fits.  Families with a closed characterization get that form too;
+so :func:`_ordering_sweep` sweeps sub-multisets, never orderings.  The
+k-strong definition has no one multiset, as every composition of the total
+counts, so :func:`is_k_strong` keeps a frontier of masks instead.  Families
+with a closed characterization get that form too;
 ``verify`` and the tests keep both forms in agreement on desk-scale grids.
 The closed invariance rule is the contraction onto vector parking functions
 that :func:`parkseq.biject._invariant_contraction` names for each length
@@ -128,12 +127,12 @@ def _ordering_sweep(
 
     Car j takes a fixed entry (its length, or ``prefs[j]`` when given) and one
     value drawn from a pool holding up to ``room[v]`` copies of each value v
-    (a preference, or else a length); preferences, fixed or drawn, are on the
-    shifted street of :mod:`parkseq.core`.  Layer j maps each j-multiset of
-    the pool whose orderings all park cars 1..j to the free-spot masks they
-    leave.  A (j+1)-multiset enters the next layer when, for every distinct
-    value v in it, the multiset without v is in layer j and car j+1 parks v
-    from every mask that entry left.  That is exact: every sub-multiset of a
+    (a preference, or else a length); preferences are shifted
+    (:mod:`parkseq.core`).  Layer j maps each j-multiset of the pool whose
+    orderings all park cars 1..j to the free-spot masks they leave.  A
+    (j+1)-multiset enters the next layer when, for every distinct value v in
+    it, the multiset without v is in layer j and car j+1 parks v from every
+    mask that entry left.  That is exact: every sub-multiset of a
     multiset whose orderings all park has the same property, so one missing
     from layer j has a failing ordering.  It visits at most prod(m_i + 1)
     sub-multisets, not n! / prod(m_i!) orderings, and holds two layers.  When
@@ -199,10 +198,7 @@ def _ordering_sweep(
 
 
 def is_permutation_invariant(instance: ParkingInstance, prefs: Sequence[int]) -> bool:
-    """Every rearrangement of the preferences (the sequence included) parks.
-
-    On the shifted street every preference up to z is the one value 1.
-    """
+    """Every rearrangement of the preferences (the sequence included) parks."""
     prefs = check_preferences(instance, prefs)
     return bool(_ordering_sweep(instance, Counter(_shifted(instance.trailer_z - 1, prefs))))
 
@@ -241,11 +237,9 @@ def is_strong_ps(
 ) -> bool:
     """Parks under every rearrangement of the length vector.
 
-    Characterized form: plain membership when the lengths are constant,
-    otherwise parking the sorted lengths in standard order, which is every
-    c_i at most its cap in :func:`parkseq.core.standard_order_bounds`.  With
-    ``definitional=True`` the definition is run instead, by
-    :func:`_ordering_sweep` over the length multiset (kept for cross-checks).
+    By the characterization, or with ``definitional=True`` by the
+    definition, :func:`_ordering_sweep` over the length multiset; the routes
+    are those of :mod:`parkseq.enumeration`.
     """
     instance = ParkingInstance(tuple(sorted(_as_int_tuple(lengths, "car lengths"))), trailer_z)
     prefs = check_preferences(instance, prefs)
@@ -267,14 +261,12 @@ def is_k_strong(
 ) -> bool:
     """Parks every multiset of k car lengths totalling ``total`` behind the trailer.
 
-    The street has z + total - 1 spots.  The binding composition is
-    (1, ..., 1, total - k + 1), so the check reduces to a strong-sequence test
-    against it.  ``definitional=True`` runs the definition instead, over
-    every composition at once: car by car, each mask the cars so far can
-    leave meets every length that still leaves room for the cars after it,
-    and the first car that fails answers False.  A car starts at the same
-    spot whatever its length, and a block fits wherever a longer one does, so
-    parking the longest length decides them all.
+    The street has z + total - 1 spots, and the routes are those of
+    :mod:`parkseq.enumeration`.  The definition runs over every composition
+    at once: car by car, each mask the cars so far can leave meets every
+    length that still leaves room for the cars after it.  A car starts at the
+    same spot whatever its length, and a block fits wherever a longer one
+    does, so parking the longest length decides them all.
     """
     total, k = _weight_and_count(total, k)
     witness = (1,) * (k - 1) + (total - k + 1,)

@@ -87,8 +87,7 @@ def _instance(args) -> ParkingInstance:
 
 # family: (flags it needs, flags it reads besides, check predicate or None,
 # enumerator); each callable takes the parsed arguments.  ``check`` offers the
-# families with a predicate.  The enumerator gives the listing: family,
-# params, cardinality and members; each spells its members only when read.
+# families with a predicate.  The enumerator gives the family's listing.
 _FAMILIES = {
     "ps": (("lengths",), ("trailer",), lambda a: is_parking_sequence(_instance(a), a.prefs),
            lambda a: _ps_walk(_instance(a), a.budget)),
@@ -281,10 +280,7 @@ def _cmd_enumerate(args) -> _Answer:
 
 
 def _listing_answer(listing, count_only: bool) -> tuple[dict, Iterable]:
-    """The enumerate document and text lines: the cardinality alone, else every member as a CSV row.
-
-    The members are read only when listed, and before the cardinality, which they then give.
-    """
+    """The enumerate document and text lines: the cardinality alone, else every member as a CSV row."""
     params = dict(listing.params, family=listing.family)
     if count_only:
         return {"params": params, "result": {"cardinality": listing.cardinality}}, [listing.cardinality]
@@ -371,7 +367,7 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``parkseq`` parser, built on the first call and shared after it."""
+    """The ``parkseq`` parser, one per process (module docstring)."""
     parser = argparse.ArgumentParser(
         prog="parkseq",
         description="Exact tools for parking sequences of cars with lengths behind a trailer.",
@@ -391,13 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse, execute and print; returns the exit code instead of raising SystemExit.
-
-    Every call parses with the one parser ``build_parser`` built for this
-    process; the handler gets that call's own namespace and must not mutate
-    the parser.  It returns its document, its text lines and its exit code,
-    and the answer printed is the document under ``--json``, else the lines.
-    """
+    """Parse, answer and print (module docstring); returns the exit code, never SystemExit."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -222,11 +222,7 @@ def _park(free: int, pref: int, size: int) -> int | None:
 
 
 def simulate(instance: ParkingInstance, prefs: Sequence[int]) -> ParkOutcome:
-    """Run the parking process; deterministic, one pass over the cars.
-
-    The cars park on the shifted street (module docstring), and each spot
-    reported is moved up by z - 1.
-    """
+    """Run the parking process once, on the shifted street of the module docstring."""
     prefs = check_preferences(instance, prefs)
     lift = instance.trailer_z - 1
     free = instance._empty_street

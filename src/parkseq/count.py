@@ -66,10 +66,7 @@ def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
             minors[target] -= term
             factor += 1
             m += 1
-    det = minors[n]
-    if det < 0:
-        raise ArithmeticError(f"path count came out negative ({det}); this is a bug")
-    return det
+    return minors[n]
 
 
 def count_ips_constant(size: int, n: int, trailer_z: int) -> int:
@@ -133,10 +130,8 @@ def count_inv_two_block(n: int, r: int, trailer_z: int) -> int:
 def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
     """Count of sequences parking under every rearrangement of the lengths.
 
-    Constant lengths fall back on the plain product count (every
-    rearrangement is the same vector); otherwise the count is the product
-    of the sorted lengths' standard-order bounds, z * (z + y_(1)) * ... *
-    (z + y_(1) + ... + y_(n-1)), the size of their box.
+    The plain product count for constant lengths, else the size of the
+    sorted lengths' box, z * (z + y_(1)) * ... * (z + y_(1) + ... + y_(n-1)).
     """
     instance = ParkingInstance(lengths, trailer_z)
     ordered, z = tuple(sorted(instance.lengths)), instance.trailer_z
@@ -148,8 +143,8 @@ def count_sps(lengths: Sequence[int], trailer_z: int) -> int:
 def count_sps_k(total: int, k: int, trailer_z: int) -> int:
     """Count of length-k sequences parking every composition of ``total``.
 
-    Rising factorial z(z+1)...(z+k-1) for k < n; the unit-car case k = n is
-    the constant-length invariant count z(n+z)^(n-1) instead.
+    The rising factorial z(z+1)...(z+k-1), or for k = total the unit-car
+    count z(total+z)^(total-1).
     """
     total, k = _weight_and_count(total, k)
     z = _positive(trailer_z, "trailer parameter")

@@ -1,45 +1,32 @@
 """Brute-force listings of the parking-sequence families.
 
 These listings are the ground truth that the closed forms and the
-characterizations are verified against.  Three producers build them:
+characterizations are verified against.  Each producer meets its budget
+guard and gives a lazy :class:`FamilyListing`.  There are three:
 
-* the all-vectors walk (:func:`_steps`), one :func:`parkseq.core._park`
-  step per car on a free-spot mask, which builds the tree of intervals of
-  preferences under which every vector of a set of length vectors parks.
-  One count (:func:`_count`) and one speller (:func:`_spelled`) read it for
-  every trailer;
-* the standard-order box, the product of the prefix-sum ranges, which is
-  the characterized strong set on sorted lengths that are not constant;
+* the all-vectors walk (:func:`_walk`), one :func:`parkseq.core._park` step
+  per car, which keeps the tree of intervals of preferences under which
+  every vector of a set of length vectors parks;
+* the standard-order box, the product of the prefix-sum ranges;
 * one capped pass over nondecreasing tuples, parking no car, for the
   nondecreasing members, the vector parking functions and the lattice
   paths.  Families closed under reordering come back as the sorted
   rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
 
-Every producer meets its budget guard and gives a :class:`FamilyListing`
-built from a count and a speller, each called on first read, so no walk or
-pass runs before it is read and ``enumerate --count-only`` builds no member;
-the capped pass is counted by :func:`_count_nondecreasing`.  The public
-``enum_*`` return their listings spelled.
-
-The walk and the sweep run on the shifted street of :mod:`parkseq.core`,
-so what they keep does not depend on the trailer: a shifted preference 1
-stands for the z preferences 1..z and any other p for p + z - 1.
-
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
 for the library and the CLI: the definition walks every arrangement of the
 lengths or every composition of the total, the characterization is the
-box.  When there is only one arrangement (constant lengths, or k = 1 or
-k = total) the characterized set is the plain family of that one vector,
-which the definition walks too, so both routes take the walk.
+box of the sorted lengths or of the binding composition (1, ..., 1,
+total - k + 1).  When there is only one arrangement (constant lengths, or
+k = 1 or k = total) the characterized set is the plain family of that one
+vector, which the definition walks too, so both routes take the walk.
 
 A preference above the street length M can never park, which bounds a
 length-n instance at M^n candidates; a budget guard refuses sweeps whose
-candidate space exceeds it, never truncating.  All listings come back
-lexicographically sorted so output is reproducible; every producer gives
-that order by construction, and only members passed to the public
-:class:`FamilyListing` constructor are scanned for it.
+candidate space exceeds it, never truncating.  Every producer lists in
+lexicographic order by construction, so output is reproducible.
 """
 
 from __future__ import annotations
@@ -92,11 +79,16 @@ def _guard(candidates: int, budget: int) -> None:
 
 
 class FamilyListing:
-    """A fully enumerated family, members strictly increasing lexicographically.
+    """A family's members, strictly increasing lexicographically, and their count.
 
     Built from given members, kept as tuples and refused out of that order,
-    or by a producer from a count and a speller, each called on first read.
-    Equality and the hash read the family and the members; fields are read-only.
+    or by a producer from a count and a speller.  A producer's listing reads
+    the count on the first read of ``cardinality`` and the speller on the
+    first read of ``members``, so building it walks and sweeps nothing, and
+    a listing whose members are never read (``enumerate --count-only``)
+    builds no member.  Once spelled it drops both.  The public ``enum_*``
+    return their listings spelled.  Equality and the hash read the family
+    and the members; fields are read-only.
     """
 
     def __init__(self, family: str, params: dict[str, object], members: Iterable = ()):
@@ -200,8 +192,6 @@ def _unshifted(multisets: list[tuple[int, ...]], z: int) -> list[tuple[int, ...]
     The c ones of a multiset become each c-multiset over 1..z, any other v
     becomes v + z - 1.
     """
-    if z == 1:
-        return multisets
     out = []
     for multiset in multisets:
         c = multiset.count(1)
@@ -211,26 +201,22 @@ def _unshifted(multisets: list[tuple[int, ...]], z: int) -> list[tuple[int, ...]
 
 
 def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> tuple:
-    """The tree of live steps of the all-vectors walk from ``state``.
+    """The tree of live steps of the all-vectors walk from ``state``, on the shifted street.
 
     A state is the set of distinct (free-spot mask, lengths still to park)
     pairs the vectors have reached, each packed in one int: the mask below bit
     ``shift``, then the lengths, ``width`` bits each, the next car's lowest.
     Vectors that reach one mask with the same lengths left behave alike from
     then on, so they are one pair.  A set of one pair is that int, else a
-    frozenset; either keys the memo.  No length is 0, so a code's bit length
-    tells how many cars are left, which fixes the depth.  The masks are
-    those of the shifted street (:mod:`parkseq.core`), so a state and its
-    node are the same for every trailer, and are those of z = 1.
-    Preferences are cut at every spot empty in some mask, up to the first cut
-    past some mask's last empty spot, and each interval parks every pair.  The
-    pairs run longest next car first, so a cut most often fails at once, and
-    pairs sharing a mask and a next car park it once.
+    frozenset.  No length is 0, so a code's bit length tells how many cars
+    are left.  Preferences are cut at every spot empty in some mask, up to
+    the first cut past some mask's last empty spot, and each interval parks
+    every pair.  The pairs run longest next car first, so a cut most often
+    fails at once, and pairs sharing a mask and a next car park it once.
 
     A node is a tuple of steps (range of shifted preferences, child node),
     one per interval whose child completes, in ascending order; the last
-    car's child is None.  The node keeps no count and no member:
-    :func:`_count` and :func:`_spelled` read it for any trailer.
+    car's child is None.
     """
     known = memo.get(state)
     if known is not None:
@@ -270,11 +256,7 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
             if not left:
                 found.append((range(lo, spot + 1), None))
             else:
-                child_state = children[0]
-                if len(children) > 1:
-                    merged = frozenset(children)
-                    if len(merged) > 1:
-                        child_state = merged
+                child_state = frozenset(children) if len(children) > 1 else children[0]
                 after = _steps(child_state, shift, width, memo)
                 if after:
                     found.append((range(lo, spot + 1), after))
@@ -289,8 +271,8 @@ def _steps(state: int | frozenset[int], shift: int, width: int, memo: dict) -> t
 def _lifted(prefs: range, lift: int) -> range:
     """The preferences a range of shifted ones stands for behind a trailer of ``lift + 1``.
 
-    A shifted 1 stands for 1..z, any other p for p + z - 1, so a range from
-    1 grows by ``lift`` at its top and any other moves up by it.
+    The shift of :mod:`parkseq.core` undone: a range from 1 grows by
+    ``lift`` at its top and any other moves up by it.
     """
     return range(1 if prefs.start == 1 else prefs.start + lift, prefs.stop + lift)
 
@@ -298,14 +280,15 @@ def _lifted(prefs: range, lift: int) -> range:
 def _count(node: tuple, lift: int, memo: dict) -> int:
     """How many sequences the node of :func:`_steps` spells behind a trailer of ``lift + 1``.
 
-    The sum over its steps of the lifted range's width times the child's
-    count.  Each node is counted once, memoized on its id: the tree keeps
-    every node alive while ``memo`` lives.
+    The sum over its steps of the lifted range's width, read off the shifted
+    range so that it may pass 2^63, times the child's count.  Each node is
+    counted once, memoized on its id as :func:`_walk` allows.
     """
     known = memo.get(id(node))
     if known is None:
         known = memo[id(node)] = sum(
-            len(_lifted(prefs, lift)) * (1 if after is None else _count(after, lift, memo))
+            (len(prefs) + lift if prefs.start == 1 else len(prefs))
+            * (1 if after is None else _count(after, lift, memo))
             for prefs, after in node
         )
     return known
@@ -314,7 +297,7 @@ def _count(node: tuple, lift: int, memo: dict) -> int:
 def _spelled(node: tuple, left: int, lift: int, memo: dict) -> tuple | list:
     """The node of :func:`_steps`, ``left`` cars after its own, behind a trailer of ``lift + 1``.
 
-    Each node is translated once for :func:`_emit`, memoized on its id as in
+    Each node is translated once for :func:`_emit`, memoized as in
     :func:`_count`: its ranges lifted, the last car's node into its
     preferences and the node above it into the last two cars' (pref, last)
     pairs.  Lifting keeps the order of the preferences, so the translated
@@ -361,25 +344,23 @@ def _walk(
     budget: int,
     memos: dict[tuple, dict] | None = None,
 ) -> FamilyListing:
-    """The listing of the all-vectors walk, walked on first read.
+    """The listing of the all-vectors walk over ``vectors()``.
 
     ``instance`` holds one of the vectors and the trailer; they all share its
-    total, so its street.  The budget is met here; ``vectors()`` lists them
-    and the walk runs on the first read of the count or the members, its memo
-    keeping each state's node, so no state is walked twice.  The tree is
-    that of z = 1 (:func:`_steps`); every trailer reads its count off it
-    with :func:`_count` and its members with :func:`_spelled`.
+    total, so its street.  The budget is met here.  The tree (:func:`_steps`)
+    is the same for every trailer; each reads its count off it with
+    :func:`_count` and its members with :func:`_spelled`.
 
-    By default each walk has a memo of its own.  A caller that walks many
-    instances in one call (verify's suites) may pass ``memos``, which maps a
-    packing (shift, width) to its memo and lasts as long as the caller keeps
-    it, so instances with one total walk each state they share once, for
-    every trailer.  A code names one state only under one packing, so a memo
-    never serves two.  The count behind every trailer, z = 1 included, goes
-    in ``memos`` too, one memo per ``("count", lift)``, so each shared node
-    is counted once per trailer.  That memo is keyed on the nodes' ids, which
-    is safe because the state memos in the same dict keep every node alive,
-    and clearing the dict drops both together.
+    The memo contract, for every producer that takes ``memos``: by default a
+    walk has memos of its own, so it walks no state twice.  A caller that
+    lists many instances in one call (verify's suites) may pass ``memos``
+    and keep it as long as it likes; instances with one total then walk each
+    state they share once, for every trailer.  It maps a packing (shift,
+    width) to its state memo (a code names one state only under one
+    packing), ``("count", lift)`` to the counts behind that trailer, keyed
+    on the nodes' ids, which the state memos keep alive, and ``("sweep",
+    lengths)`` to :func:`_inv`'s sweep, which reads the length vector only.
+    Clearing the dict drops them together.
     """
     n = instance.car_count
     _guard(instance.street_length**n, budget)
@@ -424,7 +405,7 @@ def _params(instance: ParkingInstance) -> dict[str, object]:
 
 
 def _ps_walk(instance: ParkingInstance, budget: int, memos: dict | None = None) -> FamilyListing:
-    """The plain family: the walk on the instance's one length vector, memos as :func:`_walk`."""
+    """The plain family: the walk on the instance's one length vector."""
     return _walk("ps", _params(instance), instance, lambda: (instance.lengths,), budget, memos)
 
 
@@ -443,11 +424,7 @@ def _box(family: str, params: dict, instance: ParkingInstance, budget: int) -> F
 
 def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: bool,
             memos: dict | None = None) -> FamilyListing:
-    """The strong family: the walk over every arrangement of the sorted lengths, or the box.
-
-    Constant lengths have one arrangement, whose plain family is the
-    characterized set, so both routes walk it, with ``memos`` as :func:`_walk`.
-    """
+    """The strong family of the sorted lengths, by the route the module docstring gives."""
     ordered = tuple(sorted(_as_int_tuple(lengths, "car lengths")))
     instance = ParkingInstance(ordered, trailer_z)
     if definitional or ordered[0] == ordered[-1]:
@@ -458,12 +435,7 @@ def _strong(lengths: Sequence[int], trailer_z: int, budget: int, definitional: b
 
 def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool,
              memos: dict | None = None) -> FamilyListing:
-    """The k-strong family: the walk over every composition of ``total``, or the box.
-
-    The compositions are closed under reordering; the box is that of the
-    binding one, (1, ..., 1, total - k + 1).  For k = 1 or k = ``total`` it
-    is the only one, so both routes walk it, with ``memos`` as :func:`_walk`.
-    """
+    """The k-strong family of ``total`` and k, by the route the module docstring gives."""
     total, k = _weight_and_count(total, k)
     instance = ParkingInstance((1,) * (k - 1) + (total - k + 1,), trailer_z)
     params = {"n": total, "k": k, "trailer": instance.trailer_z}
@@ -473,14 +445,10 @@ def _kstrong(total: int, k: int, trailer_z: int, budget: int, definitional: bool
 
 
 def _inv(instance: ParkingInstance, budget: int, memos: dict | None = None) -> FamilyListing:
-    """The invariant members: the orderings of the sweep's last layer, counted unbuilt.
+    """The invariant members: the orderings of the last layer of the sweep, counted unbuilt.
 
-    The sweep runs on first read, on the shifted street, over the pool
-    1 .. y_1 + ... + y_n with room n for each value, the 1 among them
-    standing for 1..z.  The sweep reads the length vector only, so a caller
-    that lists many instances in one call may pass ``memos``, on
-    :func:`_walk`'s terms: the sweep goes in it under ``("sweep", lengths)``
-    and one vector's trailers share it.
+    The sweep runs on the shifted street, over the pool 1 .. y_1 + ... + y_n
+    with room n for each value.
     """
     n, z = instance.car_count, instance.trailer_z
     _guard(instance.street_length**n, budget)
@@ -527,23 +495,12 @@ def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyLi
 
 
 def enum_ips(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
-    """The nondecreasing members of the family.
-
-    Generated straight from the prefix-sum caps c_1 <= ... <= c_n,
-    c_i <= z + y_1 + ... + y_{i-1}, with no simulation; the tests and
-    ``verify`` compare them with the nondecreasing members of :func:`enum_ps`.
-    """
+    """The nondecreasing members, c_1 <= ... <= c_n with c_i <= z + y_1 + ... + y_{i-1}."""
     return _listed(_ips(instance, budget))
 
 
 def enum_ps_inv(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:
-    """Members whose every rearrangement also parks.
-
-    The rearrangements of the multisets in the last layer of the
-    every-ordering sweep over the shifted street's spots, each value up to n
-    times (see :func:`_inv`); a multiset with a failing ordering never grows.
-    The budget guard is that of :func:`enum_ps`.
-    """
+    """Members whose every rearrangement also parks, under :func:`enum_ps`'s budget guard."""
     return _listed(_inv(instance, budget))
 
 
@@ -555,10 +512,8 @@ def enum_sps(
 ) -> FamilyListing:
     """Sequences that park under every rearrangement of the length vector.
 
-    ``method="definition"`` runs the all-vectors walk over every distinct
-    arrangement at once.  ``method="bounds"`` lists the characterized set:
-    the standard-order box on the sorted lengths, or for constant lengths,
-    which have one arrangement, the same walk.  The set depends only on the
+    ``method="definition"`` takes the definition's route, ``"bounds"`` the
+    characterization's (module docstring).  The set depends only on the
     multiset of lengths, so the listing records them sorted.
     """
     if method not in ("definition", "bounds"):
@@ -576,12 +531,8 @@ def enum_sps_k(
 ) -> FamilyListing:
     """Length-k sequences parking every multiset of k car lengths totalling ``total``.
 
-    The street has z + total - 1 spots, which also caps useful preferences.
-    The default route lists the standard-order box of the binding
-    composition (1, ..., 1, total - k + 1); ``definitional=True`` runs the
-    all-vectors walk over every composition of ``total`` into k parts (they
-    are closed under reordering, so this is the definition).  For k = 1 or
-    k = ``total`` there is one composition, and both routes walk it.
+    The street has z + total - 1 spots.  ``definitional=True`` takes the
+    definition's route, else the characterization's (module docstring).
     """
     return _listed(_kstrong(total, k, trailer_z, budget, definitional))
 

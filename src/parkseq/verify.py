@@ -1,15 +1,15 @@
 """Named cross-check suites: formulas against sweeps, pinned values, round trips.
 
 Each suite builds the listings of its grid, which meets every budget guard
-in grid order and walks nothing (a listing is walked on first read), and
-returns an iterator of ``(check, params, expected, computed, note)`` rows
-that reads them.  :func:`run_suite` wraps every row in a
+in grid order and walks nothing (:class:`parkseq.enumeration.FamilyListing`),
+and returns an iterator of ``(check, params, expected, computed, note)``
+rows that reads them.  :func:`run_suite` wraps every row in a
 :class:`ReportRecord`; a record passes only when the expected and computed
-values match exactly.  ``_SUITES`` is the
-one table of the suites and their default sizes.  The ``all`` suite chains
-every suite and is the repository's gate: ``parkseq verify --suite all``.
-The suites run the bijections as their kernels on the listings they build
-(:mod:`parkseq.biject` states the rule).
+values match exactly.  ``_SUITES`` is the one table of the suites and their
+default sizes.  The ``all`` suite chains every suite and is the
+repository's gate: ``parkseq verify --suite all``.  The suites run the
+bijections as their kernels on the listings they build (:mod:`parkseq.biject`
+states the rule).
 
 A suite runs each producer once per distinct input that the producer reads,
 and every record of an instance reads the shared result.  Each key is
@@ -19,12 +19,12 @@ the street length never undercuts) and the path shift's check by the
 standard-order bounds, which leave out the last length; the characterized
 set and the contraction's check by (z, step, boundary), the boundary's
 u-PFs (``_upf``) by the boundary; the invariance sweep by the length
-vector, since it runs on the shifted street of :mod:`parkseq.core`, shared
-through ``_inv``'s ``memos``.  A shared result is held only by the grid
-entries that read it, each dropped as it is read (:func:`_spent`), so it
-goes with the last of them.  The walks share memos by group, not by suite,
-to bound memory, and a group's memos go when it is done: ``eq3``'s by
-(total length, last length), the states its instances meet alike whatever
+vector, through ``_inv``'s ``memos``.  A shared result is held only by the
+grid entries that read it, each dropped as it is read (:func:`_spent`), so
+it goes with the last of them.  The walks share memos
+(:func:`parkseq.enumeration._walk`) by group, not by suite, to bound
+memory, and a group's memos go when it is done: ``eq3``'s by (total
+length, last length), which fix the states its instances meet whatever
 their trailers; those of ``determinant``, ``strong`` and ``sps-k`` by the
 trailers of one length vector, multiset or (n, k).
 """
@@ -165,11 +165,7 @@ def _once(made, key, make):
 
 
 def _suite_eq3(max_n, seed, budget):
-    """Each instance's walk count against the product formula, in grid order.
-
-    A walk state is free of the trailer (:mod:`parkseq.core`) and holds the
-    lengths still to park, the last car's among them.
-    """
+    """Each instance's walk count against the product formula, in grid order."""
     instances = list(_instance_grid(max_n))
     groups = {}
     for instance in instances:

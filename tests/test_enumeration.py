@@ -587,6 +587,13 @@ def test_family_listing_rejects_unsorted_members():
         listed.members = ()
 
 
+def test_family_listing_is_never_equal_to_a_non_listing():
+    # __eq__ defers to the other side, and object's answer is False
+    listing = FamilyListing("ps", {}, ((1,), (2,)))
+    assert listing.__eq__(object()) is NotImplemented
+    assert listing != object() and listing != listing.members
+
+
 def test_public_listings_come_spelled_without_their_speller():
     # a call to a public enum_* builds its members before it returns, and the
     # listing keeps neither the count nor the speller, which may hold a walk

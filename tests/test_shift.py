@@ -141,6 +141,16 @@ def test_the_walk_keeps_no_trace_of_the_trailer():
     assert memos[1] == memos[100] == memos[10_000]
 
 
+def test_walk_counts_behind_a_trailer_past_2_to_the_63():
+    # a lifted range from 1 is then wider than len() can report, so each
+    # width is read off the shifted range; the box route never walks
+    huge, budget = 2**63 + 1, 10**70
+    assert _ps_walk(ParkingInstance((1, 2, 1), huge), budget).cardinality == count_ps_product(
+        (1, 2, 1), huge)
+    assert _strong((1, 2, 1), huge, budget, True).cardinality == count_sps((1, 2, 1), huge)
+    assert _kstrong(4, 3, huge, budget, True).cardinality == count_sps_k(4, 3, huge)
+
+
 Z = 10**18
 
 
