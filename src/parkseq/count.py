@@ -42,24 +42,22 @@ def count_ps_product(lengths: Sequence[int], trailer_z: int) -> int:
     return total
 
 
-def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
-    """Number of nondecreasing members, as det[C(b_i, j - i + 1)].
+def _lattice_paths(boundary: Sequence[int]) -> int:
+    """How many nondecreasing 1 <= x_1 <= ... <= x_n have x_i <= b_i, as det[C(b_i, j - i + 1)].
 
-    Here b_1 = z and b_i = z + y_1 + ... + y_{i-1}: the strict right boundary
-    of the matching lattice paths, whose count this determinant is.  The
-    matrix is upper Hessenberg with 1s below the diagonal, so its leading
-    minors satisfy D_0 = 1 and D_k = sum_{i<=k} (-1)^(k-i) C(b_i, k-i+1) D_(i-1),
-    and the count is D_n.  Row i adds its terms to the later minors once
-    D_(i-1) is known, and stops where C(b_i, m) or the matrix runs out.
-    The running term carries the sign, term_m = (-1)^m C(b_i, m) D_(i-1), so
-    each step is one multiply by m - 1 - b_i, one floor division by m (exact,
-    negative or not) and one subtraction from D_(i+m-1).
+    The b_i are nondecreasing and at least 1: the strict right boundary of the
+    lattice paths these tuples spell.  The matrix is upper Hessenberg with 1s
+    below the diagonal, so its leading minors satisfy D_0 = 1 and
+    D_k = sum_{i<=k} (-1)^(k-i) C(b_i, k-i+1) D_(i-1), and the count is D_n.
+    Row i adds its terms to the later minors once D_(i-1) is known, and stops
+    where C(b_i, m) or the matrix runs out.  The running term carries the
+    sign, term_m = (-1)^m C(b_i, m) D_(i-1), so each step is one multiply by
+    m - 1 - b_i, one floor division by m (exact, negative or not) and one
+    subtraction from D_(i+m-1).
     """
-    instance = ParkingInstance(lengths, trailer_z)
-    bounds = standard_order_bounds(instance)
-    n = instance.car_count
+    n = len(boundary)
     minors = [1] + [0] * n
-    for i, bound in enumerate(bounds, start=1):
+    for i, bound in enumerate(boundary, start=1):
         term, factor, m = minors[i - 1], -bound, 1
         for target in range(i, i + min(bound, n - i + 1)):
             term = term * factor // m
@@ -67,6 +65,15 @@ def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
             factor += 1
             m += 1
     return minors[n]
+
+
+def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:
+    """Number of nondecreasing members, by the lattice-path determinant :func:`_lattice_paths`.
+
+    Its boundary is b_1 = z and b_i = z + y_1 + ... + y_{i-1}, the
+    standard-order caps of the members.
+    """
+    return _lattice_paths(standard_order_bounds(ParkingInstance(lengths, trailer_z)))
 
 
 def count_ips_constant(size: int, n: int, trailer_z: int) -> int:

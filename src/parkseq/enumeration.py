@@ -8,10 +8,12 @@ guard and gives a lazy :class:`FamilyListing`.  There are three:
   per car, which keeps the tree of intervals of preferences under which
   every vector of a set of length vectors parks;
 * the standard-order box, the product of the prefix-sum ranges;
-* one capped pass over nondecreasing tuples, parking no car, for the
-  nondecreasing members, the vector parking functions and the lattice
-  paths.  Families closed under reordering come back as the sorted
-  rearrangements of their multisets; :func:`enum_ps_inv` reads its
+* one capped pass over nondecreasing tuples under nondecreasing caps,
+  parking no car, for the nondecreasing members and the lattice paths
+  (:func:`_capped`), counted by the lattice-path determinant
+  (:func:`parkseq.count._lattice_paths`), and for the sorted vector
+  parking functions.  Families closed under reordering come back as the
+  sorted rearrangements of their multisets; :func:`enum_ps_inv` reads its
   multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
@@ -44,6 +46,7 @@ from .core import (
     ParkingInstance, _as_int_tuple, _park, _positive, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
+from .count import _lattice_paths
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -151,21 +154,6 @@ def _nondecreasing(caps: Sequence[int], lowest: int = 1) -> list[tuple[int, ...]
             ]
         members.extend(map(prefix.__add__, pairs))
     return members
-
-
-def _count_nondecreasing(caps: Sequence[int], lowest: int = 1) -> int:
-    """How many tuples :func:`_nondecreasing` lists for these caps, none of them built.
-
-    ``ways[x - lowest]`` counts the valid prefixes ending in x.  The next
-    entry's ways are the prefix sums of these, cut or padded with their
-    total up to its cap.
-    """
-    ways = [1] * (caps[0] - lowest + 1)
-    for cap in caps[1:]:
-        size = cap - lowest + 1
-        ways = list(itertools.accumulate(ways))[:size]
-        ways += ways[-1:] * (size - len(ways))
-    return sum(ways)
 
 
 def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -460,23 +448,30 @@ def _inv(instance: ParkingInstance, budget: int, memos: dict | None = None) -> F
                                lambda: _rearrangements(_unshifted(multisets(), z)))
 
 
+def _capped(family: str, params: dict[str, object], caps: Sequence[int], lowest: int,
+            budget: int) -> FamilyListing:
+    """The capped pass: :func:`_nondecreasing`'s tuples, counted unbuilt.
+
+    The caps are nondecreasing and at least ``lowest``, so the tuples less
+    ``lowest - 1`` are those that :func:`parkseq.count._lattice_paths` counts.
+    """
+    sizes = [cap - lowest + 1 for cap in caps]
+    _guard(math.prod(sizes), budget)
+    return FamilyListing._lazy(family, params, partial(_lattice_paths, sizes),
+                               partial(_nondecreasing, caps, lowest))
+
+
 def _ips(instance: ParkingInstance, budget: int) -> FamilyListing:
-    """The nondecreasing members: the capped pass under the standard-order caps, counted unbuilt."""
-    bounds = standard_order_bounds(instance)
-    _guard(math.prod(bounds), budget)
-    return FamilyListing._lazy("ips", _params(instance), partial(_count_nondecreasing, bounds),
-                               partial(_nondecreasing, bounds))
+    """The nondecreasing members: the capped pass under the standard-order caps."""
+    return _capped("ips", _params(instance), standard_order_bounds(instance), 1, budget)
 
 
 def _paths(boundary: Sequence[int], width: int | None, budget: int) -> FamilyListing:
-    """The lattice paths' steps: the capped pass from 0 under min(b - 1, width), counted unbuilt."""
+    """The lattice paths' steps: the capped pass from 0 under min(b - 1, width)."""
     boundary = check_boundary(boundary)
     width = boundary[-1] - 1 if width is None else _positive(width, "width", minimum=0)
-    caps = [min(b - 1, width) for b in boundary]
-    _guard(math.prod(c + 1 for c in caps), budget)
-    return FamilyListing._lazy("paths", {"boundary": boundary, "width": width},
-                               partial(_count_nondecreasing, caps, 0),
-                               partial(_nondecreasing, caps, 0))
+    return _capped("paths", {"boundary": boundary, "width": width},
+                   [min(b - 1, width) for b in boundary], 0, budget)
 
 
 def _upf(bounds: Sequence[int], budget: int) -> FamilyListing:

@@ -2,14 +2,15 @@
 
 Each suite builds the listings of its grid, which meets every budget guard
 in grid order and walks nothing (:class:`parkseq.enumeration.FamilyListing`),
-and returns an iterator of ``(check, params, expected, computed, note)``
-rows that reads them.  :func:`run_suite` wraps every row in a
-:class:`ReportRecord`; a record passes only when the expected and computed
-values match exactly.  ``_SUITES`` is the one table of the suites and their
-default sizes.  The ``all`` suite chains every suite and is the
-repository's gate: ``parkseq verify --suite all``.  The suites run the
-bijections as their kernels on the listings they build (:mod:`parkseq.biject`
-states the rule).
+and returns the grid as a list of entries ``(rows, *args)``, ``args`` the
+products that ``rows(*args)`` reads into its
+``(check, params, expected, computed, note)`` rows.  :func:`run_suite`
+alone reads the entries, and wraps every row in a :class:`ReportRecord`; a
+record passes only when the expected and computed values match exactly.
+``_SUITES`` is the one table of the suites and their default sizes.  The
+``all`` suite chains every suite and is the repository's gate:
+``parkseq verify --suite all``.  The suites run the bijections as their
+kernels on the listings they build (:mod:`parkseq.biject` states the rule).
 
 A suite runs each producer once per distinct input that the producer reads,
 and every record of an instance reads the shared result.  Each key is
@@ -20,13 +21,13 @@ standard-order bounds, which leave out the last length; the characterized
 set and the contraction's check by (z, step, boundary), the boundary's
 u-PFs (``_upf``) by the boundary; the invariance sweep by the length
 vector, through ``_inv``'s ``memos``.  A shared result is held only by the
-grid entries that read it, each dropped as it is read (:func:`_spent`), so
-it goes with the last of them.  The walks share memos
-(:func:`parkseq.enumeration._walk`) by group, not by suite, to bound
-memory, and a group's memos go when it is done: ``eq3``'s by (total
-length, last length), which fix the states its instances meet whatever
-their trailers; those of ``determinant``, ``strong`` and ``sps-k`` by the
-trailers of one length vector, multiset or (n, k).
+grid entries that read it, and :func:`run_suite` drops each entry before it
+reads the next (:func:`_spent`), so the result goes with the last of them.
+The walks share memos (:func:`parkseq.enumeration._walk`) by group, not by
+suite, to bound memory, and a group's memos go when it is done: ``eq3``'s
+by (total length, last length), which fix the states its instances meet
+whatever their trailers; those of ``determinant``, ``strong`` and ``sps-k``
+by the trailers of one length vector, multiset or (n, k).
 """
 
 from __future__ import annotations
@@ -171,61 +172,58 @@ def _suite_eq3(max_n, seed, budget):
     for instance in instances:
         memos, walks = groups.setdefault((sum(instance.lengths), instance.lengths[-1]), ({}, {}))
         walks[instance] = _ps_walk(instance, budget, memos)
+    return [(_eq3_rows, instances, groups)]
 
-    def rows():
-        counts = {}
-        for memos, walks in groups.values():
-            counts.update((instance, walk.cardinality) for instance, walk in walks.items())
-            memos.clear()
-            walks.clear()
-        for instance in instances:
-            yield ("ps-product-vs-enum", _params(instance),
-                   count_ps_product(instance.lengths, instance.trailer_z), counts[instance],
-                   "product count formula against the exhaustive sweep")
 
-    return rows()
+def _eq3_rows(instances, groups):
+    """The whole grid's rows, its counts read group by group and each group's memos then cleared."""
+    counts = {}
+    for memos, walks in groups.values():
+        counts.update((instance, walk.cardinality) for instance, walk in walks.items())
+        memos.clear()
+        walks.clear()
+    for instance in instances:
+        yield ("ps-product-vs-enum", _params(instance),
+               count_ps_product(instance.lengths, instance.trailer_z), counts[instance],
+               "product count formula against the exhaustive sweep")
 
 
 def _suite_table1(max_n, seed, budget):
-    cases = []
+    grid = []
     for size, row in _TWO_BIG_CAR_COUNTS.items():
         for extra, expected in enumerate(row):
             instance = ParkingInstance((size, size) + (1,) * extra, 1)
-            cases.append((instance, expected, _inv(instance, budget)))
-    return (
-        ("inv-two-big-cars-count", _params(instance), expected, len(inv.members),
-         "pinned reference count")
-        for instance, expected, inv in _spent(cases)
-    )
+            grid.append((_table1_rows, instance, expected, _inv(instance, budget)))
+    return grid
+
+
+def _table1_rows(instance, expected, inv):
+    yield "inv-two-big-cars-count", _params(instance), expected, len(inv.members), "pinned reference count"
 
 
 def _suite_catalan(max_n, seed, budget):
-    cases = [(n, _ips(ParkingInstance((1,) * n, 1), budget)) for n in range(1, max_n + 1)]
+    return [(_catalan_rows, n, _ips(ParkingInstance((1,) * n, 1), budget)) for n in range(1, max_n + 1)]
 
-    def rows():
-        for n, ips in _spent(cases):
-            computed = len(ips.members)
-            yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
-            if n <= len(_CATALAN):
-                yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
 
-    return rows()
+def _catalan_rows(n, ips):
+    computed = len(ips.members)
+    yield "catalan-formula-vs-enum", {"n": n}, fuss_catalan(1, n), computed, "Catalan number"
+    if n <= len(_CATALAN):
+        yield "catalan-pinned", {"n": n}, _CATALAN[n - 1], computed, "pinned reference value"
 
 
 def _suite_fuss(max_n, seed, budget):
-    cases = [(n, _ips(ParkingInstance((2,) * n, 1), budget)) for n in range(1, max_n + 1)]
+    return [(_fuss_rows, n, _ips(ParkingInstance((2,) * n, 1), budget)) for n in range(1, max_n + 1)]
 
-    def rows():
-        for n, ips in _spent(cases):
-            computed = len(ips.members)
-            expected = fuss_catalan(2, n)
-            yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
-            yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
-                   "two closed forms for the same count")
-            if n <= len(_FUSS_ORDER2):
-                yield "fuss-pinned", {"n": n}, _FUSS_ORDER2[n - 1], computed, "pinned reference value"
 
-    return rows()
+def _fuss_rows(n, ips):
+    computed = len(ips.members)
+    expected = fuss_catalan(2, n)
+    yield "fuss-formula-vs-enum", {"n": n}, expected, computed, "Fuss-Catalan number, order 2"
+    yield ("fuss-vs-constant-count", {"n": n}, expected, count_ips_constant(2, n, 1),
+           "two closed forms for the same count")
+    if n <= len(_FUSS_ORDER2):
+        yield "fuss-pinned", {"n": n}, _FUSS_ORDER2[n - 1], computed, "pinned reference value"
 
 
 def _suite_determinant(max_n, seed, budget):
@@ -238,31 +236,25 @@ def _suite_determinant(max_n, seed, budget):
     for _, instances in itertools.groupby(_instance_grid(max_n), key=attrgetter("lengths")):
         memos = {}
         for instance in instances:
-            grid.append((instance, capped(instance),
-                         _ps_walk(instance, budget, memos) if instance.car_count <= 3 else None))
+            grid.append((_determinant_rows, _params(instance), instance, capped(instance),
+                         _ps_walk(instance, budget, memos) if instance.car_count <= 3 else None,
+                         "boundary determinant against the direct sweep"))
     rng = random.Random(seed)
-    samples = []
     for index in range(20):
         lengths = tuple(rng.randint(1, 4) for _ in range(5))
-        z = rng.randint(1, 3)
-        samples.append((index, lengths, z, capped(ParkingInstance(lengths, z))))
+        instance = ParkingInstance(lengths, rng.randint(1, 3))
+        grid.append((_determinant_rows, {**_params(instance), "sample": index}, instance,
+                     capped(instance), None, f"seeded sample (seed {seed})"))
+    return grid
 
-    def rows():
-        for instance, ips, ps in _spent(grid):
-            params = _params(instance)
-            yield ("ips-determinant-vs-enum", params,
-                   count_ips_determinant(instance.lengths, instance.trailer_z), len(ips.members),
-                   "boundary determinant against the direct sweep")
-            if ps is not None:
-                filtered = tuple(m for m in ps.members if all(map(le, m, m[1:])))
-                yield ("ips-methods-agree", params, True, ips.members == filtered,
-                       "bound generation equals filtering the simulation sweep")
-        for index, lengths, z, ips in _spent(samples):
-            yield ("ips-determinant-vs-enum", {"lengths": lengths, "trailer": z, "sample": index},
-                   count_ips_determinant(lengths, z), len(ips.members),
-                   f"seeded sample (seed {seed})")
 
-    return rows()
+def _determinant_rows(params, instance, ips, ps, note):
+    yield ("ips-determinant-vs-enum", params,
+           count_ips_determinant(instance.lengths, instance.trailer_z), len(ips.members), note)
+    if ps is not None:
+        filtered = tuple(m for m in ps.members if all(map(le, m, m[1:])))
+        yield ("ips-methods-agree", params, True, ips.members == filtered,
+               "bound generation equals filtering the simulation sweep")
 
 
 def _suite_inv_characterizations(max_n, seed, budget):
@@ -270,7 +262,7 @@ def _suite_inv_characterizations(max_n, seed, budget):
 
     The images are compared in order, as :func:`_bijection` compares them.
     """
-    cases, memos, sets, families = [], {}, {}, {}
+    grid, memos, sets, families = [], {}, {}, {}
     for kind, instance, count in _invariant_grid(max_n):
         step, boundary = _invariant_contraction(instance)
         inv = _inv(instance, budget, memos)
@@ -278,75 +270,72 @@ def _suite_inv_characterizations(max_n, seed, budget):
                  if kind == "two-block" else None)
         characterized = _once(sets, (instance.trailer_z, step, boundary),
                               lambda: cache(partial(_characterized_set, instance)))
-        cases.append((kind, instance, count, inv, image, characterized, step))
+        grid.append((_inv_rows, kind, instance, count, inv, image, characterized, step))
+    return grid
 
-    def rows():
-        for kind, instance, count, inv, boundary_family, characterized, step in _spent(cases):
-            params = _params(instance)
-            yield (f"inv-{kind}-set", params, True, inv.members == characterized(),
-                   "sweep equals the characterized set")
-            yield f"inv-{kind}-count", params, count, len(inv.members), "count formula"
-            if boundary_family is not None:
-                images = tuple(map(partial(_contract, instance.trailer_z, step), inv.members))
-                yield ("inv-two-block-image", params, True, images == boundary_family.members,
-                       "contraction maps the sweep onto the boundary family")
 
-    return rows()
+def _inv_rows(kind, instance, count, inv, boundary_family, characterized, step):
+    params = _params(instance)
+    yield (f"inv-{kind}-set", params, True, inv.members == characterized(),
+           "sweep equals the characterized set")
+    yield f"inv-{kind}-count", params, count, len(inv.members), "count formula"
+    if boundary_family is not None:
+        images = tuple(map(partial(_contract, instance.trailer_z, step), inv.members))
+        yield ("inv-two-block-image", params, True, images == boundary_family.members,
+               "contraction maps the sweep onto the boundary family")
 
 
 def _suite_strong(max_n, seed, budget):
     """The definition's walk against the box."""
-    cases = []
+    grid = []
     for n in range(2, max_n + 1):
         for lengths in itertools.combinations_with_replacement((1, 2, 3), n):
             if len(set(lengths)) == 1:
                 continue
             memos = {}
             for z in (1, 2):
-                cases.append((lengths, z, _strong(lengths, z, budget, True, memos),
-                              _strong(lengths, z, budget, False)))
+                grid.append((_strong_rows, lengths, z, _strong(lengths, z, budget, True, memos),
+                             _strong(lengths, z, budget, False)))
+    return grid
 
-    def rows():
-        for lengths, z, swept, boxed in _spent(cases):
-            params = {"lengths": lengths, "trailer": z}
-            yield ("strong-definition-vs-bounds", params, True, swept.members == boxed.members,
-                   "rearrangement intersection equals the standard-order box")
-            yield ("strong-count", params, count_sps(lengths, z), len(swept.members),
-                   "partial-sum product formula")
-            if len(lengths) == 2:
-                box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
-                yield ("strong-pair-box", params, box, swept.members,
-                       "two cars: box [z] x [z + smaller length]")
 
-    return rows()
+def _strong_rows(lengths, z, swept, boxed):
+    params = {"lengths": lengths, "trailer": z}
+    yield ("strong-definition-vs-bounds", params, True, swept.members == boxed.members,
+           "rearrangement intersection equals the standard-order box")
+    yield "strong-count", params, count_sps(lengths, z), len(swept.members), "partial-sum product formula"
+    if len(lengths) == 2:
+        box = tuple(itertools.product(range(1, z + 1), range(1, z + lengths[0] + 1)))
+        yield "strong-pair-box", params, box, swept.members, "two cars: box [z] x [z + smaller length]"
 
 
 def _suite_sps_k(max_n, seed, budget):
     """Pinned listings, counts, and for n <= 4 the definition against the characterized set."""
-    pinned = [(k, expected, _kstrong(3, k, 1, budget, False)) for k, expected in _KSTRONG_N3.items()]
-    cases = []
+    grid = [(_kstrong_pinned_rows, k, expected, _kstrong(3, k, 1, budget, False))
+            for k, expected in _KSTRONG_N3.items()]
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             memos = {}
             for z in (1, 2, 3):
                 listing = _kstrong(n, k, z, budget, False, memos)
                 definitional = _kstrong(n, k, z, budget, True, memos) if n <= 4 else None
-                cases.append((n, k, z, listing, definitional))
+                grid.append((_kstrong_rows, n, k, z, listing, definitional))
+    return grid
 
-    def rows():
-        for k, expected, listing in _spent(pinned):
-            yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected,
-                   listing.members, "pinned reference listing")
-        for n, k, z, listing, definitional in _spent(cases):
-            params = {"n": n, "k": k, "trailer": z}
-            yield ("kstrong-count", params, count_sps_k(n, k, z), len(listing.members),
-                   "rising factorial, or the unit-car count when k = n")
-            if definitional is not None:
-                yield ("kstrong-definition-vs-characterization", params, True,
-                       definitional.members == listing.members,
-                       "composition intersection equals the characterized set")
 
-    return rows()
+def _kstrong_pinned_rows(k, expected, listing):
+    yield ("kstrong-listing", {"n": 3, "k": k, "trailer": 1}, expected, listing.members,
+           "pinned reference listing")
+
+
+def _kstrong_rows(n, k, z, listing, definitional):
+    params = {"n": n, "k": k, "trailer": z}
+    yield ("kstrong-count", params, count_sps_k(n, k, z), len(listing.members),
+           "rising factorial, or the unit-car count when k = n")
+    if definitional is not None:
+        yield ("kstrong-definition-vs-characterization", params, True,
+               definitional.members == listing.members,
+               "composition intersection equals the characterized set")
 
 
 def _suite_bijections(max_n, seed, budget):
@@ -365,7 +354,7 @@ def _suite_bijections(max_n, seed, budget):
         checked = _once(checks, bounds, lambda: cache(partial(
             _bijection, partial(getattr, _ips(instance, budget), "members"), _to_path, _from_path,
             _paths(bounds, None, budget))))
-        grid.append((shift, instance, checked))
+        grid.append((_bijection_rows, shift, instance, checked))
     for kind, instance, _ in _invariant_grid(max_n):
         if kind in ("constant", "two-block"):
             (step, boundary), z = _invariant_contraction(instance), instance.trailer_z
@@ -376,15 +365,14 @@ def _suite_bijections(max_n, seed, budget):
             contraction = (
                 (f"contraction-{kind}-roundtrip", "contraction then expansion is the identity"),
                 (f"contraction-{kind}-image", "characterized set maps onto the boundary family"))
-            grid.append((contraction, instance, checked))
+            grid.append((_bijection_rows, contraction, instance, checked))
+    return grid
 
-    def rows():
-        for pairs, instance, checked in _spent(grid):
-            params = _params(instance)
-            for (check, note), passed in zip(pairs, checked()):
-                yield check, params, True, passed, note
 
-    return rows()
+def _bijection_rows(pairs, instance, checked):
+    params = _params(instance)
+    for (check, note), passed in zip(pairs, checked()):
+        yield check, params, True, passed, note
 
 
 def _bijection(domain, there, back, family):
@@ -437,5 +425,7 @@ def run_suite(
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
     # each suite meets every budget guard of its grid as it is called, so all
     # of them are met before the first walk or listing of any
-    rows = [suite(default if max_n is None else max_n, seed, budget) for suite, default in suites]
-    return [ReportRecord(*row) for suite_rows in rows for row in suite_rows]
+    grids = [suite(default if max_n is None else max_n, seed, budget) for suite, default in suites]
+    # each entry is dropped before the next is read, so a product shared by
+    # entries goes with the last of them
+    return [ReportRecord(*row) for grid in grids for rows, *args in _spent(grid) for row in rows(*args)]

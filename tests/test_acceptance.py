@@ -9,6 +9,7 @@ once, and a digest of all its records pins the gate's output.
 import gc
 import hashlib
 import re
+import weakref
 
 import pytest
 
@@ -238,6 +239,33 @@ def test_gate_records_are_pinned(suites):
 def test_sized_gate_records_are_pinned(max_n):
     records = run_suite("all", max_n=max_n)
     assert (len(records), _digest(records)) == SIZED_GATE[max_n]
+
+
+def test_run_suite_drops_each_grid_entry_before_reading_the_next(monkeypatch):
+    # what only the first entry holds is gone once the second entry's rows run
+    class Product:
+        pass
+
+    held = []
+
+    def first(product):
+        yield "first", {}, True, True, "reads the product"
+
+    def second():
+        yield "second", {}, None, held[0](), "the first entry's product, by weak reference"
+
+    def suite(max_n, seed, budget):
+        product = Product()
+        held.append(weakref.ref(product))
+        return [(first, product), (second,)]
+
+    monkeypatch.setattr(verify, "_SUITES", {"eq3": (suite, 1)})
+    gc.disable()  # the product is freed by its count, not by a collection
+    try:
+        records = run_suite("eq3")
+    finally:
+        gc.enable()
+    assert [record.passed for record in records] == [True, True]
 
 
 def test_unknown_suite_is_refused():

@@ -254,9 +254,12 @@ class TestExitCodes:
         assert run(["verify", "--suite", "table1"]) == 0
 
     def test_verify_mismatch_is_three(self, monkeypatch, capsys):
-        # a one-row suite whose formula disagrees with its sweep
+        # a one-entry suite whose one row's formula disagrees with its sweep
+        def rows(n):
+            yield "made-up", {"n": n, "trailer": 2}, 5, 6, "a deliberate mismatch"
+
         def suite(max_n, seed, budget):
-            yield "made-up", {"n": max_n, "trailer": 2}, 5, 6, "a deliberate mismatch"
+            return [(rows, max_n)]
 
         monkeypatch.setattr(parkseq.verify, "_SUITES", {"eq3": (suite, 1)})
         assert run(["verify", "--suite", "eq3"]) == 3
@@ -390,7 +393,7 @@ class TestFileDumps:
             ["--family", "kstrong", "--n", "5", "--k", "3"],
             ["--family", "inv", "--lengths", "2,1,2", "--trailer", "2"],
             ["--family", "upf", "--boundary", "1,3,4"],
-            # the capped walk, counted by prefix sums
+            # the capped pass, counted by the lattice-path determinant
             ["--family", "ips", "--lengths", "2,1,2", "--trailer", "2"],
             ["--family", "paths", "--boundary", "1,3,4", "--width", "2"],
         ],
@@ -410,8 +413,8 @@ class TestFileDumps:
             raise AssertionError("--count-only built a member")
 
         # what spells the members of the walk (and translates its nodes), the
-        # box, the reordering-closed families and the capped walk; upf counts
-        # its sorted members, so it runs the capped walk
+        # box, the reordering-closed families and the capped pass; upf counts
+        # its sorted members, so it runs the capped pass
         spellers = ["_spelled", "_emit", "_box_members", "_rearrangements"]
         if route[1] != "upf":
             spellers.append("_nondecreasing")

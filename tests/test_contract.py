@@ -129,7 +129,7 @@ def test_returns_its_type_or_refuses(name, data):
 
 
 # What an admitted request does first: the walk's step, the invariance sweep
-# (which the enumeration module imports by name), the capped walk and the box.
+# (which the enumeration module imports by name), the capped pass and the box.
 WORK = ((parkseq.enumeration, "_steps"), (parkseq.classify, "_ordering_sweep"),
         (parkseq.enumeration, "_ordering_sweep"), (parkseq.enumeration, "_nondecreasing"),
         (parkseq.enumeration, "_box_members"))

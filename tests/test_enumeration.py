@@ -35,9 +35,9 @@ from parkseq import (
 from parkseq import classify, enumeration, verify
 from parkseq.biject import _invariant_contraction
 from parkseq.core import _park, standard_order_bounds
+from parkseq.count import _lattice_paths
 from parkseq.enumeration import (
-    _count_nondecreasing, _inv, _ips, _kstrong, _nondecreasing, _paths, _ps_walk, _strong, _upf,
-    _walk,
+    _inv, _ips, _kstrong, _nondecreasing, _paths, _ps_walk, _strong, _upf, _walk,
 )
 from parkseq.verify import SUITE_NAMES
 
@@ -123,13 +123,13 @@ def test_nondecreasing_edge_cases_match_the_product_filter():
 
 
 def test_nondecreasing_count_matches_the_listing():
-    # every caps tuple of up to four entries from 0..4, decreasing ones and
-    # a cap of 0 under lowest 1 included, for both lowest values the callers use
+    # every nondecreasing caps tuple of up to four entries from lowest..4, the
+    # only caps the capped pass is given, for both lowest values it uses
     for n in range(1, 5):
-        for caps in itertools.product(range(5), repeat=n):
-            for lowest in (0, 1):
-                assert _count_nondecreasing(caps, lowest) == len(_nondecreasing(caps, lowest)), (
-                    caps, lowest)
+        for lowest in (0, 1):
+            for caps in itertools.combinations_with_replacement(range(lowest, 5), n):
+                assert _lattice_paths([cap - lowest + 1 for cap in caps]) == len(
+                    _nondecreasing(caps, lowest)), (caps, lowest)
 
 
 def test_enum_ips_two_pairs():

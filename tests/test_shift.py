@@ -23,6 +23,7 @@ from parkseq import (
     count_inv_constant,
     count_inv_strictly_increasing,
     count_inv_two_block,
+    count_ips_determinant,
     count_ps_product,
     count_sps,
     count_sps_k,
@@ -36,7 +37,7 @@ from parkseq import (
     is_strong_ps,
     simulate,
 )
-from parkseq.enumeration import _inv, _kstrong, _ps_walk, _strong
+from parkseq.enumeration import _inv, _ips, _kstrong, _paths, _ps_walk, _strong
 
 TRAILERS = (2, 3, 5)
 LENGTHS = (
@@ -149,6 +150,15 @@ def test_walk_counts_behind_a_trailer_past_2_to_the_63():
         (1, 2, 1), huge)
     assert _strong((1, 2, 1), huge, budget, True).cardinality == count_sps((1, 2, 1), huge)
     assert _kstrong(4, 3, huge, budget, True).cardinality == count_sps_k(4, 3, huge)
+
+
+def test_capped_pass_counts_under_caps_past_2_to_the_63():
+    # the count reads the caps, never a list as long as the first of them
+    z, budget = 10**19, 10**70
+    expected = 166666666666666666866666666666666666715000000000000000000
+    assert _ips(ParkingInstance((1, 2, 1), z), budget).cardinality == count_ips_determinant(
+        (1, 2, 1), z) == expected
+    assert _paths((z, z), None, budget).cardinality == z * (z + 1) // 2
 
 
 Z = 10**18

@@ -7,7 +7,8 @@ From the root of a source checkout:
 Each function in ``TARGETS`` is marked with one of two ways to survey it.
 A ``WHOLE`` function has every line of its body mutated; the bijection
 kernels of ``src/parkseq/biject.py``, the "every ordering parks" sweep
-of ``src/parkseq/classify.py``, the walk, its lift and its two readers in
+of ``src/parkseq/classify.py``, the lattice-path count of
+``src/parkseq/count.py``, the walk, its lift and its two readers in
 ``src/parkseq/enumeration.py``, and the one check of both bijections in
 ``src/parkseq/verify.py`` are marked so.  An ``ADDED``
 function has only the lines that ``git diff REV`` adds to it (the working tree
@@ -49,13 +50,14 @@ TARGETS = {
     "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
     "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
     "classify": {"is_parking_sequence": ADDED, "_ordering_sweep": WHOLE},
+    "count": {"_lattice_paths": WHOLE},
     "enumeration": {"_unshifted": ADDED,
                     **dict.fromkeys(("_steps", "_lifted", "_count", "_spelled"), WHOLE)},
     "verify": {"_bijection": WHOLE},
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-LIMIT = 96  # mutants per survey; the WHOLE functions alone make 83
+LIMIT = 128  # mutants per survey; the WHOLE functions alone make 97
 TIMEOUT_S = 300  # per run; Tier-1 takes about a minute on a 2-vCPU host
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+", "==": "!=", "!=": "==",
          "and": "or", "or": "and"}
