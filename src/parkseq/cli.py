@@ -22,10 +22,16 @@ flags its ``--formula`` choices read in ``_FORMULAS``, and every command takes
 anything but its default, as a usage error.
 
 The argparse tree is built once per process, on the first ``run`` call (so
-importing this module builds nothing), and every later call parses with the
-same parser.  ``parse_args`` returns a fresh namespace each time and every
-default is immutable, so no state passes from one call to the next; handlers
-may write to their own namespace but must never mutate the parser.
+importing this module builds nothing).  A request whose first word is a
+command is parsed by that command's own parser, the tree's subparser, whose
+defaults set ``command`` and ``func``.  The whole tree parses every other
+request (help, a missing or unknown command) and every request that the
+command's parser leaves arguments over from, so argparse's messages come
+from one place.  Each parse returns a fresh namespace and every default is
+immutable, so no state passes from one call to the next; handlers may write
+to their own namespace but must never mutate a parser.  Every ``--json``
+document is printed by one encoder, which checks for no cycles: a document
+is a tree that its handler has just built.
 """
 
 from __future__ import annotations
@@ -164,10 +170,13 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+_JSON = json.JSONEncoder(indent=2, check_circular=False)
+
+
 def _print_answer(command: str, doc: dict, lines: Iterable, as_json: bool, file=None) -> None:
     """Print one answer to ``file`` (stdout when None): the document, else the text lines."""
     if as_json:
-        print(json.dumps({"command": command, **doc}, indent=2), file=file)
+        print(_JSON.encode({"command": command, **doc}), file=file)
     else:
         for line in lines:
             print(line, file=file)
@@ -382,14 +391,32 @@ def build_parser() -> argparse.ArgumentParser:
                 keywords["choices"] = choices
             names = (f"--{flag.replace('_', '-')}", *keywords.pop("aliases", ()))
             sub.add_argument(*names, **keywords)
-        sub.set_defaults(func=handler)
+        sub.set_defaults(command=command, func=handler)
     return parser
+
+
+@functools.cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser by name: the subparsers of :func:`build_parser`'s tree."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The namespace of one request, by its command's parser when it names one (module docstring)."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _command_parsers().get(argv[0]) if argv else None
+    if parser is not None:
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse, answer and print (module docstring); returns the exit code, never SystemExit."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

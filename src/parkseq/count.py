@@ -5,6 +5,12 @@ expanded minor by minor down its upper Hessenberg matrix, dividing only
 where a binomial ratio is exact, and the two closed forms that divide a
 binomial assert divisibility instead of rounding.  Each count is checked
 against its brute-force listing by the ``verify`` suites.
+
+The u-parking functions of a nondecreasing boundary u_1 <= ... <= u_n
+(the sequences whose i-th smallest entry is at most u_i) are counted by a
+recurrence on the prefixes of u (Pitman and Stanley 2002; the Goncharov
+polynomials of Kung and Yan 2003): E_0 = 1 and
+E_m = sum_{k<=m} (-1)^(m-k) C(m, k-1) u_k^(m-k+1) E_(k-1), and the count is E_n.
 """
 
 from __future__ import annotations
@@ -65,6 +71,24 @@ def _lattice_paths(boundary: Sequence[int]) -> int:
             factor += 1
             m += 1
     return minors[n]
+
+
+def _u_parking(bounds: Sequence[int]) -> int:
+    """How many u-parking functions the nondecreasing ``bounds`` >= 1 have, by the recurrence.
+
+    The module docstring states the recurrence.  Row k adds its terms to the
+    later E_m once E_(k-1) is known; the running term (-u_k)^(m-k) u_k E_(k-1)
+    carries the sign and the power, so each step is one binomial, two
+    multiplies and one addition.
+    """
+    n = len(bounds)
+    counts = [1] + [0] * n
+    for k, u in enumerate(bounds, start=1):
+        term = u * counts[k - 1]
+        for m in range(k, n + 1):
+            counts[m] += math.comb(m, k - 1) * term
+            term *= -u
+    return counts[n]
 
 
 def count_ips_determinant(lengths: Sequence[int], trailer_z: int) -> int:

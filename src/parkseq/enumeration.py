@@ -12,9 +12,11 @@ guard and gives a lazy :class:`FamilyListing`.  There are three:
   parking no car, for the nondecreasing members and the lattice paths
   (:func:`_capped`), counted by the lattice-path determinant
   (:func:`parkseq.count._lattice_paths`), and for the sorted vector
-  parking functions.  Families closed under reordering come back as the
-  sorted rearrangements of their multisets; :func:`enum_ps_inv` reads its
-  multisets from the last layer of :func:`parkseq.classify._ordering_sweep`.
+  parking functions, counted by their recurrence
+  (:func:`parkseq.count._u_parking`).  Families closed under reordering
+  come back as the sorted rearrangements of their multisets;
+  :func:`enum_ps_inv` reads its multisets from the last layer of
+  :func:`parkseq.classify._ordering_sweep`.
 
 ``ps`` is the walk on the instance's one vector.  :func:`_strong` and
 :func:`_kstrong` choose the route of the strong and k-strong families, once
@@ -46,7 +48,7 @@ from .core import (
     ParkingInstance, _as_int_tuple, _park, _positive, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
-from .count import _lattice_paths
+from .count import _lattice_paths, _u_parking
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -161,7 +163,7 @@ def _rearrangements(multisets: Iterable[Sequence[int]]) -> tuple[tuple[int, ...]
     return tuple(sorted(itertools.chain.from_iterable(map(distinct_permutations, multisets))))
 
 
-def _orderings(multisets: Iterable[Sequence[int]], n: int, ones: int = 1) -> int:
+def _orderings(multisets: Iterable[Sequence[int]], n: int, ones: int) -> int:
     """How many orderings the n-multisets have in all, each 1 standing for ``ones`` values.
 
     That is the sum of ones^m_1 n! / prod m_v!, m_v the copies of v.
@@ -475,13 +477,15 @@ def _paths(boundary: Sequence[int], width: int | None, budget: int) -> FamilyLis
 
 
 def _upf(bounds: Sequence[int], budget: int) -> FamilyListing:
-    """The vector parking functions: the orderings of the sorted ones, counted unbuilt."""
+    """The vector parking functions, counted unbuilt.
+
+    The count is :func:`parkseq.count._u_parking`; the members are the
+    orderings of the sorted ones.
+    """
     bounds = check_boundary(bounds)
     _guard(bounds[-1] ** len(bounds), budget)
-    sorted_members = cache(partial(_nondecreasing, bounds))
-    return FamilyListing._lazy("upf", {"boundary": bounds},
-                               lambda: _orderings(sorted_members(), len(bounds)),
-                               lambda: _rearrangements(sorted_members()))
+    return FamilyListing._lazy("upf", {"boundary": bounds}, partial(_u_parking, bounds),
+                               lambda: _rearrangements(_nondecreasing(bounds)))
 
 
 def enum_ps(instance: ParkingInstance, budget: int = DEFAULT_BUDGET) -> FamilyListing:

@@ -29,6 +29,7 @@ from parkseq.cli import (
     build_parser,
     run,
 )
+from parkseq.enumeration import BudgetExceededError
 from parkseq.verify import SUITE_NAMES
 
 
@@ -305,6 +306,11 @@ class TestOutputs:
         assert capsys.readouterr().out == f"{count_ps_product((1, 2, 1, 3), 10_000)}\n"
         assert run([*argv, "--count-only"]) == 4
 
+    def test_enumerate_upf_count_only_on_a_boundary_of_10_million(self, capsys):
+        # counted by the recurrence, not by 10^7 sorted members
+        assert run(["enumerate", "--family", "upf", "--boundary", "10000000", "--count-only"]) == 0
+        assert capsys.readouterr().out == "10000000\n"
+
     def test_enumerate_paths_family(self, capsys):
         run(["enumerate", "--family", "paths", "--boundary", "1,2,3", "--count-only"])
         assert capsys.readouterr().out.strip() == "5"
@@ -413,12 +419,8 @@ class TestFileDumps:
             raise AssertionError("--count-only built a member")
 
         # what spells the members of the walk (and translates its nodes), the
-        # box, the reordering-closed families and the capped pass; upf counts
-        # its sorted members, so it runs the capped pass
-        spellers = ["_spelled", "_emit", "_box_members", "_rearrangements"]
-        if route[1] != "upf":
-            spellers.append("_nondecreasing")
-        for speller in spellers:
+        # box, the reordering-closed families and the capped pass
+        for speller in ["_spelled", "_emit", "_box_members", "_rearrangements", "_nondecreasing"]:
             monkeypatch.setattr(parkseq.enumeration, speller, refuse)
         assert run([*argv, "--count-only"]) == 0
         assert capsys.readouterr().out == f"{doc['result']['cardinality']}\n"
@@ -858,6 +860,89 @@ class TestSharedParser:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("usage: parkseq " + (command or ""))
+
+
+# Requests that reach every branch of the dispatch: each command, help in each
+# position, a missing or unknown command, stray arguments, abbreviated and
+# ambiguous options, --flag=value, --z, negative integers and "--".
+DISPATCH_ARGV = [
+    [], ["-h"], ["--help"], ["--help", "count"], ["bogus"], ["sim"], ["--json", "count"],
+    ["--", "count", "--formula", "fuss", "--k", "2", "--n", "3"], ["-1"],
+    ["simulate", "--lengths", "2,2", "--prefs", "2,1"],
+    ["simulate", "--lengths", "1,2", "--z", "3", "--prefs", "1,3", "--render", "--json"],
+    ["simulate", "--len", "1,2", "--pre=3,1", "--ren"],
+    ["simulate", "--lengths", "1", "--prefs", "1", "-h"],
+    ["simulate", "--lengths", "1"], ["simulate"], ["simulate", "-h", "--lengths", "x"],
+    ["simulate", "--lengths", "a", "--prefs", "1"],
+    ["simulate", "--lengths", "1", "--prefs", "1", "extra"],
+    ["simulate", "--", "--lengths", "1", "--prefs", "1"],
+    ["simulate", "--lengths", "1", "--prefs", "1", "--"],
+    ["simulate", "--lengths", "1", "--prefs", "1", "--", "x"],
+    ["check", "--family=ps", "--lengths=1,2", "--prefs=3,1", "--json"],
+    ["check", "--fam", "kstrong", "--n", "4", "--prefs", "2,1,1"],
+    ["check", "--family", "ps", "--lengths", "1,2", "--prefs", "-1,1"],
+    ["check", "--family", "upf", "--boundary", "1,2,3", "--prefs", "2,1,1", "--json", "--help"],
+    ["check", "--family", "kstrong", "--n", "3", "--k", "5", "--prefs", "1"],
+    ["check", "--family", "nonsense", "--prefs", "1"], ["check", "--help"],
+    ["enumerate", "--family", "upf", "--boundary", "1,1,3", "--json"],
+    ["enumerate", "--family", "ips", "--lengths", "1,2,2", "--count-only", "--json"],
+    ["enumerate", "--family", "ps", "--lengths", "1", "--b", "5"],
+    ["enumerate", "--family", "ps", "--lengths", "1,1,1,1", "--budget", "5"],
+    ["enumerate", "--family", "ps", "--lengths", "1,2", "--budget", "-1"],
+    ["enumerate", "--family", "ps", "--lengths", "1,2", "--trailer", "2", "--width", "3"],
+    ["enumerate", "-h"],
+    ["count", "--formula", "ps", "--lengths", "1,2,2", "--z", "2", "--json"],
+    ["count", "--formula", "ps", "--formula", "ips-det", "--lengths", "1,2,2"],
+    ["count", "--formula", "inv-inc", "--n", "-1"],
+    ["count", "--formula", "fuss", "--k", "-2", "--n", "3"],
+    ["count", "--formula", "ps", "--lengths", "1", "-1"],
+    ["count", "--formula", "ps", "--lengths", "1", "--bogus"],
+    ["count", "--formula", "sps-k", "--n", "four"], ["count", "--formula", "nope"], ["count", "--help"],
+    ["verify", "--suite", "fuss", "--max-n", "2"],
+    ["verify", "--suite", "catalan", "--max-n", "2", "--json"],
+    ["verify", "--suite", "fuss", "--max-n", "2", "x", "y"],
+    ["verify", "--suite", "eq3", "--max-n", "0"], ["verify", "-h"],
+]
+
+
+def _through_the_tree(argv):
+    """(exit code, stdout, stderr) of ``argv`` parsed by the whole tree, then answered by its handler."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = build_parser().parse_args(argv)
+            doc, lines, code = args.func(args)
+            if args.json:
+                print(json.dumps({"command": args.command, **doc}, indent=2))
+            else:
+                for line in lines:
+                    print(line)
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 4
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_a_command_parser_answers_as_the_whole_tree(argv):
+    assert _run_captured(argv) == _through_the_tree(argv)
+
+
+def test_a_request_its_command_parser_takes_whole_skips_the_tree(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the whole tree parsed a request its command's parser took")
+
+    flags, params, value = COUNT_DOCS["ps"]
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    assert run(["count", "--formula", "ps", *flags.split(), "--json"]) == 0
+    assert capsys.readouterr().out == _document("count", params, {"value": value})
+    with pytest.raises(AssertionError, match="whole tree"):
+        run(["count", "--formula", "ps", *flags.split(), "stray"])
 
 
 # Each command's options as argparse holds them: option strings, then (type,

@@ -25,6 +25,7 @@ from parkseq import (
     enum_u_pf,
     fuss_catalan,
 )
+from parkseq.count import _u_parking
 
 
 def _fraction_determinant(matrix):
@@ -263,3 +264,21 @@ class TestArithmeticBoundaryCount:
     def test_matches_sweep(self):
         assert enum_u_pf((2, 3)).cardinality == 8
         assert enum_u_pf((1, 2, 3)).cardinality == count_inv_constant(3, 1)
+
+
+class TestUParkingRecurrence:
+    def test_matches_the_listings_on_every_small_boundary(self):
+        boundaries = [bounds for n in range(1, 6)
+                      for bounds in itertools.combinations_with_replacement(range(1, 8), n)]
+        assert len(boundaries) == 791
+        for bounds in boundaries:
+            assert _u_parking(bounds) == len(enum_u_pf(bounds).members), bounds
+
+    def test_staircase_of_200(self):
+        # the classical parking functions of length 200: (n + 1)^(n - 1)
+        assert _u_parking(range(1, 201)) == 201**199
+
+    @pytest.mark.parametrize("z", [1, 2, 5])
+    def test_shifted_staircase_is_the_constant_invariant_count(self, z):
+        for n in (1, 2, 7, 40, 120):
+            assert _u_parking(range(z, z + n)) == z * (z + n) ** (n - 1), (n, z)

@@ -374,8 +374,8 @@ def test_walk_count_matches_the_listing_and_the_closed_forms():
 
 
 def test_unspelled_counts_match_the_listings():
-    # the box counts the product of its bounds, inv and upf the orderings of
-    # their multisets; each must agree with the members it spells
+    # the box counts the product of its bounds, inv the orderings of its
+    # multisets and upf by its recurrence; each must agree with the members it spells
     for n in range(1, 5):
         for lengths in itertools.product((1, 2, 3), repeat=n):
             for z in (1, 2):
@@ -391,6 +391,16 @@ def test_unspelled_counts_match_the_listings():
         for bounds in itertools.combinations_with_replacement(range(1, 6), n):
             listing = _upf(bounds, DEFAULT_BUDGET)
             assert listing.cardinality == len(listing.members), bounds
+
+
+def test_upf_counts_without_spelling_a_member(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the count built a sorted member")
+
+    monkeypatch.setattr(enumeration, "_nondecreasing", refuse)
+    assert _upf(range(1, 9), DEFAULT_BUDGET).cardinality == 9**7
+    assert _upf((2, 3, 3), DEFAULT_BUDGET).cardinality == 26
+    assert _upf((10**8,), DEFAULT_BUDGET).cardinality == 10**8
 
 
 def test_walk_parks_each_merged_state_once(monkeypatch):

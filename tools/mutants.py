@@ -7,10 +7,11 @@ From the root of a source checkout:
 Each function in ``TARGETS`` is marked with one of two ways to survey it.
 A ``WHOLE`` function has every line of its body mutated; the bijection
 kernels of ``src/parkseq/biject.py``, the "every ordering parks" sweep
-of ``src/parkseq/classify.py``, the lattice-path count of
-``src/parkseq/count.py``, the walk, its lift and its two readers in
-``src/parkseq/enumeration.py``, and the one check of both bijections in
-``src/parkseq/verify.py`` are marked so.  An ``ADDED``
+of ``src/parkseq/classify.py``, the lattice-path count and the
+u-parking-function recurrence of ``src/parkseq/count.py``, the walk, its
+lift and its two readers in ``src/parkseq/enumeration.py``, the one check
+of both bijections in ``src/parkseq/verify.py``, and the request parse and
+``run`` of ``src/parkseq/cli.py`` are marked so.  An ``ADDED``
 function has only the lines that ``git diff REV`` adds to it (the working tree
 against REV) mutated, and of those only the lines that build the shifted
 street's mask or name the trailer or its shift (``lift``, ``z`` or
@@ -24,9 +25,14 @@ so are ``+`` and ``-``, ``==`` and ``!=``, and ``and`` and ``or``.  At most
 Each mutant is written into a copy of the checkout under DIR, never into the
 checkout itself.  It is killed when the gate (``parkseq verify --suite
 all``) fails, or else Tier-1 (``pytest -x``) does, or either outruns
-``TIMEOUT_S`` seconds: a hang counts as a kill.  The survivors are printed
-by module and line; those listed in ``EQUIVALENT``, which no input can tell
-from the original, are marked so and do not count against the kill rate.
+``TIMEOUT_S`` seconds or ``MEMORY_CAP`` bytes of address space: a hang or a
+runaway allocation counts as a kill.  Without the cap, a mutant of
+``_ordering_sweep``'s count-field mask grew the gate past 7 GB in 30 s.
+The survivors are printed by module and line; those listed in
+``EQUIVALENT``, which no input can tell from the original, are marked so
+and do not count against the kill rate.  A table then gives, per module,
+the mutants, those the gate kills, those only Tier-1 kills, and the
+equivalent and the real survivors.
 One mutant runs at a time, so the survey takes minutes, not seconds.
 """
 
@@ -37,6 +43,7 @@ import ast
 import io
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -50,15 +57,19 @@ TARGETS = {
     "biject": dict.fromkeys(("_to_path", "_from_path", "_contract", "_expand"), WHOLE),
     "core": dict.fromkeys(("_empty_street", "simulate"), ADDED),
     "classify": {"is_parking_sequence": ADDED, "_ordering_sweep": WHOLE},
-    "count": {"_lattice_paths": WHOLE},
+    "count": dict.fromkeys(("_lattice_paths", "_u_parking"), WHOLE),
     "enumeration": {"_unshifted": ADDED,
                     **dict.fromkeys(("_steps", "_lifted", "_count", "_spelled"), WHOLE)},
     "verify": {"_bijection": WHOLE},
+    "cli": dict.fromkeys(("_parse", "run"), WHOLE),
 }
 GATE = ["-c", "import sys; from parkseq.cli import main; sys.exit(main())", "verify", "--suite", "all"]
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-LIMIT = 128  # mutants per survey; the WHOLE functions alone make 97
+LIMIT = 160  # mutants per survey; the WHOLE functions alone make 112
+# the per-module table: mutants made, killed by the gate, killed by Tier-1 only, survivors
+COLUMNS = ("mutants", "gate", "tier-1", "equivalent", "real")
 TIMEOUT_S = 300  # per run; Tier-1 takes about a minute on a 2-vCPU host
+MEMORY_CAP = 2**30  # per run; Tier-1 peaks near 180 MB max RSS
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+", "==": "!=", "!=": "==",
          "and": "or", "or": "and"}
 # (module, stripped source line, column in it, old token, new token): why no input
@@ -135,13 +146,18 @@ def mutate(source, row, col, old, new):
     return "".join(lines)
 
 
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def killed(tree):
-    """Does the gate, or else Tier-1, fail (or hang) on this tree?  Which one did."""
+    """Does the gate, or else Tier-1, fail (or hang, or outgrow the cap) on this tree?  Which one did."""
     env = dict(os.environ, PYTHONPATH="src")
     for name, args in (("gate", GATE), ("tier-1", TIER1)):
         try:
             done = subprocess.run([sys.executable, *args], cwd=tree, env=env, timeout=TIMEOUT_S,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+                                  preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return f"{name} (timeout)"
         if done.returncode:
@@ -167,6 +183,7 @@ def main(argv=None):
         plan += [(module, source, m) for m in mutants(source, target_lines(args.base, module, source))]
     plan = plan[:LIMIT]
     survivors, kills = [], 0
+    table = {module: dict.fromkeys(COLUMNS, 0) for module in TARGETS}
     for number, (module, source, (row, col, old, new)) in enumerate(plan, start=1):
         path = tree / "src" / "parkseq" / f"{module}.py"
         path.write_text(mutate(source, row, col, old, new))
@@ -178,8 +195,10 @@ def main(argv=None):
         line, col = raw.strip(), col - (len(raw) - len(raw.lstrip()))
         print(f"[{number}/{len(plan)}] {module}:{row} {old!r} -> {new!r}: "
               f"{'killed by ' + by if by else 'SURVIVED'}", flush=True)
+        table[module]["mutants"] += 1
         if by:
             kills += 1
+            table[module][by.split()[0]] += 1
         else:
             survivors.append((module, row, line, col, old, new))
     print(f"\n{len(plan)} mutants, {kills} killed, {len(survivors)} survived")
@@ -188,7 +207,11 @@ def main(argv=None):
         why = EQUIVALENT.get((module, line, col, old, new))
         equivalent += why is not None
         mark = f"equivalent: {why}" if why else "real"
+        table[module]["equivalent" if why else "real"] += 1
         print(f"  {module}.py:{row}  {old!r} -> {new!r}  [{mark}]  {line}")
+    print(f"\n{'module':<13}" + "".join(f"{column:>11}" for column in COLUMNS))
+    for module, row in table.items():
+        print(f"{module:<13}" + "".join(f"{value:>11}" for value in row.values()))
     real = len(plan) - equivalent
     print(f"kill rate {kills}/{real} of the mutants that differ from the original"
           + (f" ({equivalent} equivalent)" if equivalent else ""))
