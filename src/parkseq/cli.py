@@ -21,17 +21,24 @@ flags its ``--formula`` choices read in ``_FORMULAS``, and every command takes
 ``--json``.  A choice refuses a flag that only other choices read, set to
 anything but its default, as a usage error.
 
-The argparse tree is built once per process, on the first ``run`` call (so
-importing this module builds nothing).  A request whose first word is a
-command is parsed by that command's own parser, the tree's subparser, whose
-defaults set ``command`` and ``func``.  The whole tree parses every other
-request (help, a missing or unknown command) and every request that the
-command's parser leaves arguments over from, so argparse's messages come
-from one place.  Each parse returns a fresh namespace and every default is
-immutable, so no state passes from one call to the next; handlers may write
-to their own namespace but must never mutate a parser.  Every ``--json``
-document is printed by one encoder, which checks for no cycles: a document
-is a tree that its handler has just built.
+Importing this module loads :mod:`parkseq.core`, :mod:`parkseq.classify`
+(with :mod:`parkseq.biject`, which it imports) and :mod:`parkseq.count`,
+which ``simulate``, ``check`` and ``count`` use, and builds no parser.
+``enumerate`` loads :mod:`parkseq.enumeration` and ``verify`` loads
+:mod:`parkseq.verify` when they run.  One argparse tree serves the process.
+Its commands' parsers, whose defaults set ``command`` and ``func``, start
+with no arguments, and each gets them the first time it is used;
+``verify``'s choices and ``--seed`` default are read from
+:mod:`parkseq.verify` then.  A request whose first word is a command is
+parsed by that command's parser alone.  The whole tree, every command's
+parser completed first, parses every other request (help, a missing or
+unknown command) and every request that the command's parser leaves
+arguments over from, so argparse's messages come from one place.  Each
+parse returns a fresh namespace and every default is immutable, so no state
+passes from one call to the next; handlers may write to their own namespace
+but must never mutate a parser.  Every ``--json`` document is printed by
+one encoder, which checks for no cycles: a document is a tree that its
+handler has just built.
 """
 
 from __future__ import annotations
@@ -51,7 +58,9 @@ from .classify import (
     is_strong_ps,
     is_u_parking_function,
 )
-from .core import FailureReason, ParkingInstance, ParkOutcome, _positive, simulate
+from .core import (
+    DEFAULT_BUDGET, BudgetExceededError, FailureReason, ParkingInstance, ParkOutcome, _positive, simulate,
+)
 from .count import (
     count_inv_constant,
     count_inv_strictly_increasing,
@@ -63,19 +72,6 @@ from .count import (
     count_sps_k,
     fuss_catalan,
 )
-from .enumeration import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    _inv,
-    _ips,
-    _kstrong,
-    _paths,
-    _ps_walk,
-    _strong,
-    _upf,
-)
-from .verify import DEFAULT_SEED, SUITE_NAMES, run_suite
-
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
@@ -92,24 +88,26 @@ def _instance(args) -> ParkingInstance:
 
 
 # family: (flags it needs, flags it reads besides, check predicate or None,
-# enumerator); each callable takes the parsed arguments.  ``check`` offers the
-# families with a predicate.  The enumerator gives the family's listing.
+# enumerator).  The predicate takes the parsed arguments; the enumerator
+# takes :mod:`parkseq.enumeration`, which ``enumerate`` loads when it runs,
+# and the parsed arguments.  ``check`` offers the families with a
+# predicate.  The enumerator gives the family's listing.
 _FAMILIES = {
     "ps": (("lengths",), ("trailer",), lambda a: is_parking_sequence(_instance(a), a.prefs),
-           lambda a: _ps_walk(_instance(a), a.budget)),
+           lambda e, a: e._ps_walk(_instance(a), a.budget)),
     "ips": (("lengths",), ("trailer",), lambda a: is_increasing_ps(_instance(a), a.prefs),
-            lambda a: _ips(_instance(a), a.budget)),
+            lambda e, a: e._ips(_instance(a), a.budget)),
     "inv": (("lengths",), ("trailer",), lambda a: is_permutation_invariant(_instance(a), a.prefs),
-            lambda a: _inv(_instance(a), a.budget)),
+            lambda e, a: e._inv(_instance(a), a.budget)),
     "strong": (("lengths",), ("trailer", "definitional"),
                lambda a: is_strong_ps(a.lengths, a.trailer, a.prefs, definitional=a.definitional),
-               lambda a: _strong(a.lengths, a.trailer, a.budget, a.definitional)),
+               lambda e, a: e._strong(a.lengths, a.trailer, a.budget, a.definitional)),
     "kstrong": (("n", "k"), ("trailer", "definitional"),
                 lambda a: is_k_strong(a.n, a.k, a.trailer, a.prefs, definitional=a.definitional),
-                lambda a: _kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
+                lambda e, a: e._kstrong(a.n, a.k, a.trailer, a.budget, a.definitional)),
     "upf": (("boundary",), (), lambda a: is_u_parking_function(a.boundary, a.prefs),
-            lambda a: _upf(a.boundary, a.budget)),
-    "paths": (("boundary",), ("width",), None, lambda a: _paths(a.boundary, a.width, a.budget)),
+            lambda e, a: e._upf(a.boundary, a.budget)),
+    "paths": (("boundary",), ("width",), None, lambda e, a: e._paths(a.boundary, a.width, a.budget)),
 }
 
 # formula: (the flags it reads, in the order of the JSON params and the
@@ -271,9 +269,11 @@ def _cmd_check(args) -> _Answer:
 
 
 def _cmd_enumerate(args) -> _Answer:
+    from . import enumeration
+
     needs, reads, _, enumerator = _FAMILIES[args.family]
     _need(args, needs, reads)
-    listing = enumerator(args)  # refused here, before --out opens its file
+    listing = enumerator(enumeration, args)  # refused here, before --out opens its file
     if args.out is None:
         return (*_listing_answer(listing, args.count_only), EXIT_OK)
     try:  # a failed open, write or close is the same usage error
@@ -307,6 +307,8 @@ def _cmd_count(args) -> _Answer:
 
 
 def _cmd_verify(args) -> _Answer:
+    from .verify import run_suite
+
     records = run_suite(args.suite, max_n=args.max_n, seed=args.seed, budget=args.budget)
     failed = sum(not record.passed for record in records)
     doc = {
@@ -346,7 +348,7 @@ _FLAGS = {
     "width": {"type": int, "help": "east steps of the path rectangle (paths)"},
     "count_only": {"action": "store_true", "help": "print only the cardinality"},
     "max_n": {"type": _positive_int, "help": "cap the sweep size where applicable"},
-    "seed": {"type": int, "default": DEFAULT_SEED, "help": "seed for sampled checks"},
+    "seed": {"type": int, "help": "seed for sampled checks"},
     "budget": {"type": _positive_int, "default": DEFAULT_BUDGET, "help": "candidate-space cap"},
     "definitional": {"action": "store_true", "help": "strong, kstrong: sweep every rearrangement"
                                                      " or composition instead of the characterization"},
@@ -357,7 +359,8 @@ _FLAGS = {
 
 # command: (help, handler, selector flag, {choice: the flags it reads}, own
 # flags, the own flags argparse requires); the selector is required and
-# takes the choices.
+# takes the choices.  verify's choices, its suites, are read from
+# parkseq.verify when its parser gets its arguments, as is its --seed default.
 _COMMANDS = {
     "simulate": ("run the parking process once", _cmd_simulate, None, {},
                  ("lengths", "trailer", "prefs", "render"), ("lengths", "prefs")),
@@ -369,45 +372,57 @@ _COMMANDS = {
                   ("count_only", "budget", "out"), ()),
     "count": ("evaluate a closed-form count", _cmd_count, "formula",
               {name: flags for name, (flags, _) in _FORMULAS.items()}, (), ()),
-    "verify": ("run formula-versus-sweep cross-checks", _cmd_verify, "suite",
-               dict.fromkeys(SUITE_NAMES, ()), ("max_n", "seed", "budget"), ()),
+    "verify": ("run formula-versus-sweep cross-checks", _cmd_verify, "suite", {},
+               ("max_n", "seed", "budget"), ()),
 }
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``parkseq`` parser, one per process (module docstring)."""
+def _tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``parkseq`` parser and its command parsers by name, which have no arguments yet."""
     parser = argparse.ArgumentParser(
         prog="parkseq",
         description="Exact tools for parking sequences of cars with lengths behind a trailer.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (text, handler, selector, choices, own, required) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=text)
-        takes = {selector, *own, *(flag for flags in choices.values() for flag in flags), "json"}
-        for flag in filter(takes.__contains__, _FLAGS):
-            keywords = dict(_FLAGS[flag], required=flag in (selector, *required))
-            if flag == selector:
-                keywords["choices"] = choices
-            names = (f"--{flag.replace('_', '-')}", *keywords.pop("aliases", ()))
-            sub.add_argument(*names, **keywords)
-        sub.set_defaults(command=command, func=handler)
-    return parser
+    for command, (text, handler, *_) in _COMMANDS.items():
+        commands.add_parser(command, help=text).set_defaults(command=command, func=handler)
+    return parser, commands.choices
 
 
 @functools.cache
-def _command_parsers() -> dict[str, argparse.ArgumentParser]:
-    """Each command's parser by name: the subparsers of :func:`build_parser`'s tree."""
-    return next(action.choices for action in build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction))
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s parser in the tree, given its arguments on first use (module docstring)."""
+    _, _, selector, choices, own, required = _COMMANDS[command]
+    sub = _tree()[1][command]
+    if command == "verify":
+        from .verify import DEFAULT_SEED, SUITE_NAMES
+
+        choices = dict.fromkeys(SUITE_NAMES, ())
+        sub.set_defaults(seed=DEFAULT_SEED)  # the default of --seed, added below
+    takes = {selector, *own, *(flag for flags in choices.values() for flag in flags), "json"}
+    for flag in filter(takes.__contains__, _FLAGS):
+        keywords = dict(_FLAGS[flag], required=flag in (selector, *required))
+        if flag == selector:
+            keywords["choices"] = choices
+        names = (f"--{flag.replace('_', '-')}", *keywords.pop("aliases", ()))
+        sub.add_argument(*names, **keywords)
+    return sub
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``parkseq`` tree, every command's parser given its arguments (module docstring)."""
+    for command in _COMMANDS:
+        _command_parser(command)
+    return _tree()[0]
 
 
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     """The namespace of one request, by its command's parser when it names one (module docstring)."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = _command_parsers().get(argv[0]) if argv else None
-    if parser is not None:
-        args, rest = parser.parse_known_args(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)

@@ -23,6 +23,12 @@ written twice on it: by :func:`simulate`, and by :func:`_park`, the
 success-only step of every walk and of
 :func:`parkseq.classify.is_parking_sequence`, which the tests hold to
 :func:`simulate`.
+
+The budget guard sits here, beside the other input guards, so that a caller
+can catch :class:`BudgetExceededError` without loading the listings.
+:func:`_guard` refuses a sweep whose candidate space is larger than the
+budget (``DEFAULT_BUDGET``, 10^8, unless the caller gives one) before any of
+it runs; a sweep is refused whole, never truncated.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
+    "DEFAULT_BUDGET",
+    "BudgetExceededError",
     "FailureReason",
     "ParkOutcome",
     "ParkingInstance",
@@ -83,6 +91,26 @@ def _positive(value: int, what: str, minimum: int = 1) -> int:
     if out < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {out}")
     return out
+
+
+DEFAULT_BUDGET = 10**8
+
+
+class BudgetExceededError(RuntimeError):
+    """Candidate space larger than the configured enumeration budget."""
+
+    def __init__(self, candidates: int, budget: int):
+        super().__init__(
+            f"enumeration would sweep {candidates} candidates, budget is {budget}"
+        )
+        self.candidates = candidates
+        self.budget = budget
+
+
+def _guard(candidates: int, budget: int) -> None:
+    """Refuse a sweep of more candidates than the budget, a true integer >= 1."""
+    if candidates > _positive(budget, "budget"):
+        raise BudgetExceededError(candidates, budget)
 
 
 def _weight_and_count(total: int, k: int) -> tuple[int, int]:

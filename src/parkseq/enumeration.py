@@ -28,9 +28,10 @@ k = 1 or k = total) the characterized set is the plain family of that one
 vector, which the definition walks too, so both routes take the walk.
 
 A preference above the street length M can never park, which bounds a
-length-n instance at M^n candidates; a budget guard refuses sweeps whose
-candidate space exceeds it, never truncating.  Every producer lists in
-lexicographic order by construction, so output is reproducible.
+length-n instance at M^n candidates; every producer meets the budget guard
+(:func:`parkseq.core._guard`) on its candidate space before it sweeps.
+Every producer lists in lexicographic order by construction, so output is
+reproducible.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ from typing import Callable, Iterable, Sequence
 from .biject import LatticePath
 from .classify import _ordering_sweep, compositions, distinct_permutations
 from .core import (
-    ParkingInstance, _as_int_tuple, _park, _positive, _weight_and_count,
+    DEFAULT_BUDGET, ParkingInstance, _as_int_tuple, _guard, _park, _positive, _weight_and_count,
     check_boundary, standard_order_bounds,
 )
 from .count import _lattice_paths, _u_parking
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "BudgetExceededError",
     "FamilyListing",
     "enum_ips",
     "enum_lattice_paths",
@@ -62,26 +61,6 @@ __all__ = [
     "enum_sps_k",
     "enum_u_pf",
 ]
-
-DEFAULT_BUDGET = 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Candidate space larger than the configured enumeration budget."""
-
-    def __init__(self, candidates: int, budget: int):
-        super().__init__(
-            f"enumeration would sweep {candidates} candidates, budget is {budget}"
-        )
-        self.candidates = candidates
-        self.budget = budget
-
-
-def _guard(candidates: int, budget: int) -> None:
-    """Refuse a sweep of more candidates than the budget, a true integer >= 1."""
-    if candidates > _positive(budget, "budget"):
-        raise BudgetExceededError(candidates, budget)
-
 
 class FamilyListing:
     """A family's members, strictly increasing lexicographically, and their count.

@@ -40,7 +40,7 @@ from operator import attrgetter, le
 
 from .biject import _contract, _expand, _from_path, _invariant_contraction, _to_path
 from .classify import _admits
-from .core import ParkingInstance, _positive, standard_order_bounds
+from .core import DEFAULT_BUDGET, ParkingInstance, _positive, standard_order_bounds
 from .count import (
     count_inv_constant,
     count_inv_strictly_increasing,
@@ -53,7 +53,6 @@ from .count import (
     fuss_catalan,
 )
 from .enumeration import (
-    DEFAULT_BUDGET,
     _inv,
     _ips,
     _kstrong,

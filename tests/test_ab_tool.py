@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _ab(*trees, env=None):
+def _ab(*trees, env=None, workload="counting"):
     return subprocess.run(
-        [sys.executable, "tools/ab.py", *trees, "--workload", "counting", "--passes", "3"],
+        [sys.executable, "tools/ab.py", *trees, "--workload", workload, "--passes", "3"],
         cwd=ROOT, capture_output=True, text=True, check=False, timeout=300, env=env,
     )
 
@@ -36,15 +38,19 @@ def test_ab_runs_the_checkout_against_itself_in_one_process():
     assert rows["pass"][3] == max(row[3] for row in rows.values())
 
 
-def test_ab_refuses_a_tree_that_imports_itself_by_name(tmp_path):
+# the module a tree's self-import is put in, and the workload: the package
+# loads its first at import, its second only when the gate's builder reads it.
+# The tree is B, so A's ops are built, and checked, before it loads.
+@pytest.mark.parametrize("module, workload", [("__init__", "counting"), ("verify", "gate")])
+def test_ab_refuses_a_tree_that_imports_itself_by_name(tmp_path, module, workload):
     # with this checkout's src on the path, such a tree would be timed as this checkout
     tree = tmp_path / "tree"
     package = tree / "src" / "parkseq"
     shutil.copytree(ROOT / "src" / "parkseq", package, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(package / "__init__.py", "a", encoding="utf-8") as init:
-        init.write("\nimport parkseq\n")
+    with open(package / f"{module}.py", "a", encoding="utf-8") as source:
+        source.write("\nimport parkseq\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = _ab(str(tree), str(tree), env=env)
+    done = _ab(".", str(tree), env=env, workload=workload)
     assert done.returncode != 0
     assert done.stdout == ""
     foreign = (ROOT / "src" / "parkseq" / "__init__.py").resolve()

@@ -23,8 +23,8 @@ from parkseq import (
     simulate,
 )
 from parkseq import verify
-from parkseq.core import standard_order_bounds
-from parkseq.enumeration import BudgetExceededError, FamilyListing
+from parkseq.core import BudgetExceededError, standard_order_bounds
+from parkseq.enumeration import FamilyListing
 from parkseq.verify import SUITE_NAMES, run_suite
 
 # sha256 of every gate record, suites in run order, one repr per line:

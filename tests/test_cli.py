@@ -29,7 +29,7 @@ from parkseq.cli import (
     build_parser,
     run,
 )
-from parkseq.enumeration import BudgetExceededError
+from parkseq.core import BudgetExceededError
 from parkseq.verify import SUITE_NAMES
 
 
@@ -802,10 +802,10 @@ class TestSharedParser:
 
     def test_not_built_at_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).parents[1]))
-        code = "import parkseq.cli as c; print(c.build_parser.cache_info().currsize)"
+        code = "import parkseq.cli as c; print(c._tree.cache_info().currsize, c.build_parser.cache_info().currsize)"
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "0\n"
+        assert done.stdout == "0 0\n"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_render_simulates_once(self, monkeypatch, capsys, json_flag):
@@ -890,7 +890,7 @@ DISPATCH_ARGV = [
     ["enumerate", "--family", "ps", "--lengths", "1,1,1,1", "--budget", "5"],
     ["enumerate", "--family", "ps", "--lengths", "1,2", "--budget", "-1"],
     ["enumerate", "--family", "ps", "--lengths", "1,2", "--trailer", "2", "--width", "3"],
-    ["enumerate", "-h"],
+    ["enumerate", "--family", "ps", "--lengths", "1,2", "--stray"], ["enumerate", "-h"],
     ["count", "--formula", "ps", "--lengths", "1,2,2", "--z", "2", "--json"],
     ["count", "--formula", "ps", "--formula", "ips-det", "--lengths", "1,2,2"],
     ["count", "--formula", "inv-inc", "--n", "-1"],
@@ -901,7 +901,7 @@ DISPATCH_ARGV = [
     ["verify", "--suite", "fuss", "--max-n", "2"],
     ["verify", "--suite", "catalan", "--max-n", "2", "--json"],
     ["verify", "--suite", "fuss", "--max-n", "2", "x", "y"],
-    ["verify", "--suite", "eq3", "--max-n", "0"], ["verify", "-h"],
+    ["verify", "--suite", "eq3", "--max-n", "0"], ["verify", "-h"], ["verify", "--help"],
 ]
 
 
@@ -931,6 +931,43 @@ def _through_the_tree(argv):
 @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "(empty)")
 def test_a_command_parser_answers_as_the_whole_tree(argv):
     assert _run_captured(argv) == _through_the_tree(argv)
+
+
+# each command's parser is completed by another path: its own request, its
+# help, the whole tree after a stray flag, for check an earlier request that
+# the whole tree parsed, and for count, which no request names first, the
+# whole tree alone
+LAZY_ORDER = [
+    ["simulate", "--lengths", "2,2", "--prefs", "2,1"],
+    ["verify", "--help"],
+    ["enumerate", "--family", "ps", "--lengths", "1,2", "--stray"],
+    ["check", "--family", "ps", "--lengths", "1,2", "--prefs", "3,1", "--json"],
+    ["--json", "count"],
+]
+
+
+def _in_one_process(*requests):
+    """Each request's (exit code, stdout, stderr), answered in turn by ``run`` in one fresh process."""
+    code = ("import contextlib, io, json\n"
+            "from parkseq.cli import run\n"
+            "answers = []\n"
+            f"for argv in {list(requests)!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        answers.append((run(argv), out.getvalue(), err.getvalue()))\n"
+            "print(json.dumps(answers))")
+    env = dict(os.environ, PYTHONPATH=str(Path(parkseq.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return [tuple(answer) for answer in json.loads(done.stdout)]
+
+
+def test_a_lazily_completed_parser_answers_alike_in_any_order():
+    alone = [_in_one_process(argv)[0] for argv in LAZY_ORDER]
+    assert [code for code, _, _ in alone] == [1, 0, 2, 0, 2]
+    assert alone[-1][2].endswith("parkseq count: error: the following arguments are required: --formula\n")
+    assert _in_one_process(*LAZY_ORDER) == alone
+    assert _in_one_process(*LAZY_ORDER[::-1]) == alone[::-1]
 
 
 def test_a_request_its_command_parser_takes_whole_skips_the_tree(monkeypatch, capsys):

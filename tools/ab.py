@@ -10,6 +10,8 @@ process, as the packages ``parkseq_a`` and ``parkseq_b``; a tree whose
 package imports a bare ``parkseq``, or any module from outside its own
 ``src/parkseq``, is refused.  The workload's ops are built for each tree from
 this checkout's ``perfbench/workloads.py``, so both run the same inputs.
+The package loads its modules as they are used, and a workload's builder
+may load some, so each tree's imports are checked once its ops are built.
 Every op runs on both trees before the next op runs, and which tree goes
 first switches from op to op and from pass to pass, so both trees see the
 host, the heap and the collector in the same states.  Every answer is
@@ -58,12 +60,13 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("gate", "listing", "counting", "queries")
 
 
-def _load(name, tree):
-    """Import ``tree``'s ``src/parkseq`` as the package ``name``, beside any other copy.
+def _load(name, tree, builder, seed):
+    """Import ``tree``'s ``src/parkseq`` as the package ``name``, beside any other copy, and build its ops.
 
-    Exits if loading imported a bare ``parkseq``, or a module of ``name`` from
-    outside ``tree``: a tree that imports itself by its absolute name would
-    otherwise be timed as whatever ``parkseq`` is on ``sys.path``.
+    Exits if loading or building imported a bare ``parkseq``, or a module of
+    ``name`` from outside ``tree``: a tree that imports itself by its
+    absolute name would otherwise be timed as whatever ``parkseq`` is on
+    ``sys.path``.  The check follows the builder, which may load modules.
     """
     package = (Path(tree) / "src" / "parkseq").resolve()
     spec = importlib.util.spec_from_file_location(
@@ -72,6 +75,7 @@ def _load(name, tree):
     sys.modules[name] = lib
     spec.loader.exec_module(lib)
     importlib.import_module(f"{name}.cli")  # the queries workload calls lib.cli
+    ops = builder(lib, seed)
     foreign = []
     for module_name, module in list(sys.modules.items()):
         top = module_name.partition(".")[0]
@@ -80,7 +84,7 @@ def _load(name, tree):
             foreign.append(f"{module_name} from {origin}")
     if foreign:
         raise SystemExit(f"error: loading {tree} imported {min(foreign)}, not from {package}")
-    return lib
+    return ops
 
 
 def _time(trees, workload, seed, passes):
@@ -89,7 +93,7 @@ def _time(trees, workload, seed, passes):
     import measure
     import workloads
 
-    ops = [workloads.BUILDERS[workload](_load(f"parkseq_{side}", tree), seed)
+    ops = [_load(f"parkseq_{side}", tree, workloads.BUILDERS[workload], seed)
            for side, tree in zip("ab", trees)]
     # one phase per op, so each op's answers are checked against its own reference
     phases = [[measure.new_phase([op]) for op in tree_ops] for tree_ops in ops]
