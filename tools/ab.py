@@ -50,7 +50,6 @@ read B slower in five of the six runs, whichever tree was B.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -74,7 +73,6 @@ def _load(name, tree, builder, seed):
     lib = importlib.util.module_from_spec(spec)
     sys.modules[name] = lib
     spec.loader.exec_module(lib)
-    importlib.import_module(f"{name}.cli")  # the queries workload calls lib.cli
     ops = builder(lib, seed)
     foreign = []
     for module_name, module in list(sys.modules.items()):
